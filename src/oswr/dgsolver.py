@@ -15,6 +15,11 @@ Two interface treatments are supported: the conforming-trace path folds
 the interface operators into Aa and the transmission data into the load,
 while the mortar path carries a discrete flux unknown Q per interface
 and solves a coupled (U, Q) system, enabling nonmatching spatial meshes.
+
+Both step systems are affine in the step length, S(k) = S_mass + k S_stiff
+(tab.A does not depend on k, tab.gram is proportional to it).  A
+FactorCache keeps the two parts per path and one sparse LU factor per
+step class, so a uniform grid factors each path once.
 """
 
 from __future__ import annotations
@@ -44,40 +49,68 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-12
 
+# Step lengths within this relative distance share one factorization: the
+# interval lengths of a uniform grid differ only in their last bits.
+STEP_CLASS_RTOL = 1e-12
+
 
 class SolverError(Exception):
     """Linear solve failure; carries the achieved residual."""
 
 
+def _factorize(matrix):
+    """Sparse LU with the fill-reducing MMD ordering of A^T + A."""
+    try:
+        return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as e:  # exactly singular factorization
+        raise SolverError(f"factorization breakdown: {e}") from None
+
+
 @dataclass
 class FactorCache:
-    """LU factorizations keyed by (path, degree, step length)."""
+    """LU factorizations keyed by (path, degree, step class), and the two
+    k-independent parts S_mass, S_stiff of each path's step system
+    S(k) = S_mass + k S_stiff, keyed by (path, degree)."""
 
     factors: dict = field(default_factory=dict)
+    operators: dict = field(default_factory=dict)
+
+    def key(self, path, d, k):
+        """Key of k's step class: the cached (path, d, k_rep) with k within
+        STEP_CLASS_RTOL of k_rep, else (path, d, k)."""
+        for key in self.factors:
+            if key[:2] == (path, d) and abs(key[2] - k) <= STEP_CLASS_RTOL * key[2]:
+                return key
+        return (path, d, k)
 
     def get(self, key, build):
         if key not in self.factors:
-            try:
-                self.factors[key] = spla.splu(build().tocsc())
-            except RuntimeError as e:  # exactly singular factorization
-                raise SolverError(f"factorization breakdown: {e}") from None
+            self.factors[key] = _factorize(build())
         return self.factors[key]
+
+    def operator(self, path, d, build):
+        if (path, d) not in self.operators:
+            self.operators[(path, d)] = build()
+        return self.operators[(path, d)]
+
+
+def _relative_residual(r, rhs):
+    nb = np.linalg.norm(rhs)
+    return np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
+
+
+def _check_residual(rel, where=""):
+    if not np.isfinite(rel) or rel > RESIDUAL_TOL:
+        raise SolverError(f"{where}linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
 def linear_solve(matrix, rhs, factor=None):
     """Direct sparse solve with a residual contract of 1e-12 relative."""
     rhs = np.asarray(rhs, dtype=float)
     if factor is None:
-        try:
-            factor = spla.splu(sp.csc_matrix(matrix))
-        except RuntimeError as e:
-            raise SolverError(f"factorization breakdown: {e}") from None
+        factor = _factorize(matrix)
     x = factor.solve(rhs)
-    r = matrix @ x - rhs
-    nb = np.linalg.norm(rhs)
-    rel = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
-    if not np.isfinite(rel) or rel > RESIDUAL_TOL:
-        raise SolverError(f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    _check_residual(_relative_residual(matrix @ x - rhs, rhs))
     return x
 
 
@@ -154,19 +187,38 @@ class MortarFlux:
     coeffs: dict  # neighbor id -> (N, d+1, n_iface)
 
 
-def dg_step_matrix(Mm, Aa, k, d):
-    """Block system of one DG(d) step for mass-like Mm, stiffness-like Aa."""
-    tab = build_interval_basis(d, k)
-    if d == 0:
-        return (Mm + k * Aa).tocsc(), tab
-    blocks = [[None] * (d + 1) for _ in range(d + 1)]
+def _step_parts(mass, stiff, d):
+    """The k-independent parts of one DG(d) step system,
+    S(k) = S_mass + k S_stiff.
+
+    mass and stiff are square grids of spatial blocks (None where zero)
+    of the mass-like and stiffness-like operators; every diagonal
+    stiffness block is given.  tab.A does not depend on k and
+    tab.gram[j] = k/(2j+1), so the table of k = 1 gives both parts.
+    """
+    tab = build_interval_basis(d, 1.0)
+    nblk = len(mass)
+    size = nblk * (d + 1)
+    S_mass = [[None] * size for _ in range(size)]
+    S_stiff = [[None] * size for _ in range(size)]
     for j in range(d + 1):
         for kk in range(d + 1):
-            B = tab.A[kk, j] * Mm
-            if kk == j:
-                B = B + tab.gram[j] * Aa
-            blocks[j][kk] = B
-    return sp.bmat(blocks, format="csc"), tab
+            for r in range(nblk):
+                for c in range(nblk):
+                    row, col = j * nblk + r, kk * nblk + c
+                    if mass[r][c] is not None:
+                        S_mass[row][col] = tab.A[kk, j] * mass[r][c]
+                    elif r == c:  # an empty block fixes the block size
+                        S_mass[row][col] = sp.csr_matrix(stiff[r][r].shape)
+                    if kk == j and stiff[r][c] is not None:
+                        S_stiff[row][col] = tab.gram[j] * stiff[r][c]
+    return sp.bmat(S_mass, format="csr"), sp.bmat(S_stiff, format="csr")
+
+
+def dg_step_matrix(Mm, Aa, k, d):
+    """Block system of one DG(d) step for mass-like Mm, stiffness-like Aa."""
+    S_mass, S_stiff = _step_parts([[Mm]], [[Aa]], d)
+    return (S_mass + k * S_stiff).tocsc(), build_interval_basis(d, k)
 
 
 def step_d0(M, A, u_prev, k, F0, factor=None):
@@ -207,6 +259,25 @@ def _gather_trace_load(assembly, traces_in, n, tab):
     return out
 
 
+def _solve_step(cache, path, d, op, k, rhs, n):
+    """Solve S(k) x = rhs for step n with the factor of k's step class.
+
+    op = (S_mass, S_stiff) of the path.  The 1e-12 residual contract is
+    checked against the step's own S(k), never against the class
+    representative the factor was built from."""
+    S_mass, S_stiff = op
+    factor = cache.get(cache.key(path, d, k), lambda: S_mass + k * S_stiff)
+    x = factor.solve(rhs)
+    r = S_mass @ x + k * (S_stiff @ x) - rhs
+    if _relative_residual(r, rhs) > RESIDUAL_TOL:
+        # k may differ from the representative in its last digits, which
+        # one refinement step with the same factor corrects.
+        x = x - factor.solve(r)
+        r = S_mass @ x + k * (S_stiff @ x) - rhs
+    _check_residual(_relative_residual(r, rhs), f"interval {n}: ")
+    return x
+
+
 def solve_window(assembly, traces_in, partition, u_init, loads, cache=None):
     """March one subdomain over a window (conforming-trace path).
 
@@ -221,43 +292,22 @@ def solve_window(assembly, traces_in, partition, u_init, loads, cache=None):
     if cache is None:
         cache = FactorCache()
     bp = partition.breakpoints
+    op = cache.operator(
+        "conf", d, lambda: _step_parts([[assembly.M_full]], [[assembly.A_full]], d)
+    )
     for n in range(n_int):
         k = float(bp[n + 1] - bp[n])
         tab = build_interval_basis(d, k)
-        key = ("conf", d, k)
-        factor = cache.get(
-            key, lambda: dg_step_matrix(assembly.M_full, assembly.A_full, k, d)[0]
-        )
         G = _gather_trace_load(assembly, traces_in, n, tab)
         F = loads[n] + G
         rhs = np.concatenate([
             ((-1.0) ** j) * (assembly.M_full @ u_prev) + F[j] for j in range(d + 1)
         ])
-        x = factor.solve(rhs)
-        _check_step_residual(cache, key,
-                             lambda: dg_step_matrix(assembly.M_full, assembly.A_full, k, d)[0],
-                             x, rhs, n)
+        x = _solve_step(cache, "conf", d, op, k, rhs, n)
         for j in range(d + 1):
             coeffs[n, j] = x[j * ndof : (j + 1) * ndof]
         u_prev = coeffs[n].sum(axis=0)
     return DGTrajectory(partition=partition, coeffs=coeffs, u_init=np.asarray(u_init, float).copy())
-
-
-def _check_step_residual(cache, key, build, x, rhs, n):
-    """Per-step solve contract: relative residual below 1e-12.
-
-    The step matrix is kept alongside its factorization so the check is
-    one sparse product per step."""
-    mkey = ("matrix",) + key
-    if mkey not in cache.factors:
-        cache.factors[mkey] = build()
-    S = cache.factors[mkey]
-    nb = np.linalg.norm(rhs)
-    rel = np.linalg.norm(S @ x - rhs) / nb if nb > 0 else np.linalg.norm(S @ x)
-    if not np.isfinite(rel) or rel > RESIDUAL_TOL:
-        raise SolverError(
-            f"linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e} at interval {n}"
-        )
 
 
 def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=None):
@@ -277,12 +327,11 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=Non
     if cache is None:
         cache = FactorCache()
     bp = partition.breakpoints
+    op = cache.operator("mortar", d, lambda: _step_parts(*_mortar_blocks(assembly), d))
 
     for n in range(n_int):
         k = float(bp[n + 1] - bp[n])
         tab = build_interval_basis(d, k)
-        key = ("mortar", d, k)
-        factor = cache.get(key, lambda: _mortar_step_matrix(assembly, k, d))
         rhs_modes = []
         for j in range(d + 1):
             sgn = (-1.0) ** j
@@ -297,8 +346,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=Non
                 parts.append(rb)
             rhs_modes.append(np.concatenate(parts))
         rhs = np.concatenate(rhs_modes)
-        x = factor.solve(rhs)
-        _check_step_residual(cache, key, lambda: _mortar_step_matrix(assembly, k, d), x, rhs, n)
+        x = _solve_step(cache, "mortar", d, op, k, rhs, n)
         blk = offs[-1]
         for j in range(d + 1):
             xj = x[j * blk : (j + 1) * blk]
@@ -310,57 +358,28 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=Non
     return traj, MortarFlux(partition=partition, coeffs=qmodes)
 
 
-def _mortar_step_matrix(assembly, k, d):
-    """Coupled (U, Q) step system.
+def _mortar_blocks(assembly):
+    """Spatial blocks of the coupled (U, Q) step system.
 
     Volume line:    d/dt(I U) 'mass' with plain volume mass, plus
                     Aa_vol = atilde + exterior + (b.n/2) interface mass,
                     coupled to Q through -M_Gamma (scattered);
     interface line: q-weighted interface mass under the lift tables, plus
                     M_Gamma Q + ((p - b.n) mass + q B_r + K_s) U = data.
+    Returns the (mass, stiff) block grids for `_step_parts`.
     """
-    ndof = assembly.n_dofs
-    nbs = assembly.mortar_neighbors
-    tab = build_interval_basis(d, k)
-    nblk = 1 + len(nbs)
-
-    def mass_block(row, col):
-        if row == 0 and col == 0:
-            return assembly.M_mortar_vol
-        if row >= 1 and col == 0:
-            ia = assembly.iface[nbs[row - 1]]
-            return ia.q * (ia.M_gamma @ ia.restrict)
-        return None
-
-    def stiff_block(row, col):
-        if row == 0 and col == 0:
-            return assembly.A_mortar_vol
-        if row == 0 and col >= 1:
-            ia = assembly.iface[nbs[col - 1]]
-            return -(ia.restrict.T @ ia.M_gamma)
-        if row >= 1 and col == row:
-            ia = assembly.iface[nbs[row - 1]]
-            return ia.M_gamma
-        if row >= 1 and col == 0:
-            ia = assembly.iface[nbs[row - 1]]
-            return (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
-        return None
-
-    blocks = [[None] * (nblk * (d + 1)) for _ in range(nblk * (d + 1))]
-    for j in range(d + 1):
-        for kk in range(d + 1):
-            for r in range(nblk):
-                for cidx in range(nblk):
-                    B = None
-                    mb = mass_block(r, cidx)
-                    if mb is not None:
-                        B = tab.A[kk, j] * mb
-                    if kk == j:
-                        ab = stiff_block(r, cidx)
-                        if ab is not None:
-                            B = tab.gram[j] * ab if B is None else B + tab.gram[j] * ab
-                    blocks[j * nblk + r][kk * nblk + cidx] = B
-    return sp.bmat(blocks, format="csc")
+    ifaces = [assembly.iface[nb] for nb in assembly.mortar_neighbors]
+    nblk = 1 + len(ifaces)
+    mass = [[None] * nblk for _ in range(nblk)]
+    stiff = [[None] * nblk for _ in range(nblk)]
+    mass[0][0] = assembly.M_mortar_vol
+    stiff[0][0] = assembly.A_mortar_vol
+    for r, ia in enumerate(ifaces, start=1):
+        mass[r][0] = ia.q * (ia.M_gamma @ ia.restrict)
+        stiff[0][r] = -(ia.restrict.T @ ia.M_gamma)
+        stiff[r][r] = ia.M_gamma
+        stiff[r][0] = (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
+    return mass, stiff
 
 
 def trajectory_norm(traj, M):

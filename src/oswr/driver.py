@@ -32,6 +32,7 @@ from oswr.dgsolver import (
     DGTrajectory,
     FactorCache,
     InterfaceTrace,
+    SolverError,
     solve_window,
     solve_window_mortar,
     trajectory_norm,
@@ -467,15 +468,16 @@ def _solve_one(md, sid, traces, u_init):
     part = md.partitions[sid]
     loads = md.loads[sid]
     mine = {nb: traces[(sid, nb)] for nb in asm.iface}
-    if asm.mortar_neighbors:
-        conf_load = _conforming_extra_loads(asm, mine, part)
-        traj, flux = solve_window_mortar(
-            asm, {nb: mine[nb] for nb in asm.mortar_neighbors},
-            part, u_init, _add_loads(loads, conf_load), cache=asm.cache,
-        )
-        return traj, flux
-    traj = solve_window(asm, mine, part, u_init, loads, cache=asm.cache)
-    return traj, None
+    try:
+        if asm.mortar_neighbors:
+            conf_load = _conforming_extra_loads(asm, mine, part)
+            return solve_window_mortar(
+                asm, {nb: mine[nb] for nb in asm.mortar_neighbors},
+                part, u_init, _add_loads(loads, conf_load), cache=asm.cache,
+            )
+        return solve_window(asm, mine, part, u_init, loads, cache=asm.cache), None
+    except SolverError as e:
+        raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
 
 
 def _conforming_extra_loads(asm, mine, part):
@@ -503,6 +505,20 @@ def _add_loads(loads, extra):
     return [a + b for a, b in zip(loads, extra)]
 
 
+def _thread_count(default):
+    """Pool size from OSWR_THREADS; unset or empty gives `default`."""
+    text = os.environ.get("OSWR_THREADS", "")
+    if not text:
+        return default
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"OSWR_THREADS must be a positive integer, got {text!r}")
+    return n
+
+
 def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     """Run the Jacobi waveform-relaxation loop on one window.
 
@@ -512,6 +528,7 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     t_a, t_b = window
     md.set_window(t_a, t_b)
     sids = sorted(md.assemblies)
+    n_threads = _thread_count(len(sids))
     if traces is None:
         traces = {}
         for sid in sids:
@@ -522,7 +539,6 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     history = IterationHistory(
         solution_norms={s: [] for s in sids}, change_norms={s: [] for s in sids}
     )
-    n_threads = int(os.environ.get("OSWR_THREADS", len(sids)) or len(sids))
     prev_traj = None
     trajectories, fluxes = {}, {}
     r0 = None

@@ -837,6 +837,13 @@ def validate_problem(cfg):
     for s in cfg.subdomains:
         if s.nx < 1 or (s.dim == 2 and s.ny < 1) or s.nt < 1:
             err(f"subdomain {s.id}: grid counts must be >= 1")
+        # Step operators are assembled once and factored per step class,
+        # so the operator coefficients must not depend on t.
+        operator_coeffs = [("nu", s.nu), *zip(("bx", "by"), s.b), ("c", s.c), ("omega", s.omega)]
+        for name, expr in operator_coeffs:
+            if expr.depends_on("t"):
+                err(f"subdomain {s.id}: coefficient {name} depends on t; "
+                    "only f and u0 may be time-dependent")
         x, y = _sample_lattice(s.box)
         try:
             nu = s.nu(x, y, 0.0)
@@ -875,4 +882,7 @@ def validate_problem(cfg):
                     err(f"interface {lab}: q must be nonnegative")
                 if tp.q > 0 and tp.s <= 0:
                     err(f"interface {lab}: s must be positive when q > 0")
+                if tp.r.depends_on("t"):
+                    err(f"interface {lab}: coefficient r depends on t; "
+                        "only f and u0 may be time-dependent")
     return diags

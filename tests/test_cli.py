@@ -69,6 +69,17 @@ class TestRun:
         p.write_text(bad)
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    def test_time_dependent_coefficient_exit_2(self, cfg_path, tmp_path, capsys):
+        p = tmp_path / "tdep.cfg"
+        p.write_text(cfg_path.read_text().replace('nu = "0.1"', 'nu = "0.1*(1+t)"'))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "subdomain 1: coefficient nu depends on t" in capsys.readouterr().err
+
+    def test_bad_thread_count_exit_2(self, cfg_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("OSWR_THREADS", "two")
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "OSWR_THREADS must be a positive integer, got 'two'" in capsys.readouterr().err
+
     def test_solver_failure_exit_3(self, cfg_path, tmp_path, monkeypatch):
         # valid configs yield SPD-mass direct-LU step systems that do not
         # break organically; the failure path is exercised by injection

@@ -1,15 +1,24 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oswr.dgsolver import (
     DGTrajectory,
+    FactorCache,
+    InterfaceTrace,
     SolverError,
     linear_solve,
     solve_window,
+    solve_window_mortar,
     step_d0,
     step_d1,
 )
+from oswr.driver import build_multidomain
+from oswr.problem import parse_config
 from oswr.timebasis import TimePartition
 
 ONE = sp.csr_matrix(np.array([[1.0]]))
@@ -203,3 +212,153 @@ class TestTrajectory:
         assert traj.value(0.0, left=True)[0] == 5.0
         assert traj.value(0.5, left=True)[0] == 1.0
         assert traj.value(0.5, left=False)[0] == 1.0
+
+
+def _dg1_matrix(Ms, As, k):
+    """Exact DG(1) step matrix [[Ms + k As, Ms], [-Ms, Ms + (k/3) As]]."""
+    return sp.bmat([[Ms + k * As, Ms], [-Ms, Ms + (k / 3.0) * As]], format="csc")
+
+
+def _march_reference(Ms, As, part, u_init, data):
+    """DG(1) march with a fresh factorization of each step's exact-k matrix.
+
+    Ms, As are the spatial blocks with the solution dofs first; data[n] is
+    the (2, size) load part of step n's rhs.  Returns the (N, 2, size)
+    modes of all unknowns."""
+    size, ndof = Ms.shape[0], u_init.size
+    u = np.zeros(size)
+    u[:ndof] = u_init
+    out = np.zeros((part.n_intervals, 2, size))
+    for n, k in enumerate(part.lengths):
+        Mu = Ms @ u
+        rhs = np.concatenate([Mu + data[n][0], -Mu + data[n][1]])
+        out[n] = linear_solve(_dg1_matrix(Ms, As, float(k)), rhs).reshape(2, size)
+        u[:ndof] = out[n, 0, :ndof] + out[n, 1, :ndof]
+    return out
+
+
+def _relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+uniform_windows = st.builds(
+    lambda t_a, length, n: TimePartition.uniform(t_a, t_a + length, n),
+    st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.integers(1, 64),
+)
+
+MORTAR_CFG = """
+[domain]
+box = 0 1 0 1
+T = 1
+tolerance = 1e-9
+max_iterations = 10
+u0 = "exp(-20*((x-0.5)^2+(y-0.5)^2))"
+f = "x*(1+t)"
+
+[subdomain]
+id = 1
+box = 0 0.5 0 1
+nu = "0.1"
+bx = "0.3"
+by = "-0.2"
+c = "0.5"
+nx = 2
+ny = 3
+nt = 4
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.5 1 0 1
+nu = "0.04"
+bx = "0.3"
+by = "0"
+c = "0.5"
+nx = 2
+ny = 3
+nt = 4
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+q = 0.05
+s = 0.04
+
+[transmission]
+from = 2
+to = 1
+p = 1.0
+q = 0.05
+s = 0.1
+"""
+
+
+@lru_cache(maxsize=None)
+def _mortar_assembly():
+    md = build_multidomain(parse_config(MORTAR_CFG), force_mortar=True)
+    return md.assemblies[1]
+
+
+class TestStepClassCache:
+    @settings(max_examples=25, deadline=None)
+    @given(part=uniform_windows)
+    # Its lengths round to two different 12-digit values.
+    @example(part=TimePartition.uniform(0.0, 0.55, 59))
+    def test_conforming_one_factorization_exact_steps(self, part):
+        rng = np.random.default_rng(11)
+        n = 6
+        B, C = rng.standard_normal((2, n, n))
+        A = sp.csr_matrix(B @ B.T / 5 + np.eye(n) + (C - C.T) / 2)
+        M = sp.csr_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
+        u0 = rng.standard_normal(n)
+        loads = list(rng.standard_normal((part.n_intervals, 2, n)))
+        cache = FactorCache()
+        traj = solve_window(_OdeAssembly(M, A, 1), {}, part, u0, loads, cache=cache)
+        assert len(cache.factors) == 1
+        ref = _march_reference(M, A, part, u0, loads)
+        assert _relative_gap(traj.coeffs, ref) <= 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(part=uniform_windows)
+    def test_mortar_one_factorization_exact_steps(self, part):
+        asm = _mortar_assembly()
+        assert asm.mortar_neighbors == [2]
+        ia = asm.iface[2]
+        ndof, ni = asm.n_dofs, ia.nodes.size
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((part.n_intervals, 2, ni))
+        u0 = rng.standard_normal(ndof)
+        loads = asm.window_loads(part)
+        cache = FactorCache()
+        traj, flux = solve_window_mortar(
+            asm, {2: InterfaceTrace(part, g)}, part, u0, loads, cache=cache
+        )
+        assert len(cache.factors) == 1
+
+        Ms = sp.bmat([[asm.M_mortar_vol, None],
+                      [ia.q * (ia.M_gamma @ ia.restrict), sp.csr_matrix((ni, ni))]])
+        As = sp.bmat([[asm.A_mortar_vol, -(ia.restrict.T @ ia.M_gamma)],
+                      [(ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict, ia.M_gamma]])
+        data = [
+            [np.concatenate([loads[n][j], k / (2 * j + 1) * g[n, j]]) for j in range(2)]
+            for n, k in enumerate(part.lengths)
+        ]
+        ref = _march_reference(Ms, As, part, u0, data)
+        assert _relative_gap(traj.coeffs, ref[:, :, :ndof]) <= 1e-12
+        assert _relative_gap(flux.coeffs[2], ref[:, :, ndof:]) <= 1e-12
+
+    def test_merged_step_class_meets_residual_contract(self):
+        # Lengths 1 and 1 + 8e-13 share one factor.  With reaction -3 the
+        # representative's solution misses the second step's 1e-12 residual
+        # until it is refined against the exact step matrix.
+        M, A = ONE, -3.0 * ONE
+        part = TimePartition(np.array([0.0, 1.0, 2.0 + 8e-13]))
+        u0 = np.array([1.0])
+        loads = [np.array([[0.3], [-0.7]]), np.array([[0.3], [-0.7]])]
+        cache = FactorCache()
+        traj = solve_window(_OdeAssembly(M, A, 1), {}, part, u0, loads, cache=cache)
+        assert len(cache.factors) == 1
+        ref = _march_reference(M, A, part, u0, loads)
+        assert _relative_gap(traj.coeffs, ref) <= 1e-12

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from oswr.dgsolver import InterfaceTrace, solve_window_mortar
+import oswr.femspace as fes
+from oswr.dgsolver import InterfaceTrace, SolverError, solve_window_mortar
 from oswr.driver import (
     build_multidomain,
     initial_guess,
@@ -355,3 +358,32 @@ class TestMortarEquivalence:
         assert md.assemblies[1].mortar_neighbors == [2]
         sol = run_windows(cfg, md=md)
         assert sol.histories[0].converged
+
+
+def _u_init(md, cfg):
+    return {sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0) for sid in md.assemblies}
+
+
+class TestFailureReporting:
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_bad_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("OSWR_THREADS", value)
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        with pytest.raises(ValueError) as info:
+            iterate(md, (0.0, cfg.T), _u_init(md, cfg), 5, 1e-10)
+        assert str(info.value) == f"OSWR_THREADS must be a positive integer, got '{value}'"
+
+    def test_solver_error_names_subdomain_window_interval(self):
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        md.set_window(0.0, cfg.T)
+        asm = md.assemblies[1]
+        k = float(md.partitions[1].lengths[0])
+        # the class factor of a different matrix: every step misses the residual
+        wrong = spla.splu(sp.identity(2 * asm.n_dofs, format="csc"))
+        asm.cache.factors[asm.cache.key("conf", 1, k)] = wrong
+        with pytest.raises(SolverError,
+                           match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
+                                 r"linear solve residual .* exceeds 1e-12$"):
+            iterate(md, (0.0, cfg.T), _u_init(md, cfg), 5, 1e-10)

@@ -267,3 +267,22 @@ class TestValidation:
         if len(degs) > 1:
             diags = validate_problem(cfg)
             assert any("mixed" in d.message.lower() for d in diags if d.severity == "error")
+
+    @pytest.mark.parametrize("old,new,where", [
+        ('nu = "0.001*sqrt(y)"', 'nu = "0.001*sqrt(y)*(1+100*t)"', "subdomain 1: coefficient nu"),
+        ('bx = "-0.1"', 'bx = "-0.1*t"', "subdomain 2: coefficient bx"),
+        ('by = "-1"', 'by = "-1-t"', "subdomain 1: coefficient by"),
+        ('c = "0"', 'c = "sin(t)"', "subdomain 1: coefficient c"),
+        ('c = "0"', 'c = "0"\nomega = "1+t"', "subdomain 1: coefficient omega"),
+        ('r = "-1"', 'r = "-1+t"', "interface (1, 2): coefficient r"),
+    ])
+    def test_time_dependent_operator_coefficient_rejected(self, old, new, where):
+        diags = validate_problem(parse_config(EXP1.replace(old, new, 1)))
+        errors = [d.message for d in diags if d.severity == "error"]
+        assert any(m.startswith(where) and "depends on t" in m for m in errors), errors
+
+    def test_time_dependent_data_accepted(self):
+        text = EXP1.replace('f = "0"', 'f = "x*t"').replace(
+            'u0 = "0.25*', 'u0 = "(1+t)*0.25*')
+        diags = validate_problem(parse_config(text))
+        assert not [d for d in diags if d.severity == "error"]
