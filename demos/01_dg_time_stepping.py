@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from oswr.analysis import (
     RefGrid,
-    bind_reference_views,
     error_norms,
     fit_slope,
     solve_monodomain,
@@ -63,7 +62,7 @@ ks, e_inf, e_T = [], [], []
 for lev in range(4):
     nt = 4 * 2**lev
     sol = solve_monodomain(cfg, RefGrid(nx={1: 16}, ny=16, nt=nt))
-    rep = error_norms(bind_reference_views(sol), ref)
+    rep = error_norms(sol, ref)
     ks.append(0.5 / nt)
     e_inf.append(rep.e_inf[1])
     e_T.append(rep.e_T_l2[1])

@@ -14,6 +14,9 @@ monodomain solution coincide on conforming grids up to solver tolerance.
 Error norms follow a nested-refinement discipline: every study grid is a
 coarsening of the reference grid, so interpolating P1 fields onto the
 reference mesh is exact and measured slopes carry no interpolation bias.
+The evaluation is built once per reference as operators (the reference
+time layout, P1 interpolation onto each subdomain's reference nodes, the
+restricted norm matrices) and applied to blocks of times.
 """
 
 from __future__ import annotations
@@ -134,6 +137,37 @@ class _GlobalAssembly:
     iface: dict = field(default_factory=dict)
 
 
+_G2T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
+
+@dataclass(frozen=True)
+class TimeLayout:
+    """Reference times of the error norms.
+
+    sup: breakpoint left limits, then the interior Radau points (taken
+    from the right), for the L-inf(L2) norm; gauss: two Gauss points per
+    interval with their quadrature weights, for the L2(L2) norm.
+    """
+
+    sup_times: np.ndarray
+    sup_left: np.ndarray
+    gauss_times: np.ndarray
+    gauss_weights: np.ndarray
+
+    @classmethod
+    def build(cls, partition, degree):
+        bp = partition.breakpoints
+        a, k = bp[:-1, None], (bp[1:] - bp[:-1])[:, None]
+        radau = gauss_radau(degree).nodes[:-1]  # interior nodes only
+        interior = (a + radau[None, :] * k).ravel()
+        return cls(
+            sup_times=np.concatenate([bp, interior]),
+            sup_left=np.arange(bp.size + interior.size) < bp.size,
+            gauss_times=(a + _G2T[None, :] * k).ravel(),
+            gauss_weights=np.repeat(0.5 * k, _G2T.size, axis=1).ravel(),
+        )
+
+
 @dataclass
 class Reference:
     """Monodomain reference solution on the global conforming mesh."""
@@ -143,9 +177,28 @@ class Reference:
     owners: dict
     cfg: prb.ExperimentConfig
     _norm_ops: dict = field(default_factory=dict)
+    _interp: dict = field(default_factory=dict)
+    _layout: TimeLayout | None = None
 
-    def view(self):
-        return TrajectoryView([self.trajectory])
+    def view(self, sid=None):
+        """The monodomain solution; the same view for every subdomain."""
+        return TrajectoryView([self.trajectory], mesh=self.mesh)
+
+    @property
+    def layout(self):
+        if self._layout is None:
+            self._layout = TimeLayout.build(self.trajectory.partition, self.trajectory.degree)
+        return self._layout
+
+    def interpolation(self, sid, mesh):
+        """P1 interpolation from `mesh` onto subdomain sid's reference
+        nodes, keyed on the grid lines of `mesh`."""
+        ys = None if mesh.ys is None else mesh.ys.tobytes()
+        key = (sid, mesh.xs.tobytes(), ys)
+        if key not in self._interp:
+            nodes = self.norm_ops(sid)[0]
+            self._interp[key] = mesh.p1_operator(self.mesh.coords[nodes])
+        return self._interp[key]
 
     def norm_ops(self, sid):
         """Restricted mass/stiffness of one subdomain region plus the
@@ -162,6 +215,22 @@ class Reference:
             Ksub = K[nodes][:, nodes].tocsr()
             self._norm_ops[sid] = (nodes, Msub, Ksub)
         return self._norm_ops[sid]
+
+
+@dataclass
+class _IntervalLoads:
+    """The load vectors of interval n, assembled when the march asks for
+    them: a reference grid has many intervals, and a list of all of them
+    is as large as the reference trajectory."""
+
+    mesh: fes.Mesh
+    f: prb.CoefficientExpression
+    partition: TimePartition
+    degree: int
+
+    def __getitem__(self, n):
+        bp = self.partition.breakpoints
+        return fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
 
 
 def solve_monodomain(cfg, ref, p_ext=1.0):
@@ -246,13 +315,9 @@ def solve_monodomain(cfg, ref, p_ext=1.0):
 
     asm = _GlobalAssembly(M_full=M.tocsr(), A_full=A.tocsr(), degree=degree, n_dofs=n)
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
-    bp = part.breakpoints
-    loads = [
-        fes.assemble_load(mesh, cfg.f, (bp[m], bp[m + 1] - bp[m]), degree)
-        for m in range(ref.nt)
-    ]
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
-    traj = solve_window(asm, {}, part, u0, loads, cache=FactorCache())
+    traj = solve_window(asm, {}, part, u0, _IntervalLoads(mesh, cfg.f, part, degree),
+                        cache=FactorCache())
     return Reference(mesh=mesh, trajectory=traj, owners=owners, cfg=cfg)
 
 
@@ -283,33 +348,50 @@ def _check_nested(coarse_n, fine_n, what):
         raise ValueError(f"non-nested grids rejected: {what} ({fine_n} vs {coarse_n})")
 
 
-_G2T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+# Times evaluated at once.  All reference times at once would hold several
+# (times x reference nodes) arrays and raise the peak memory of a study;
+# one time at a time is a Python-level loop.  A block holds at most
+# BLOCK_VALUES doubles in each (times x reference nodes) array: 58 times
+# on the 561-node mesh of the criterion-2 study, where larger blocks
+# measured no faster and raised the peak resident memory.
+BLOCK_VALUES = 1 << 15
+
+
+def _blocks(n_times, n_values):
+    size = max(1, BLOCK_VALUES // n_values)
+    for a in range(0, n_times, size):
+        yield slice(a, min(a + size, n_times))
+
+
+def _sq_norms(D, M):
+    """d @ (M @ d) for every row d of D."""
+    return np.einsum("ti,ti->t", D, (M @ D.T).T)
 
 
 def error_norms(sol, reference, check_nesting=True):
     """Errors of a multidomain (or monodomain) solution vs the reference.
 
-    Evaluates the solution at the reference time nodes (left limits at
-    breakpoints, plus the interior Radau points for the sup norm),
-    interpolates P1 fields onto the reference mesh (exact for nested
-    meshes) and assembles the norms with reference-mesh operators.
+    sol is a MultidomainSolution or a Reference: anything whose view(sid)
+    carries its mesh.  Evaluates the solution at the reference times
+    (left limits at breakpoints, plus the interior Radau points for the
+    sup norm, and two Gauss points per interval), interpolates P1 fields
+    onto the reference mesh (exact for nested meshes) and assembles the
+    norms with reference-mesh operators, a block of times at a time.
     """
     cfg = reference.cfg
     ref_part = reference.trajectory.partition
     ref_view = reference.view()
-    degree = reference.trajectory.degree
-    radau = gauss_radau(degree).nodes[:-1]  # interior nodes only
+    layout = reference.layout
+    n_ref = reference.mesh.n_nodes
 
     e_inf, e_l2, e_T_l2, e_T_h1 = {}, {}, {}, {}
     for s in cfg.subdomains:
         sid = s.id
-        view = sol.view(sid) if hasattr(sol, "view") else sol[sid]
+        view = sol.view(sid)
+        if view.mesh is None:
+            raise ValueError("solution view must carry its mesh")
         nodes, M, K = reference.norm_ops(sid)
-        pts = reference.mesh.coords[nodes]
-
-        mesh_i = getattr(view, "mesh", None)
-        if mesh_i is None:
-            raise ValueError("solution view must carry its mesh (use bind_solution)")
+        P = reference.interpolation(sid, view.mesh)
 
         if check_nesting:
             for w in view.windows:
@@ -319,62 +401,26 @@ def error_norms(sol, reference, check_nesting=True):
                     f"time grid of subdomain {sid}",
                 )
 
-        def diff_at(t, left):
-            u = mesh_i.eval_p1(view.value(t, left=left), pts)
-            r = ref_view.value(t, left=left)[nodes]
-            return u - r
+        def diff_at(times, left):
+            return P.apply(view.values(times, left)) - ref_view.values(times, left)[:, nodes]
 
         sup2 = 0.0
-        bp = ref_part.breakpoints
-        for t in bp:
-            d = diff_at(t, True)
-            sup2 = max(sup2, float(d @ (M @ d)))
-        for n in range(ref_part.n_intervals):
-            for tau in radau:
-                t = bp[n] + tau * (bp[n + 1] - bp[n])
-                d = diff_at(t, False)
-                sup2 = max(sup2, float(d @ (M @ d)))
+        for b in _blocks(layout.sup_times.size, n_ref):
+            D = diff_at(layout.sup_times[b], layout.sup_left[b])
+            sup2 = max(sup2, float(_sq_norms(D, M).max()))
         e_inf[sid] = math.sqrt(sup2)
 
         acc = 0.0
-        for n in range(ref_part.n_intervals):
-            k = bp[n + 1] - bp[n]
-            for gg in _G2T:
-                t = bp[n] + gg * k
-                d = diff_at(t, False)
-                acc += 0.5 * k * float(d @ (M @ d))
+        for b in _blocks(layout.gauss_times.size, n_ref):
+            D = diff_at(layout.gauss_times[b], False)
+            acc += float(layout.gauss_weights[b] @ _sq_norms(D, M))
         e_l2[sid] = math.sqrt(acc)
 
-        dT = diff_at(ref_part.end, True)
+        dT = diff_at([ref_part.end], True)[0]
         l2T = float(dT @ (M @ dT))
         e_T_l2[sid] = math.sqrt(l2T)
         e_T_h1[sid] = math.sqrt(l2T + float(dT @ (K @ dT)))
     return ErrorReport(e_inf=e_inf, e_l2=e_l2, e_T_l2=e_T_l2, e_T_h1=e_T_h1)
-
-
-@dataclass
-class SolutionViews:
-    """Binds each subdomain's TrajectoryView to its mesh for evaluation."""
-
-    views: dict
-
-    def view(self, sid):
-        return self.views[sid]
-
-
-def bind_solution(solution, md):
-    views = {}
-    for sid, trajs in solution.trajectories.items():
-        v = TrajectoryView(trajs)
-        v.mesh = md.assemblies[sid].mesh
-        views[sid] = v
-    return SolutionViews(views=views)
-
-
-def bind_reference_views(reference):
-    v = reference.view()
-    v.mesh = reference.mesh
-    return SolutionViews(views={s.id: v for s in reference.cfg.subdomains})
 
 
 def max_nodal_difference(solution, md, reference):
@@ -383,14 +429,13 @@ def max_nodal_difference(solution, md, reference):
     ref_view = reference.view()
     out = 0.0
     for sid, trajs in solution.trajectories.items():
-        mesh_i = md.assemblies[sid].mesh
-        pts = mesh_i.coords
+        P = reference.mesh.p1_operator(md.assemblies[sid].mesh.coords)
         view = TrajectoryView(trajs)
         ts = view.breakpoints()
-        for t in ts:
-            u = view.value(t, left=True)
-            r = reference.mesh.eval_p1(ref_view.value(t, left=True), pts)
-            out = max(out, float(np.max(np.abs(u - r))))
+        for b in _blocks(ts.size, reference.mesh.n_nodes):
+            U = view.values(ts[b], True)
+            R = P.apply(ref_view.values(ts[b], True))
+            out = max(out, float(np.max(np.abs(U - R))))
     return out
 
 
@@ -505,7 +550,7 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
         solution = run_windows(
             cl, md=md, tol=tol, budget=budget or cl.max_iterations
         )
-        rep = error_norms(bind_solution(solution, md), reference)
+        rep = error_norms(solution, reference)
         row = {"level": lev}
         for s in cl.subdomains:
             ext = s.box[1] - s.box[0]

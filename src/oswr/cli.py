@@ -28,7 +28,7 @@ from pathlib import Path
 from oswr import analysis as ana
 from oswr import problem as prb
 from oswr.dgsolver import SolverError
-from oswr.driver import DivergenceError, TrajectoryView, build_multidomain, run_windows
+from oswr.driver import DivergenceError, build_multidomain, run_windows
 
 __all__ = ["main", "cmd_run", "cmd_study", "cmd_sweep"]
 
@@ -93,11 +93,10 @@ def cmd_run(args):
     outputs = []
     for sid in sorted(sol.trajectories):
         mesh = md.assemblies[sid].mesh
-        view = TrajectoryView(sol.trajectories[sid])
         cols = ["x"] + (["y"] if mesh.dim == 2 else [])
         cols += [f"u_t{_fmt(t)}" for t in times]
         rows = []
-        vals = [view.value(t, left=True) for t in times]
+        vals = sol.view(sid).values(times, left=True)
         for n in range(mesh.n_nodes):
             if mesh.dim == 1:
                 row = [mesh.coords[n]]

@@ -45,6 +45,7 @@ __all__ = [
     "solve_window",
     "solve_window_mortar",
     "trajectory_norm",
+    "trajectory_values",
 ]
 
 RESIDUAL_TOL = 1e-12
@@ -140,22 +141,48 @@ class DGTrajectory:
     def value(self, t, left=False):
         """Evaluate at time t; left=True takes the limit from below at
         breakpoints (and the initial value at the window start)."""
-        bp = self.partition.breakpoints
-        if left:
-            n = int(np.searchsorted(bp, t, side="left")) - 1
-            if n < 0:
-                return self.u_init.copy()
-            if n >= self.partition.n_intervals:
-                n = self.partition.n_intervals - 1
-            if abs(t - bp[n + 1]) == 0.0:
-                return self.endpoint(n)
-        n = self.partition.locate(t)
-        k = bp[n + 1] - bp[n]
-        theta = 2.0 * (t - 0.5 * (bp[n] + bp[n + 1])) / k
-        val = self.coeffs[n, 0].copy()
-        if self.degree >= 1:
-            val += theta * self.coeffs[n, 1]
-        return val
+        return trajectory_values([self], [t], left)[0]
+
+
+def trajectory_values(windows, times, left=False):
+    """Values of a chain of windows at an array of times, (n_times, ndof).
+
+    left (one flag, or one per time) takes the limit from below at a
+    breakpoint, the initial value at the first window's start, and the
+    previous window's endpoint at a later window's start.  A time in
+    (t_n, t_{n+1}] evaluates interval n; the first window's start, with
+    left=False, evaluates interval 0.
+    """
+    t = np.asarray(times, dtype=float)
+    left = np.broadcast_to(np.asarray(left, dtype=bool), t.shape)
+    starts = np.array([w.partition.start for w in windows])
+    w_of = np.where(
+        left, np.searchsorted(starts, t, side="left"), np.searchsorted(starts, t, side="right")
+    ) - 1
+    w_of = np.clip(w_of, 0, len(windows) - 1)
+    out = np.empty((t.size, windows[0].coeffs.shape[2]))
+    for w, traj in enumerate(windows):
+        sel = np.nonzero(w_of == w)[0]
+        if sel.size:
+            out[sel] = _window_values(traj, t[sel], left[sel])
+    return out
+
+
+def _window_values(traj, t, left):
+    """trajectory_values on one window: u = c0 + theta c1 on the
+    interval, with theta the time's position in [-1, 1]."""
+    bp = traj.partition.breakpoints
+    n = np.searchsorted(bp, t, side="left") - 1
+    m = np.clip(n, 0, traj.partition.n_intervals - 1)
+    theta = 2.0 * (t - 0.5 * (bp[m] + bp[m + 1])) / (bp[m + 1] - bp[m])
+    out = traj.coeffs[m, 0]
+    if traj.degree >= 1:
+        out += theta[:, None] * traj.coeffs[m, 1]
+    at_end = left & (n >= 0) & (t == bp[m + 1])
+    if at_end.any():
+        out[at_end] = traj.coeffs[m[at_end]].sum(axis=1)
+    out[left & (n < 0)] = traj.u_init
+    return out
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Waveform-relaxation driver.
 
 Builds the per-subdomain assemblies, exchanges transmission data between
-neighbors (Jacobi style: all subdomains solve concurrently against the
-previous iterate's traces), projects traces between nonconforming time
+neighbors (Jacobi style: every subdomain solves against the previous
+iterate's traces), projects traces between nonconforming time
 grids, monitors interface residuals, and chains time windows.
 
 The conforming-trace exchange never extracts a normal derivative from
@@ -18,9 +18,7 @@ mortar exchange carries the discrete flux unknown instead.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +34,7 @@ from oswr.dgsolver import (
     solve_window,
     solve_window_mortar,
     trajectory_norm,
+    trajectory_values,
 )
 from oswr.timebasis import TimePartition, lift_rate_modes
 from oswr.timeproject import apply_projection, build_projection_matrices, hat_cross_matrix
@@ -505,20 +504,6 @@ def _add_loads(loads, extra):
     return [a + b for a, b in zip(loads, extra)]
 
 
-def _thread_count(default):
-    """Pool size from OSWR_THREADS; unset or empty gives `default`."""
-    text = os.environ.get("OSWR_THREADS", "")
-    if not text:
-        return default
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"OSWR_THREADS must be a positive integer, got {text!r}")
-    return n
-
-
 def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     """Run the Jacobi waveform-relaxation loop on one window.
 
@@ -528,7 +513,6 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     t_a, t_b = window
     md.set_window(t_a, t_b)
     sids = sorted(md.assemblies)
-    n_threads = _thread_count(len(sids))
     if traces is None:
         traces = {}
         for sid in sids:
@@ -544,12 +528,7 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     r0 = None
     for it in range(1, budget + 1):
         tic = time.perf_counter()
-        if n_threads > 1 and len(sids) > 1:
-            with ThreadPoolExecutor(max_workers=min(n_threads, len(sids))) as ex:
-                futs = {sid: ex.submit(_solve_one, md, sid, traces, u_init[sid]) for sid in sids}
-                results = {sid: futs[sid].result() for sid in sids}
-        else:
-            results = {sid: _solve_one(md, sid, traces, u_init[sid]) for sid in sids}
+        results = {sid: _solve_one(md, sid, traces, u_init[sid]) for sid in sids}
         trajectories = {sid: r[0] for sid, r in results.items()}
         fluxes = {sid: r[1] for sid, r in results.items()}
 
@@ -558,14 +537,15 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
             new_traces[(i, j)] = transmission_update(
                 md, i, j, trajectories[j], fluxes[j], traces[(j, i)], u_init[j]
             )
-        r_k = 0.0
+        r_pair = {}
         for pair in md.pairs:
             delta = InterfaceTrace(
                 new_traces[pair].partition,
                 new_traces[pair].coeffs - traces[pair].coeffs,
             ).norm()
             den = max(new_traces[pair].norm(), scale[pair])
-            r_k = max(r_k, delta / den if den > 0 else delta)
+            r_pair[pair] = delta / den if den > 0 else delta
+        r_k = float(np.max([*r_pair.values(), 0.0]))  # a NaN propagates
         history.residuals.append(r_k)
         history.wall_times.append(time.perf_counter() - tic)
         for sid in sids:
@@ -585,12 +565,15 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
         prev_traj = trajectories
         traces = new_traces
         if not np.isfinite(r_k):
-            raise DivergenceError("non-finite interface residual", history)
+            raise DivergenceError(
+                f"{_worst(r_pair, window)}: non-finite interface residual", history
+            )
         if r0 is None:
             r0 = r_k
         elif r_k > DIVERGENCE_FACTOR * max(r0, 1e-300):
             raise DivergenceError(
-                f"interface residual grew by more than {DIVERGENCE_FACTOR:.0e}", history
+                f"{_worst(r_pair, window)}: interface residual grew by more than "
+                f"{DIVERGENCE_FACTOR:.0e}", history
             )
         if r_k <= tol:
             history.converged = True
@@ -598,11 +581,19 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     return trajectories, fluxes, traces, history
 
 
+def _worst(r_pair, window):
+    """Where the residual blew up: the directed interface with the largest
+    (or a non-finite) residual, and the window."""
+    (i, j), _ = max(r_pair.items(), key=lambda kv: np.nan_to_num(kv[1], nan=np.inf))
+    return f"interface {i}->{j}, window [{window[0]:g}, {window[1]:g}]"
+
+
 @dataclass
 class TrajectoryView:
     """Evaluate one subdomain's solution across chained windows."""
 
     windows: list  # of DGTrajectory
+    mesh: fes.Mesh | None = None  # the space the dof vectors live in
 
     @property
     def t_start(self):
@@ -619,10 +610,12 @@ class TrajectoryView:
         return np.concatenate(out)
 
     def value(self, t, left=False):
-        starts = np.array([w.partition.start for w in self.windows])
-        w = int(np.searchsorted(starts, t, side="left" if left else "right")) - 1
-        w = min(max(w, 0), len(self.windows) - 1)
-        return self.windows[w].value(t, left=left)
+        return self.values([t], left)[0]
+
+    def values(self, times, left=False):
+        """Values at an array of times, (n_times, ndof); see
+        `trajectory_values`."""
+        return trajectory_values(self.windows, times, left)
 
     def final_value(self):
         return self.windows[-1].final_value()
@@ -634,9 +627,10 @@ class MultidomainSolution:
     trajectories: dict  # sid -> list of DGTrajectory (one per window)
     traces: dict        # final transmission data per directed pair
     histories: list     # IterationHistory per window
+    meshes: dict        # sid -> subdomain Mesh
 
     def view(self, sid):
-        return TrajectoryView(self.trajectories[sid])
+        return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
 
 
 def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=False):
@@ -663,5 +657,6 @@ def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=Fa
             all_traj[sid].append(traj)
         u_cur = {sid: traj.final_value() for sid, traj in trajectories.items()}
     return MultidomainSolution(
-        cfg=cfg, trajectories=all_traj, traces=traces, histories=histories
+        cfg=cfg, trajectories=all_traj, traces=traces, histories=histories,
+        meshes={sid: asm.mesh for sid, asm in md.assemblies.items()},
     )

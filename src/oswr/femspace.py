@@ -32,6 +32,7 @@ from oswr.timeproject import hat_cross_matrix
 
 __all__ = [
     "Mesh",
+    "P1Interpolation",
     "FemSpace",
     "build_mesh",
     "build_tensor_mesh",
@@ -98,28 +99,53 @@ class Mesh:
         lam = (v - axis_nodes[i]) / (axis_nodes[i + 1] - axis_nodes[i])
         return i, np.clip(lam, 0.0, 1.0)
 
-    def eval_p1(self, nodal, points):
-        """Evaluate a P1 nodal field at arbitrary points of the box.
-
-        Exact for points inside the box; used for nested-grid
-        interpolation in error norms (clamps outside points to the box).
-        """
-        nodal = np.asarray(nodal, dtype=float)
+    def p1_operator(self, points):
+        """The P1 interpolation of this mesh's nodal fields at fixed points
+        of the box (clamps outside points to the box)."""
         if self.dim == 1:
-            x = np.asarray(points, dtype=float)
-            i, lam = self._locate(self.xs, x)
-            return nodal[i] * (1.0 - lam) + nodal[i + 1] * lam
+            i, lam = self._locate(self.xs, np.asarray(points, dtype=float))
+            return P1Interpolation(
+                cols=np.stack([i, i + 1], axis=1),
+                weights=np.stack([1.0 - lam, lam], axis=1),
+            )
         pts = np.asarray(points, dtype=float)
         i, lx = self._locate(self.xs, pts[:, 0])
         j, ly = self._locate(self.ys, pts[:, 1])
         n00 = j * (self.nx + 1) + i
         n10, n01, n11 = n00 + 1, n00 + (self.nx + 1), n00 + (self.nx + 2)
         lower = lx >= ly  # triangle (i,j),(i+1,j),(i+1,j+1)
-        out = np.where(
-            lower,
-            nodal[n00] * (1.0 - lx) + nodal[n10] * (lx - ly) + nodal[n11] * ly,
-            nodal[n00] * (1.0 - ly) + nodal[n11] * lx + nodal[n01] * (ly - lx),
+        return P1Interpolation(
+            cols=np.stack([n00, np.where(lower, n10, n11), np.where(lower, n11, n01)], axis=1),
+            weights=np.stack([
+                np.where(lower, 1.0 - lx, 1.0 - ly),
+                np.where(lower, lx - ly, lx),
+                np.where(lower, ly, ly - lx),
+            ], axis=1),
         )
+
+    def eval_p1(self, nodal, points):
+        """Evaluate a P1 nodal field at arbitrary points of the box.
+
+        Exact for points inside the box; used for nested-grid
+        interpolation in error norms (clamps outside points to the box).
+        """
+        return self.p1_operator(points).apply(nodal)
+
+
+@dataclass(frozen=True)
+class P1Interpolation:
+    """Values of P1 nodal fields at fixed points: point p takes
+    sum_c u[cols[p, c]] * weights[p, c], summed in column order."""
+
+    cols: np.ndarray     # (n_points, dim + 1) node ids
+    weights: np.ndarray  # (n_points, dim + 1) barycentric weights
+
+    def apply(self, nodal):
+        """Nodal fields (..., n_nodes) -> point values (..., n_points)."""
+        u = np.asarray(nodal, dtype=float)
+        out = u[..., self.cols[:, 0]] * self.weights[:, 0]
+        for c in range(1, self.cols.shape[1]):
+            out += u[..., self.cols[:, c]] * self.weights[:, c]
         return out
 
 

@@ -344,8 +344,10 @@ def _to_string(node, parent_prec=0):
     op = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[tag]
     prec = _PREC[tag]
     left = _to_string(node[1], prec)
-    # - and / are left associative; ^ is right associative
-    right = _to_string(node[2], prec + (1 if tag in ("sub", "div") else 0))
+    # the parser nests + - * / to the left and ^ to the right; a right
+    # operand of equal precedence keeps its parentheses even for + and *,
+    # whose rounding depends on the grouping
+    right = _to_string(node[2], prec + 1)
     if tag == "pow":
         left = _to_string(node[1], prec + 1)
         right = _to_string(node[2], prec)

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oswr.analysis import (
     RefGrid,
-    bind_reference_views,
-    bind_solution,
     error_norms,
     fit_slope,
     max_nodal_difference,
@@ -12,8 +14,10 @@ from oswr.analysis import (
     solve_monodomain,
     sweep_parameters,
 )
-from oswr.driver import build_multidomain, run_windows
+from oswr.dgsolver import DGTrajectory
+from oswr.driver import TrajectoryView, build_multidomain, run_windows
 from oswr.problem import parse_config
+from oswr.timebasis import TimePartition, gauss_radau
 
 CFG_1D = """
 [domain]
@@ -49,6 +53,52 @@ degree = 1
 from = 1
 to = 2
 p = 1.0
+"""
+
+# Porosity-type jump on interface meshes that do not match (5 vs 4 cells).
+CFG_2D = """
+[domain]
+box = 0 1 0 2
+T = 0.25
+tolerance = 1e-10
+max_iterations = 300
+initial_guess = from_u0
+u0 = "0.5*exp(-10*(x-0.5)^2-3*(y-1)^2)"
+f = "0"
+
+[subdomain]
+id = 1
+box = 0 0.5 0 2
+nu = "0.05"
+bx = "0.3"
+by = "-0.2"
+c = "0"
+omega = "0.1"
+nx = 2
+ny = 5
+nt = 3
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.5 1 0 2
+nu = "0.15"
+bx = "0.3"
+by = "-0.2"
+c = "0"
+omega = "1"
+nx = 2
+ny = 4
+nt = 2
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 0.5
+q = 0.05
+r = "0"
+s = 0.15
 """
 
 
@@ -108,7 +158,7 @@ class TestErrorNorms:
 
     def test_self_comparison_is_zero(self):
         cfg, ref = self._setup()
-        rep = error_norms(bind_reference_views(ref), ref)
+        rep = error_norms(ref, ref)
         for sid in (1, 2):
             assert rep.e_inf[sid] < 1e-13
             assert rep.e_l2[sid] < 1e-13
@@ -121,7 +171,7 @@ class TestErrorNorms:
         shifted = solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=16))
         shifted.trajectory.coeffs[:, 0, :] += delta
         shifted.trajectory.u_init += delta
-        rep = error_norms(bind_reference_views(shifted), ref)
+        rep = error_norms(shifted, ref)
         for sid in (1, 2):
             # |Omega_i| = 0.5 in 1D
             assert rep.e_T_l2[sid] == pytest.approx(delta * np.sqrt(0.5), rel=1e-10)
@@ -142,10 +192,10 @@ class TestErrorNorms:
         U, V = rand_sol(), rand_sol()
 
         def err(a, b):
-            return error_norms(bind_reference_views(a), b)
+            return error_norms(a, b)
 
         e_uw = err(U, ref)
-        e_uv_rep = error_norms(bind_reference_views(U), V)
+        e_uv_rep = error_norms(U, V)
         e_vw = err(V, ref)
         for sid in (1, 2):
             for name in ("e_inf", "e_l2", "e_T_l2", "e_T_h1"):
@@ -159,7 +209,7 @@ class TestErrorNorms:
         sol = run_windows(cfg, md=md)
         ref = solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=12))
         with pytest.raises(ValueError, match="non-nested"):
-            error_norms(bind_solution(sol, md), ref)
+            error_norms(sol, ref)
 
 
 class TestReferenceGrid:
@@ -194,3 +244,164 @@ class TestSweep:
         t2 = sweep_parameters(cfg, [0.5, 1.0], [0.0, 0.05], 1e-6, seed=3, budget=60)
         assert len(t1.rows) == 4
         assert [r["iterations"] for r in t1.rows] == [r["iterations"] for r in t2.rows]
+
+
+# ---------------------------------------------------------------------------
+# Per-time-point oracles: the evaluation as written before it was built
+# from operators applied to blocks of times.
+# ---------------------------------------------------------------------------
+
+
+def _value_pointwise(traj, t, left=False):
+    bp = traj.partition.breakpoints
+    if left:
+        n = int(np.searchsorted(bp, t, side="left")) - 1
+        if n < 0:
+            return traj.u_init.copy()
+        if n >= traj.partition.n_intervals:
+            n = traj.partition.n_intervals - 1
+        if abs(t - bp[n + 1]) == 0.0:
+            return traj.endpoint(n)
+    n = traj.partition.locate(t)
+    k = bp[n + 1] - bp[n]
+    theta = 2.0 * (t - 0.5 * (bp[n] + bp[n + 1])) / k
+    val = traj.coeffs[n, 0].copy()
+    if traj.degree >= 1:
+        val += theta * traj.coeffs[n, 1]
+    return val
+
+
+def _view_value_pointwise(windows, t, left=False):
+    starts = np.array([w.partition.start for w in windows])
+    w = int(np.searchsorted(starts, t, side="left" if left else "right")) - 1
+    w = min(max(w, 0), len(windows) - 1)
+    return _value_pointwise(windows[w], t, left=left)
+
+
+_G2T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+
+
+def _error_norms_pointwise(sol, reference):
+    cfg = reference.cfg
+    ref_part = reference.trajectory.partition
+    ref_windows = [reference.trajectory]
+    radau = gauss_radau(reference.trajectory.degree).nodes[:-1]
+    out = {name: {} for name in ("e_inf", "e_l2", "e_T_l2", "e_T_h1")}
+    for s in cfg.subdomains:
+        sid = s.id
+        view = sol.view(sid)
+        nodes, M, K = reference.norm_ops(sid)
+        pts = reference.mesh.coords[nodes]
+
+        def diff_at(t, left):
+            u = view.mesh.eval_p1(_view_value_pointwise(view.windows, t, left), pts)
+            return u - _view_value_pointwise(ref_windows, t, left)[nodes]
+
+        sup2 = 0.0
+        bp = ref_part.breakpoints
+        for t in bp:
+            d = diff_at(t, True)
+            sup2 = max(sup2, float(d @ (M @ d)))
+        for n in range(ref_part.n_intervals):
+            for tau in radau:
+                d = diff_at(bp[n] + tau * (bp[n + 1] - bp[n]), False)
+                sup2 = max(sup2, float(d @ (M @ d)))
+        out["e_inf"][sid] = math.sqrt(sup2)
+        acc = 0.0
+        for n in range(ref_part.n_intervals):
+            k = bp[n + 1] - bp[n]
+            for gg in _G2T:
+                d = diff_at(bp[n] + gg * k, False)
+                acc += 0.5 * k * float(d @ (M @ d))
+        out["e_l2"][sid] = math.sqrt(acc)
+        dT = diff_at(ref_part.end, True)
+        l2T = float(dT @ (M @ dT))
+        out["e_T_l2"][sid] = math.sqrt(l2T)
+        out["e_T_h1"][sid] = math.sqrt(l2T + float(dT @ (K @ dT)))
+    return out
+
+
+def _max_nodal_difference_pointwise(solution, md, reference):
+    out = 0.0
+    for sid, trajs in solution.trajectories.items():
+        pts = md.assemblies[sid].mesh.coords
+        for t in TrajectoryView(trajs).breakpoints():
+            u = _view_value_pointwise(trajs, t, left=True)
+            r = reference.mesh.eval_p1(
+                _view_value_pointwise([reference.trajectory], t, left=True), pts
+            )
+            out = max(out, float(np.max(np.abs(u - r))))
+    return out
+
+
+@st.composite
+def window_chains(draw):
+    """Contiguous windows with random breakpoints, degree and values."""
+    n_win = draw(st.integers(1, 3))
+    degree = draw(st.sampled_from([0, 1]))
+    ndof = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = np.cumsum(rng.uniform(0.1, 1.0, n_win + 1)) - 1.0
+    windows = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        n = draw(st.integers(1, 5))
+        bp = np.concatenate([[a], np.sort(rng.uniform(a, b, n - 1)), [b]])
+        windows.append(DGTrajectory(
+            TimePartition(bp), rng.standard_normal((n, degree + 1, ndof)),
+            rng.standard_normal(ndof),
+        ))
+    return windows
+
+
+class TestEvaluationOperators:
+    @settings(max_examples=60, deadline=None)
+    @given(windows=window_chains(), seed=st.integers(0, 2**32 - 1))
+    def test_vector_evaluator_bit_identical_to_pointwise(self, windows, seed):
+        """Every breakpoint and window start, plus random times inside
+        and just outside the chain, with left limits on and off."""
+        rng = np.random.default_rng(seed)
+        view = TrajectoryView(windows)
+        bps = np.concatenate([w.partition.breakpoints for w in windows])
+        times = np.concatenate([
+            bps, rng.uniform(view.t_start - 0.1, view.t_end + 0.1, 20),
+        ])
+        left = rng.integers(0, 2, times.size).astype(bool)
+        for flags in (True, False, left):
+            got = view.values(times, flags)
+            for i, t in enumerate(times):
+                lf = bool(np.broadcast_to(flags, times.shape)[i])
+                want = _view_value_pointwise(windows, t, lf)
+                assert got[i].tobytes() == want.tobytes()
+                assert view.value(t, lf).tobytes() == want.tobytes()
+        for w in windows:
+            for t in w.partition.breakpoints:
+                for lf in (True, False):
+                    assert w.value(t, lf).tobytes() == _value_pointwise(w, t, lf).tobytes()
+
+    def _assert_matches_pointwise(self, sol, ref):
+        rep = error_norms(sol, ref)
+        want = _error_norms_pointwise(sol, ref)
+        for name, per_sid in want.items():
+            for sid, v in per_sid.items():
+                assert getattr(rep, name)[sid] == pytest.approx(v, rel=1e-12, abs=0.0)
+
+    def test_time_study_norms_match_pointwise(self):
+        # nonconforming time grids and two windows: chained evaluation
+        cfg = parse_config(CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 2")
+                           .replace("nt = 8\ndegree = 1\n\n[transmission]",
+                                    "nt = 6\ndegree = 1\n\n[transmission]"))
+        ref = solve_monodomain(cfg, reference_grid(cfg, "time", 3))
+        md = build_multidomain(cfg)
+        sol = run_windows(cfg, md=md)
+        self._assert_matches_pointwise(sol, ref)
+        self._assert_matches_pointwise(ref, ref)
+        assert max_nodal_difference(sol, md, ref) == _max_nodal_difference_pointwise(sol, md, ref)
+
+    def test_space_study_norms_match_pointwise(self):
+        # nonmatching 2D interface meshes (mortar), refined reference mesh
+        cfg = parse_config(CFG_2D)
+        ref = solve_monodomain(cfg, reference_grid(cfg, "space", 3))
+        md = build_multidomain(cfg)
+        sol = run_windows(cfg, md=md)
+        self._assert_matches_pointwise(sol, ref)
+        assert max_nodal_difference(sol, md, ref) == _max_nodal_difference_pointwise(sol, md, ref)

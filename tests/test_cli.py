@@ -75,11 +75,6 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "subdomain 1: coefficient nu depends on t" in capsys.readouterr().err
 
-    def test_bad_thread_count_exit_2(self, cfg_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("OSWR_THREADS", "two")
-        assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
-        assert "OSWR_THREADS must be a positive integer, got 'two'" in capsys.readouterr().err
-
     def test_solver_failure_exit_3(self, cfg_path, tmp_path, monkeypatch):
         # valid configs yield SPD-mass direct-LU step systems that do not
         # break organically; the failure path is exercised by injection

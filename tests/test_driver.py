@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import oswr.driver as drv
 import oswr.femspace as fes
 from oswr.dgsolver import InterfaceTrace, SolverError, solve_window_mortar
 from oswr.driver import (
+    DivergenceError,
     build_multidomain,
     initial_guess,
     interface_residual,
@@ -365,15 +367,6 @@ def _u_init(md, cfg):
 
 
 class TestFailureReporting:
-    @pytest.mark.parametrize("value", ["two", "0", "-1"])
-    def test_bad_thread_count_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("OSWR_THREADS", value)
-        cfg = parse_config(CFG_1D)
-        md = build_multidomain(cfg)
-        with pytest.raises(ValueError) as info:
-            iterate(md, (0.0, cfg.T), _u_init(md, cfg), 5, 1e-10)
-        assert str(info.value) == f"OSWR_THREADS must be a positive integer, got '{value}'"
-
     def test_solver_error_names_subdomain_window_interval(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
@@ -387,3 +380,37 @@ class TestFailureReporting:
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
                                  r"linear solve residual .* exceeds 1e-12$"):
             iterate(md, (0.0, cfg.T), _u_init(md, cfg), 5, 1e-10)
+
+    def _perturbed(self, monkeypatch, pair, change):
+        """Converged data, then iterate again with `change` applied to the
+        update of one directed interface from the second sweep on."""
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        u_init = _u_init(md, cfg)
+        traces = iterate(md, (0.0, cfg.T), u_init, 200, 1e-12)[2]
+        update = drv.transmission_update
+        calls = []
+
+        def perturbed(md, i, j, *args):
+            out = update(md, i, j, *args)
+            calls.append((i, j))
+            if (i, j) == pair and len(calls) > len(md.pairs):
+                out.coeffs[...] = change(out.coeffs)
+            return out
+
+        monkeypatch.setattr(drv, "transmission_update", perturbed)
+        return md, u_init, traces, cfg
+
+    def test_divergence_names_interface_and_window(self, monkeypatch):
+        md, u_init, traces, cfg = self._perturbed(monkeypatch, (2, 1), lambda c: c + 1.0)
+        with pytest.raises(DivergenceError,
+                           match=r"^interface 2->1, window \[0, 0\.5\]: "
+                                 r"interface residual grew by more than 1e\+06$"):
+            iterate(md, (0.0, cfg.T), u_init, 5, 1e-30, traces=traces)
+
+    def test_non_finite_residual_names_interface_and_window(self, monkeypatch):
+        md, u_init, traces, cfg = self._perturbed(monkeypatch, (1, 2), lambda c: c * np.nan)
+        with pytest.raises(DivergenceError,
+                           match=r"^interface 1->2, window \[0, 0\.5\]: "
+                                 r"non-finite interface residual$"):
+            iterate(md, (0.0, cfg.T), u_init, 5, 1e-30, traces=traces)

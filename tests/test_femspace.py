@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oswr.femspace import (
     assemble_atilde,
@@ -44,11 +46,59 @@ class TestMesh:
         via_fine = fine.eval_p1(on_fine, pts)
         assert np.allclose(direct, via_fine, atol=1e-13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2]),
+        nx=st.integers(1, 6), ny=st.integers(1, 6), refine=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_p1_operator_bit_identical_to_pointwise_eval(self, dim, nx, ny, refine, seed):
+        """The operator, applied to one field or a block of them, equals
+        the pointwise P1 evaluation bit for bit at the nodes of a nested
+        mesh and at random points (some outside the box, clamped)."""
+        rng = np.random.default_rng(seed)
+        box = (0.0, 1.0) if dim == 1 else (0.0, 1.0, 0.0, 2.0)
+        counts = (nx,) if dim == 1 else (nx, ny)
+        coarse = build_mesh(box, counts)
+        fine = build_mesh(box, tuple(refine * c for c in counts))
+        if dim == 1:
+            pts = np.concatenate([fine.coords, rng.uniform(-0.1, 1.1, 50)])
+        else:
+            pts = np.concatenate([
+                fine.coords,
+                np.column_stack([rng.uniform(-0.1, 1.1, 50), rng.uniform(-0.1, 2.1, 50)]),
+            ])
+        fields = rng.standard_normal((3, coarse.n_nodes))
+        P = coarse.p1_operator(pts)
+        block = P.apply(fields)
+        for u, row in zip(fields, block):
+            want = _eval_p1_pointwise(coarse, u, pts)
+            assert row.tobytes() == want.tobytes()
+            assert coarse.eval_p1(u, pts).tobytes() == want.tobytes()
+
     def test_tensor_mesh_nonuniform(self):
         xs = np.array([0.0, 0.25, 0.5, 1.0])
         m = build_tensor_mesh(xs, np.array([0.0, 1.0, 2.0]))
         assert m.nx == 3 and m.ny == 2
         assert m.n_nodes == 12
+
+
+def _eval_p1_pointwise(mesh, nodal, points):
+    """P1 evaluation as written before the interpolation operator: one
+    barycentric formula per triangle half, selected point by point."""
+    if mesh.dim == 1:
+        i, lam = mesh._locate(mesh.xs, np.asarray(points, dtype=float))
+        return nodal[i] * (1.0 - lam) + nodal[i + 1] * lam
+    pts = np.asarray(points, dtype=float)
+    i, lx = mesh._locate(mesh.xs, pts[:, 0])
+    j, ly = mesh._locate(mesh.ys, pts[:, 1])
+    n00 = j * (mesh.nx + 1) + i
+    n10, n01, n11 = n00 + 1, n00 + (mesh.nx + 1), n00 + (mesh.nx + 2)
+    return np.where(
+        lx >= ly,
+        nodal[n00] * (1.0 - lx) + nodal[n10] * (lx - ly) + nodal[n11] * ly,
+        nodal[n00] * (1.0 - ly) + nodal[n11] * lx + nodal[n01] * (ly - lx),
+    )
 
 
 class TestMass:

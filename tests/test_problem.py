@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oswr.problem import (
+    CoefficientExpression,
     ConfigError,
     EvalError,
     parse_config,
@@ -225,6 +230,75 @@ nt = 2
         text = EXP1.split("[transmission]")[0] + "[transmission]\nfrom = 1\nto = 2\np = 0.7\n"
         cfg = parse_config(text)
         assert cfg.transmission[(2, 1)].p == 0.7
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "t"]),
+    st.integers(0, 100).map(str),
+    st.floats(0.0, 1e6, allow_nan=False).map(repr),
+)
+EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda a: f"({a[0]}){a[1]}({a[2]})"),
+        inner.map(lambda a: f"-({a})"),
+        st.tuples(st.sampled_from(["sin", "cos", "sqrt", "exp", "abs"]), inner)
+        .map(lambda a: f"{a[0]}({a[1]})"),
+    ),
+    max_leaves=8,
+)
+_NUMBERS = st.floats(1e-6, 1e6, allow_nan=False)
+
+
+@st.composite
+def config_texts(draw):
+    """Two subdomains in 1D or 2D with random expressions and numbers."""
+    dim = draw(st.sampled_from([1, 2]))
+    ybox = " 0 2" if dim == 2 else ""
+    lines = [
+        "[domain]", f"box = 0 1{ybox}", f"T = {draw(_NUMBERS)!r}",
+        f"windows = {draw(st.integers(1, 4))}", f"tolerance = {draw(_NUMBERS)!r}",
+        f"max_iterations = {draw(st.integers(1, 500))}",
+        f"initial_guess = {draw(st.sampled_from(['from_u0', 'zero']))}",
+        f'u0 = "{draw(EXPRESSIONS)}"', f'f = "{draw(EXPRESSIONS)}"',
+    ]
+    for sid, x0, x1 in ((1, "0", "0.5"), (2, "0.5", "1")):
+        lines += ["", "[subdomain]", f"id = {sid}", f"box = {x0} {x1}{ybox}"]
+        keys = ["nu", "bx", "c", "omega"] + (["by"] if dim == 2 else [])
+        lines += [f'{key} = "{draw(EXPRESSIONS)}"' for key in keys]
+        lines += [f"nx = {draw(st.integers(1, 64))}", f"nt = {draw(st.integers(1, 64))}",
+                  f"degree = {draw(st.sampled_from([0, 1]))}"]
+        if dim == 2:
+            lines.append(f"ny = {draw(st.integers(1, 64))}")
+    for i, j in ((1, 2), (2, 1)):
+        lines += ["", "[transmission]", f"from = {i}", f"to = {j}",
+                  f"p = {draw(_NUMBERS)!r}", f"q = {draw(_NUMBERS)!r}",
+                  f'r = "{draw(EXPRESSIONS)}"', f"s = {draw(_NUMBERS)!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def _plain(obj):
+    """A config as nested plain values, expressions by their syntax tree."""
+    if isinstance(obj, CoefficientExpression):
+        return obj.ast
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+class TestSerializeRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(text=config_texts())
+    def test_parse_of_serialize_is_identity(self, text):
+        cfg = parse_config(text)
+        out = serialize_config(cfg)
+        again = parse_config(out)
+        assert _plain(again) == _plain(cfg)
+        assert serialize_config(again) == out
 
 
 class TestValidation:
