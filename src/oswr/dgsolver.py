@@ -11,15 +11,20 @@ which for d=0 is the modified backward Euler step
 and for d=1 the 2x2 block system
     [[Mm + k Aa,  Mm], [-Mm,  Mm + (k/3) Aa]] (U_0, U_1).
 
-Two interface treatments are supported: the conforming-trace path folds
-the interface operators into Aa and the transmission data into the load,
-while the mortar path carries a discrete flux unknown Q per interface
-and solves a coupled (U, Q) system, enabling nonmatching spatial meshes.
+One loop serves every subdomain.  A conforming interface adds no
+unknowns: its operators are folded into the volume operators Mm, Aa and
+its transmission data loads the volume rows at its nodes.  A mortar
+interface adds a block of discrete flux unknowns Q, loaded by its
+transmission data, which couples nonmatching spatial meshes (the
+space-time nonconforming decomposition of Hoang, Jaffre, Japhet, Kern &
+Roberts, SINUM 51 (2013)).  Without mortar interfaces there are no flux
+blocks.
 
-Both step systems are affine in the step length, S(k) = S_mass + k S_stiff
+The step system is affine in the step length, S(k) = S_mass + k S_stiff
 (tab.A does not depend on k, tab.gram is proportional to it).  A
-FactorCache keeps the two parts per path and one sparse LU factor per
-step class, so a uniform grid factors each path once.
+FactorCache keeps the step operator (S_mass, S_stiff, P), with P the
+mass rows that u(t_n^-) enters, and one sparse LU factor per step class,
+so a uniform grid factors once.
 """
 
 from __future__ import annotations
@@ -69,30 +74,29 @@ def _factorize(matrix):
 
 @dataclass
 class FactorCache:
-    """LU factorizations keyed by (path, degree, step class), and the two
-    k-independent parts S_mass, S_stiff of each path's step system
-    S(k) = S_mass + k S_stiff, keyed by (path, degree)."""
+    """LU factorizations keyed by (degree, step class), and the step
+    operator (S_mass, S_stiff, P) of each degree."""
 
     factors: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
 
-    def key(self, path, d, k):
-        """Key of k's step class: the cached (path, d, k_rep) with k within
-        STEP_CLASS_RTOL of k_rep, else (path, d, k)."""
+    def key(self, d, k):
+        """Key of k's step class: the cached (d, k_rep) with k within
+        STEP_CLASS_RTOL of k_rep, else (d, k)."""
         for key in self.factors:
-            if key[:2] == (path, d) and abs(key[2] - k) <= STEP_CLASS_RTOL * key[2]:
+            if key[0] == d and abs(key[1] - k) <= STEP_CLASS_RTOL * key[1]:
                 return key
-        return (path, d, k)
+        return (d, k)
 
     def get(self, key, build):
         if key not in self.factors:
             self.factors[key] = _factorize(build())
         return self.factors[key]
 
-    def operator(self, path, d, build):
-        if (path, d) not in self.operators:
-            self.operators[(path, d)] = build()
-        return self.operators[(path, d)]
+    def operator(self, d, build):
+        if d not in self.operators:
+            self.operators[d] = build()
+        return self.operators[d]
 
 
 def _relative_residual(r, rhs):
@@ -105,12 +109,10 @@ def _check_residual(rel, where=""):
         raise SolverError(f"{where}linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
-def linear_solve(matrix, rhs, factor=None):
+def linear_solve(matrix, rhs):
     """Direct sparse solve with a residual contract of 1e-12 relative."""
     rhs = np.asarray(rhs, dtype=float)
-    if factor is None:
-        factor = _factorize(matrix)
-    x = factor.solve(rhs)
+    x = _factorize(matrix).solve(rhs)
     _check_residual(_relative_residual(matrix @ x - rhs, rhs))
     return x
 
@@ -208,7 +210,7 @@ class InterfaceTrace:
 
 @dataclass
 class MortarFlux:
-    """Discrete interface flux modes per interface (mortar path)."""
+    """Discrete interface flux modes, one entry per mortar interface."""
 
     partition: TimePartition
     coeffs: dict  # neighbor id -> (N, d+1, n_iface)
@@ -248,52 +250,53 @@ def dg_step_matrix(Mm, Aa, k, d):
     return (S_mass + k * S_stiff).tocsc(), build_interval_basis(d, k)
 
 
-def step_d0(M, A, u_prev, k, F0, factor=None):
+def step_d0(M, A, u_prev, k, F0):
     """One DG(0) (modified backward Euler) step."""
-    rhs = M @ u_prev + F0
-    if factor is not None:
-        return factor.solve(rhs)
-    return linear_solve((M + k * A).tocsc(), rhs)
+    return linear_solve((M + k * A).tocsc(), M @ u_prev + F0)
 
 
-def step_d1(M, A, u_prev, k, F0, F1, factor=None):
+def step_d1(M, A, u_prev, k, F0, F1):
     """One DG(1) step; returns the Legendre modes (U_0, U_1)."""
     n = M.shape[0]
-    if factor is None:
-        S, _ = dg_step_matrix(M, A, k, 1)
-    else:
-        S = None
-    rhs = np.concatenate([M @ u_prev + F0, -(M @ u_prev) + F1])
-    if factor is not None:
-        x = factor.solve(rhs)
-    else:
-        x = linear_solve(S, rhs)
+    S, _ = dg_step_matrix(M, A, k, 1)
+    Mu = M @ u_prev
+    x = linear_solve(S, np.concatenate([Mu + F0, -Mu + F1]))
     return x[:n], x[n:]
 
 
-def _gather_trace_load(assembly, traces_in, n, tab):
-    """Interface data contribution to the volume rhs per mode.
+def _step_operator(assembly, mortar, d):
+    """Step operator (S_mass, S_stiff, P) of one subdomain.
 
-    int_{I_n} L_beta (g, v)_Gamma dt = gram[beta] * G_{n,beta}, scattered
-    to the interface dofs.
+    Spatial blocks, volume U first, then the flux Q of each mortar
+    interface:
+    volume line:    M_full, A_full, coupled to each Q through
+                    -R^T M_Gamma;
+    interface line: q-weighted interface mass q M_Gamma R under the time
+                    tables, plus M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U.
+    P is the first block column of the mass grid: P @ u(t_n^-) is what
+    the previous endpoint contributes to every row of one mode.
     """
-    d = tab.gram.size - 1
-    out = np.zeros((d + 1, assembly.n_dofs))
-    for nb, trace in traces_in.items():
-        nodes = assembly.iface[nb].nodes
-        for beta in range(d + 1):
-            out[beta, nodes] += tab.gram[beta] * trace.coeffs[n, beta]
-    return out
+    ifaces = [assembly.iface[nb] for nb in mortar]
+    nblk = 1 + len(ifaces)
+    mass = [[None] * nblk for _ in range(nblk)]
+    stiff = [[None] * nblk for _ in range(nblk)]
+    mass[0][0] = assembly.M_full
+    stiff[0][0] = assembly.A_full
+    for r, ia in enumerate(ifaces, start=1):
+        mass[r][0] = ia.q * (ia.M_gamma @ ia.restrict)
+        stiff[0][r] = -(ia.restrict.T @ ia.M_gamma)
+        stiff[r][r] = ia.M_gamma
+        stiff[r][0] = (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
+    P = sp.vstack([row[0] for row in mass], format="csr")
+    return (*_step_parts(mass, stiff, d), P)
 
 
-def _solve_step(cache, path, d, op, k, rhs, n):
+def _solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
     """Solve S(k) x = rhs for step n with the factor of k's step class.
 
-    op = (S_mass, S_stiff) of the path.  The 1e-12 residual contract is
-    checked against the step's own S(k), never against the class
-    representative the factor was built from."""
-    S_mass, S_stiff = op
-    factor = cache.get(cache.key(path, d, k), lambda: S_mass + k * S_stiff)
+    The 1e-12 residual contract is checked against the step's own S(k),
+    never against the class representative the factor was built from."""
+    factor = cache.get(cache.key(d, k), lambda: S_mass + k * S_stiff)
     x = factor.solve(rhs)
     r = S_mass @ x + k * (S_stiff @ x) - rhs
     if _relative_residual(r, rhs) > RESIDUAL_TOL:
@@ -306,107 +309,54 @@ def _solve_step(cache, path, d, op, k, rhs, n):
 
 
 def solve_window(assembly, traces_in, partition, u_init, loads, cache=None):
-    """March one subdomain over a window (conforming-trace path).
-
-    traces_in maps neighbor id -> InterfaceTrace on this subdomain's
-    partition; loads is the per-interval array list from the assembly.
-    """
-    d = assembly.degree
-    n_int = partition.n_intervals
-    ndof = assembly.n_dofs
-    coeffs = np.zeros((n_int, d + 1, ndof))
-    u_prev = np.asarray(u_init, dtype=float)
-    if cache is None:
-        cache = FactorCache()
-    bp = partition.breakpoints
-    op = cache.operator(
-        "conf", d, lambda: _step_parts([[assembly.M_full]], [[assembly.A_full]], d)
-    )
-    for n in range(n_int):
-        k = float(bp[n + 1] - bp[n])
-        tab = build_interval_basis(d, k)
-        G = _gather_trace_load(assembly, traces_in, n, tab)
-        F = loads[n] + G
-        rhs = np.concatenate([
-            ((-1.0) ** j) * (assembly.M_full @ u_prev) + F[j] for j in range(d + 1)
-        ])
-        x = _solve_step(cache, "conf", d, op, k, rhs, n)
-        for j in range(d + 1):
-            coeffs[n, j] = x[j * ndof : (j + 1) * ndof]
-        u_prev = coeffs[n].sum(axis=0)
-    return DGTrajectory(partition=partition, coeffs=coeffs, u_init=np.asarray(u_init, float).copy())
+    """The trajectory of `solve_window_mortar`, without the flux."""
+    return solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache)[0]
 
 
 def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=None):
-    """March one subdomain over a window with flux unknowns Q on every
-    mortar interface (nonmatching-grid path).
+    """March one subdomain over a window.
 
-    Returns (DGTrajectory, MortarFlux)."""
+    traces_in maps neighbor id -> InterfaceTrace on this subdomain's
+    partition: a conforming trace loads the volume rows at its interface
+    nodes, a mortar trace the flux rows of its interface.  loads[n] is
+    the (d+1, ndof) volume load of interval n.  Returns (DGTrajectory,
+    MortarFlux); the flux has one entry per mortar interface.
+    """
     d = assembly.degree
-    n_int = partition.n_intervals
     ndof = assembly.n_dofs
-    nbs = assembly.mortar_neighbors
-    sizes = [ndof] + [assembly.iface[nb].nodes.size for nb in nbs]
-    offs = np.cumsum([0] + sizes)
-    coeffs = np.zeros((n_int, d + 1, ndof))
-    qmodes = {nb: np.zeros((n_int, d + 1, assembly.iface[nb].nodes.size)) for nb in nbs}
-    u_prev = np.asarray(u_init, dtype=float)
     if cache is None:
         cache = FactorCache()
-    bp = partition.breakpoints
-    op = cache.operator("mortar", d, lambda: _step_parts(*_mortar_blocks(assembly), d))
+    mortar = [nb for nb, ia in sorted(assembly.iface.items()) if ia.is_mortar]
+    S_mass, S_stiff, P = cache.operator(d, lambda: _step_operator(assembly, mortar, d))
+    offs = np.cumsum([ndof] + [assembly.iface[nb].nodes.size for nb in mortar])
+    rows = {nb: slice(offs[i], offs[i + 1]) for i, nb in enumerate(mortar)}
 
-    for n in range(n_int):
-        k = float(bp[n + 1] - bp[n])
-        tab = build_interval_basis(d, k)
-        rhs_modes = []
-        for j in range(d + 1):
-            sgn = (-1.0) ** j
-            rv = sgn * (assembly.M_mortar_vol @ u_prev) + loads[n][j]
-            parts = [rv]
-            for nb in nbs:
-                ia = assembly.iface[nb]
-                ru_prev = u_prev[ia.nodes]
-                rb = sgn * ia.q * (ia.M_gamma @ ru_prev)
-                if nb in traces_in:
-                    rb = rb + tab.gram[j] * traces_in[nb].coeffs[n, j]
-                parts.append(rb)
-            rhs_modes.append(np.concatenate(parts))
-        rhs = np.concatenate(rhs_modes)
-        x = _solve_step(cache, "mortar", d, op, k, rhs, n)
-        blk = offs[-1]
-        for j in range(d + 1):
-            xj = x[j * blk : (j + 1) * blk]
-            coeffs[n, j] = xj[: ndof]
-            for inb, nb in enumerate(nbs):
-                qmodes[nb][n, j] = xj[offs[inb + 1] : offs[inb + 2]]
+    # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once
+    gram = partition.lengths[:, None] / (2.0 * np.arange(d + 1) + 1.0)
+    data = {nb: gram[:, :, None] * tr.coeffs for nb, tr in traces_in.items()}
+    conforming = [(assembly.iface[nb].nodes, g) for nb, g in data.items() if nb not in rows]
+    flux_data = [(rows[nb], g) for nb, g in data.items() if nb in rows]
+    sign = ((-1.0) ** np.arange(d + 1))[:, None]
+
+    coeffs = np.zeros((partition.n_intervals, d + 1, ndof))
+    qmodes = {nb: np.zeros((partition.n_intervals, d + 1, r.stop - r.start))
+              for nb, r in rows.items()}
+    u_prev = np.asarray(u_init, dtype=float)
+    for n, k in enumerate(partition.lengths):
+        G = np.zeros((d + 1, ndof))
+        for nodes, g in conforming:
+            G[:, nodes] += g[n]
+        rhs = sign * (P @ u_prev)
+        rhs[:, :ndof] += loads[n] + G
+        for r, g in flux_data:
+            rhs[:, r] += g[n]
+        x = _solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n).reshape(d + 1, -1)
+        coeffs[n] = x[:, :ndof]
+        for nb, r in rows.items():
+            qmodes[nb][n] = x[:, r]
         u_prev = coeffs[n].sum(axis=0)
     traj = DGTrajectory(partition=partition, coeffs=coeffs, u_init=np.asarray(u_init, float).copy())
     return traj, MortarFlux(partition=partition, coeffs=qmodes)
-
-
-def _mortar_blocks(assembly):
-    """Spatial blocks of the coupled (U, Q) step system.
-
-    Volume line:    d/dt(I U) 'mass' with plain volume mass, plus
-                    Aa_vol = atilde + exterior + (b.n/2) interface mass,
-                    coupled to Q through -M_Gamma (scattered);
-    interface line: q-weighted interface mass under the lift tables, plus
-                    M_Gamma Q + ((p - b.n) mass + q B_r + K_s) U = data.
-    Returns the (mass, stiff) block grids for `_step_parts`.
-    """
-    ifaces = [assembly.iface[nb] for nb in assembly.mortar_neighbors]
-    nblk = 1 + len(ifaces)
-    mass = [[None] * nblk for _ in range(nblk)]
-    stiff = [[None] * nblk for _ in range(nblk)]
-    mass[0][0] = assembly.M_mortar_vol
-    stiff[0][0] = assembly.A_mortar_vol
-    for r, ia in enumerate(ifaces, start=1):
-        mass[r][0] = ia.q * (ia.M_gamma @ ia.restrict)
-        stiff[0][r] = -(ia.restrict.T @ ia.M_gamma)
-        stiff[r][r] = ia.M_gamma
-        stiff[r][0] = (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
-    return mass, stiff
 
 
 def trajectory_norm(traj, M):

@@ -31,7 +31,7 @@ from oswr.dgsolver import (
     FactorCache,
     InterfaceTrace,
     SolverError,
-    solve_window,
+    solve_window,  # unused here; bench/tracing.py wraps oswr.driver.solve_window
     solve_window_mortar,
     trajectory_norm,
     trajectory_values,
@@ -91,10 +91,9 @@ class SubdomainAssembly:
     space: fes.FemSpace
     degree: int
     M_vol: sp.csr_matrix
+    A_vol: sp.csr_matrix       # atilde + exterior Robin closure
     M_full: sp.csr_matrix = None
     A_full: sp.csr_matrix = None
-    M_mortar_vol: sp.csr_matrix = None
-    A_mortar_vol: sp.csr_matrix = None
     iface: dict = field(default_factory=dict)
     cache: FactorCache = field(default_factory=FactorCache)
     _load_cache: dict = field(default_factory=dict)
@@ -107,10 +106,6 @@ class SubdomainAssembly:
     @property
     def mortar_neighbors(self):
         return [nb for nb, ia in sorted(self.iface.items()) if ia.is_mortar]
-
-    @property
-    def conforming_neighbors(self):
-        return [nb for nb, ia in sorted(self.iface.items()) if not ia.is_mortar]
 
     def window_loads(self, partition):
         key = (round(partition.start, 14), round(partition.end, 14), partition.n_intervals)
@@ -165,12 +160,12 @@ def build_subdomain_assembly(cfg, spec, interfaces, p_ext=1.0):
         sides[nb] = side
     space = fes.build_space(mesh, sides)
 
-    asm = SubdomainAssembly(
-        spec=spec, mesh=mesh, space=space, degree=spec.degree,
-        M_vol=fes.assemble_mass(mesh, spec.omega), f=cfg.f,
-    )
     atilde = fes.assemble_atilde(mesh, spec.nu, spec.b, spec.c, spec.div_b())
     ext = fes.assemble_exterior_robin(space, spec.b, p_ext=p_ext)
+    asm = SubdomainAssembly(
+        spec=spec, mesh=mesh, space=space, degree=spec.degree,
+        M_vol=fes.assemble_mass(mesh, spec.omega), A_vol=(atilde + ext).tocsr(), f=cfg.f,
+    )
     n = asm.n_dofs
     for nb in sorted(sides):
         params = cfg.transmission[(spec.id, nb)]
@@ -190,34 +185,28 @@ def build_subdomain_assembly(cfg, spec, interfaces, p_ext=1.0):
             K_s=blocks.K_s,
             restrict=_restriction(blocks.nodes, n),
         )
-    asm._atilde_ext = (atilde + ext).tocsr()
     _finalize_operators(asm)
     return asm
 
 
 def _finalize_operators(asm):
-    """(Re)combine volume and interface blocks per the path split."""
-    n = asm.n_dofs
+    """Fold the interface blocks into the volume operators M_full, A_full.
+
+    A conforming interface adds its whole transmission operator; a mortar
+    interface only the (b.n/2) interface mass of the volume line, the
+    rest lives in the flux rows of the step system."""
     M_full = asm.M_vol.copy()
-    A_full = asm._atilde_ext.copy()
-    M_mvol = asm.M_vol.copy()
-    A_mvol = asm._atilde_ext.copy()
+    A_full = asm.A_vol.copy()
     for nb, ia in sorted(asm.iface.items()):
         R = ia.restrict
-        C = (ia.M_pbn + ia.q * ia.B_r + ia.K_s)
-        A_full = A_full + R.T @ C @ R
-        if ia.q != 0.0:
-            M_full = M_full + ia.q * (R.T @ ia.M_gamma @ R)
         if ia.is_mortar:
-            A_mvol = A_mvol + R.T @ ia.M_bn2 @ R
+            A_full = A_full + R.T @ ia.M_bn2 @ R
         else:
-            A_mvol = A_mvol + R.T @ C @ R
+            A_full = A_full + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
             if ia.q != 0.0:
-                M_mvol = M_mvol + ia.q * (R.T @ ia.M_gamma @ R)
+                M_full = M_full + ia.q * (R.T @ ia.M_gamma @ R)
     asm.M_full = M_full.tocsr()
     asm.A_full = A_full.tocsr()
-    asm.M_mortar_vol = M_mvol.tocsr()
-    asm.A_mortar_vol = A_mvol.tocsr()
 
 
 @dataclass
@@ -465,43 +454,11 @@ class IterationHistory:
 def _solve_one(md, sid, traces, u_init):
     asm = md.assemblies[sid]
     part = md.partitions[sid]
-    loads = md.loads[sid]
     mine = {nb: traces[(sid, nb)] for nb in asm.iface}
     try:
-        if asm.mortar_neighbors:
-            conf_load = _conforming_extra_loads(asm, mine, part)
-            return solve_window_mortar(
-                asm, {nb: mine[nb] for nb in asm.mortar_neighbors},
-                part, u_init, _add_loads(loads, conf_load), cache=asm.cache,
-            )
-        return solve_window(asm, mine, part, u_init, loads, cache=asm.cache), None
+        return solve_window_mortar(asm, mine, part, u_init, md.loads[sid], cache=asm.cache)
     except SolverError as e:
         raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
-
-
-def _conforming_extra_loads(asm, mine, part):
-    """Volume-side trace loads for conforming interfaces in a mixed solve."""
-    conf = asm.conforming_neighbors
-    if not conf:
-        return None
-    d = asm.degree
-    out = []
-    for n in range(part.n_intervals):
-        k = part.lengths[n]
-        gram = k / (2.0 * np.arange(d + 1) + 1.0)
-        extra = np.zeros((d + 1, asm.n_dofs))
-        for nb in conf:
-            nodes = asm.iface[nb].nodes
-            for beta in range(d + 1):
-                extra[beta, nodes] += gram[beta] * mine[nb].coeffs[n, beta]
-        out.append(extra)
-    return out
-
-
-def _add_loads(loads, extra):
-    if extra is None:
-        return loads
-    return [a + b for a, b in zip(loads, extra)]
 
 
 def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):

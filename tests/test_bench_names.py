@@ -4,11 +4,84 @@ name, so renaming one must fail here, not only in a benchmark run."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+import oswr.driver
 from oswr.dgsolver import FactorCache
+from oswr.problem import parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Two windows on matching 1D meshes: conforming interfaces only.
+CONFORMING = """
+[domain]
+box = 0 1
+T = 0.5
+windows = 2
+tolerance = 1e-8
+max_iterations = 100
+u0 = "exp(-30*(x-0.5)^2)"
+f = "0"
+
+[subdomain]
+id = 1
+box = 0 0.5
+nu = "0.1"
+bx = "0.5"
+c = "1"
+nx = 6
+nt = 3
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.5 1
+nu = "0.05"
+nx = 4
+nt = 2
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+"""
+
+# Nonmatching interface meshes in 2D: one mortar interface.
+MORTAR = """
+[domain]
+box = 0 1 0 1
+T = 0.25
+tolerance = 1e-8
+max_iterations = 100
+u0 = "exp(-20*((x-0.5)^2+(y-0.5)^2))"
+f = "0"
+
+[subdomain]
+id = 1
+box = 0 0.5 0 1
+nu = "0.1"
+nx = 2
+ny = 4
+nt = 3
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.5 1 0 1
+nu = "0.04"
+nx = 2
+ny = 3
+nt = 2
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+q = 0.05
+"""
 
 
 def test_traced_names_resolve(monkeypatch):
@@ -19,8 +92,30 @@ def test_traced_names_resolve(monkeypatch):
     assert bound and all(callable(obj) for obj in bound.values())
 
 
+@pytest.mark.parametrize("text,mortar", [(CONFORMING, False), (MORTAR, True)],
+                         ids=["conforming", "mortar"])
+def test_tracer_sees_every_window_solve(monkeypatch, text, mortar):
+    # the layer metrics read 0 if the driver stops calling the traced names
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    cfg = parse_config(text)
+    md = oswr.driver.build_multidomain(cfg)
+    assert any(asm.mortar_neighbors for asm in md.assemblies.values()) == mortar
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sol = oswr.driver.run_windows(cfg, md=md)
+    finally:
+        tracer.uninstall()
+    sweeps = sum(h.iterations for h in sol.histories)
+    assert sweeps > len(sol.histories)
+    assert tracer.counts["dgsolver.window"] == sweeps * len(cfg.subdomains)
+    assert tracer.counts["dgsolver.steps"] == sweeps * sum(s.nt for s in cfg.subdomains)
+
+
 def test_factor_exposes_solve_and_triangles():
     # the tracer times `solve` and counts nnz(L+U) of each new factor
-    factor = FactorCache().get(("conf", 1, 0.5), lambda: 2.0 * sp.identity(3, format="csc"))
+    factor = FactorCache().get((1, 0.5), lambda: 2.0 * sp.identity(3, format="csc"))
     assert np.array_equal(factor.solve(np.full(3, 2.0)), np.ones(3))
     assert factor.L.nnz + factor.U.nnz == 6

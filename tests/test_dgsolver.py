@@ -337,9 +337,9 @@ class TestStepClassCache:
         )
         assert len(cache.factors) == 1
 
-        Ms = sp.bmat([[asm.M_mortar_vol, None],
+        Ms = sp.bmat([[asm.M_full, None],
                       [ia.q * (ia.M_gamma @ ia.restrict), sp.csr_matrix((ni, ni))]])
-        As = sp.bmat([[asm.A_mortar_vol, -(ia.restrict.T @ ia.M_gamma)],
+        As = sp.bmat([[asm.A_full, -(ia.restrict.T @ ia.M_gamma)],
                       [(ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict, ia.M_gamma]])
         data = [
             [np.concatenate([loads[n][j], k / (2 * j + 1) * g[n, j]]) for j in range(2)]

@@ -103,6 +103,70 @@ s = 0.1
 """
 
 
+# A band of three: subdomain 2 meets 1 on matching interface meshes
+# (conforming) and 3 on nonmatching ones (mortar).
+CFG_MIXED = """
+[domain]
+box = 0 0.75 0 1
+T = 0.25
+tolerance = 1e-9
+max_iterations = 200
+initial_guess = from_u0
+u0 = "exp(-20*((x-0.375)^2+(y-0.5)^2))"
+f = "x*(1+t)"
+
+[subdomain]
+id = 1
+box = 0 0.25 0 1
+nu = "0.1"
+bx = "0.3"
+by = "-0.2"
+c = "0.5"
+nx = 2
+ny = 8
+nt = 4
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.25 0.5 0 1
+nu = "0.04"
+bx = "0.3"
+by = "0"
+c = "0.5"
+nx = 2
+ny = 8
+nt = 3
+degree = 1
+
+[subdomain]
+id = 3
+box = 0.5 0.75 0 1
+nu = "0.07"
+bx = "0.3"
+by = "0.1"
+c = "0.5"
+nx = 2
+ny = 6
+nt = 4
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+q = 0.05
+s = 0.04
+
+[transmission]
+from = 2
+to = 3
+p = 1.0
+q = 0.05
+s = 0.1
+"""
+
+
 def test_energy_identity():
     # the algebraic identity behind the Robin convergence proof:
     # with X = nu du - (b.n) u,
@@ -361,6 +425,20 @@ class TestMortarEquivalence:
         sol = run_windows(cfg, md=md)
         assert sol.histories[0].converged
 
+    def test_mixed_subdomain_matches_all_mortar(self):
+        cfg = parse_config(CFG_MIXED)
+        md = build_multidomain(cfg)
+        mixed = md.assemblies[2]
+        assert mixed.mortar_neighbors == [3]
+        assert [nb for nb, ia in sorted(mixed.iface.items()) if not ia.is_mortar] == [1]
+        sol = run_windows(cfg, md=md)
+        assert sol.histories[0].converged
+        sol_m = run_windows(cfg, force_mortar=True)
+        for sid in sol.trajectories:
+            a = sol.trajectories[sid][0].coeffs
+            b = sol_m.trajectories[sid][0].coeffs
+            assert np.allclose(a, b, atol=5e-8)
+
 
 def _u_init(md, cfg):
     return {sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0) for sid in md.assemblies}
@@ -375,7 +453,7 @@ class TestFailureReporting:
         k = float(md.partitions[1].lengths[0])
         # the class factor of a different matrix: every step misses the residual
         wrong = spla.splu(sp.identity(2 * asm.n_dofs, format="csc"))
-        asm.cache.factors[asm.cache.key("conf", 1, k)] = wrong
+        asm.cache.factors[asm.cache.key(1, k)] = wrong
         with pytest.raises(SolverError,
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
                                  r"linear solve residual .* exceeds 1e-12$"):
