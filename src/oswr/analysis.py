@@ -22,7 +22,7 @@ restricted norm matrices) and applied to blocks of times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,13 +62,6 @@ class RefGrid:
     nx: dict            # sid -> cells across the subdomain's x-extent
     ny: int | None      # common y grid lines (2D; bands in x)
     nt: int
-
-    def scaled(self, factor):
-        return RefGrid(
-            nx={k: v * factor for k, v in self.nx.items()},
-            ny=None if self.ny is None else self.ny * factor,
-            nt=self.nt * factor,
-        )
 
 
 def _global_mesh(cfg, ref):
@@ -233,7 +226,7 @@ class _IntervalLoads:
         return fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
 
 
-def solve_monodomain(cfg, ref, p_ext=1.0):
+def solve_monodomain(cfg, ref):
     """DG(d)-in-time, P1-in-space solve on the whole box, one window.
 
     The spatial operator is the sum of the subdomain skew forms, minus
@@ -290,7 +283,7 @@ def solve_monodomain(cfg, ref, p_ext=1.0):
             nx_dir = -1.0 if side == "xmin" else 1.0
             bn = fes._eval_coeff(s.b[0], np.array([x]), np.zeros(1), 0.0)[0] * nx_dir
             A = A + sp.coo_matrix(
-                ([p_ext - 0.5 * bn], ([nodes[0]], [nodes[0]])), shape=(n, n)
+                ([fes.P_EXT - 0.5 * bn], ([nodes[0]], [nodes[0]])), shape=(n, n)
             ).tocsr()
             continue
         axis = 0 if side in ("xmin", "xmax") else 1
@@ -308,7 +301,7 @@ def solve_monodomain(cfg, ref, p_ext=1.0):
                     bx = fes._eval_coeff(s.b[0], x, y, 0.0)
                     by_ = fes._eval_coeff(s.b[1], x, y, 0.0)
                     bn = np.where(inside, bx * normal[0] + by_ * normal[1], bn)
-            return p_ext - 0.5 * bn
+            return fes.P_EXT - 0.5 * bn
 
         B = hat_cross_matrix(along, along, w, "mass")
         A = A + fes.scatter_matrix(B, nodes, nodes, n, n)
@@ -368,7 +361,7 @@ def _sq_norms(D, M):
     return np.einsum("ti,ti->t", D, (M @ D.T).T)
 
 
-def error_norms(sol, reference, check_nesting=True):
+def error_norms(sol, reference):
     """Errors of a multidomain (or monodomain) solution vs the reference.
 
     sol is a MultidomainSolution or a Reference: anything whose view(sid)
@@ -393,13 +386,12 @@ def error_norms(sol, reference, check_nesting=True):
         nodes, M, K = reference.norm_ops(sid)
         P = reference.interpolation(sid, view.mesh)
 
-        if check_nesting:
-            for w in view.windows:
-                _check_nested(
-                    w.partition.n_intervals * len(view.windows),
-                    ref_part.n_intervals,
-                    f"time grid of subdomain {sid}",
-                )
+        for w in view.windows:
+            _check_nested(
+                w.partition.n_intervals * len(view.windows),
+                ref_part.n_intervals,
+                f"time grid of subdomain {sid}",
+            )
 
         def diff_at(times, left):
             return P.apply(view.values(times, left)) - ref_view.values(times, left)[:, nodes]
@@ -475,17 +467,8 @@ def _scaled_cfg(cfg, axis, factor):
             ny = None if ny is None else ny * factor
         if axis in ("time", "spacetime"):
             nt *= factor
-        subs.append(prb.SubdomainSpec(
-            id=s.id, box=s.box, nu=s.nu, b=s.b, c=s.c, omega=s.omega,
-            nx=nx, ny=ny, nt=nt, degree=s.degree,
-        ))
-    out = prb.ExperimentConfig(
-        domain_box=cfg.domain_box, T=cfg.T, subdomains=subs,
-        transmission=cfg.transmission, u0=cfg.u0, f=cfg.f, windows=cfg.windows,
-        tolerance=cfg.tolerance, max_iterations=cfg.max_iterations,
-        initial_guess=cfg.initial_guess,
-    )
-    return out
+        subs.append(replace(s, nx=nx, ny=ny, nt=nt))
+    return replace(cfg, subdomains=subs)
 
 
 def _lcm_list(vals):
@@ -587,12 +570,7 @@ class SweepTable:
 
 def _error_mode_cfg(cfg):
     zero = prb.const_expr(0.0)
-    return prb.ExperimentConfig(
-        domain_box=cfg.domain_box, T=cfg.T, subdomains=cfg.subdomains,
-        transmission=cfg.transmission, u0=zero, f=zero, windows=1,
-        tolerance=cfg.tolerance, max_iterations=cfg.max_iterations,
-        initial_guess="zero",
-    )
+    return replace(cfg, u0=zero, f=zero, windows=1, initial_guess="zero")
 
 
 def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
@@ -616,12 +594,7 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                 key: prb.TransmissionParams(p=float(p), q=float(q), r=tp.r, s=tp.s)
                 for key, tp in base.transmission.items()
             }
-            c = prb.ExperimentConfig(
-                domain_box=base.domain_box, T=base.T, subdomains=base.subdomains,
-                transmission=trans, u0=base.u0, f=base.f, windows=1,
-                tolerance=base.tolerance, max_iterations=budget,
-                initial_guess=base.initial_guess,
-            )
+            c = replace(base, transmission=trans, windows=1, max_iterations=budget)
             md = build_multidomain(c)
             u_init = {
                 sid: fes.nodal_interpolate(asm.mesh, c.u0, t=0.0)

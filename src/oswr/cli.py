@@ -4,7 +4,9 @@ Subcommands:
 
 * ``oswr run <config> [--out DIR] [--times LIST] [--force-mortar]``
   runs the windowed OSWR solver; writes per-subdomain solution
-  snapshots, the residual history and a run manifest.
+  snapshots, the residual history and a run manifest.  Given a
+  manifest, it re-runs with the manifest's --times and --force-mortar
+  unless the command line gives them.
 * ``oswr study <config> --axis time|space|spacetime --levels N``
   convergence-order study; writes a study table CSV with a slopes
   footer row and optionally a gnuplot script.
@@ -42,15 +44,18 @@ def _fmt(v):
 
 
 def _read_config(path):
-    """Read a config file, or extract the embedded config of a manifest."""
+    """Read a config file, or extract the embedded config of a manifest.
+
+    Returns (config, manifest), the manifest an empty dict for a config
+    file."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    doc = {}
+    if text.lstrip().startswith("{"):
         doc = json.loads(text)
         if "config" not in doc:
             raise prb.ConfigError("manifest file has no embedded config")
         text = doc["config"]
-    return prb.parse_config(text), text
+    return prb.parse_config(text), doc
 
 
 def _validate_or_fail(cfg):
@@ -66,13 +71,14 @@ def _validate_or_fail(cfg):
     return diags
 
 
-def _write_manifest(outdir, command, cfg, outputs, wall, residuals):
+def _write_manifest(outdir, command, cfg, outputs, wall, residuals, **flags):
     doc = {
         "command": command,
         "config": prb.serialize_config(cfg),
         "outputs": sorted(outputs),
         "wall_time_s": wall,
         "residual_history": residuals,
+        **flags,
     }
     path = outdir / "manifest.json"
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -80,16 +86,18 @@ def _write_manifest(outdir, command, cfg, outputs, wall, residuals):
 
 
 def cmd_run(args):
-    cfg, _ = _read_config(args.config)
+    cfg, manifest = _read_config(args.config)
+    force_mortar = args.force_mortar or manifest.get("force_mortar", False)
+    times_arg = args.times or manifest.get("times", "")
     _validate_or_fail(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    md = build_multidomain(cfg, force_mortar=args.force_mortar)
-    sol = run_windows(cfg, md=md, force_mortar=args.force_mortar)
+    md = build_multidomain(cfg, force_mortar=force_mortar)
+    sol = run_windows(cfg, md=md)
     wall = time.perf_counter() - t0
 
-    times = [cfg.T] if not args.times else [float(t) for t in args.times.split(",")]
+    times = [cfg.T] if not times_arg else [float(t) for t in times_arg.split(",")]
     outputs = []
     for sid in sorted(sol.trajectories):
         mesh = md.assemblies[sid].mesh
@@ -117,7 +125,8 @@ def cmd_run(args):
     rpath = outdir / "residuals.csv"
     rpath.write_text("\n".join(res_rows) + "\n")
     outputs.append(rpath.name)
-    _write_manifest(outdir, "run", cfg, outputs, wall, residuals)
+    _write_manifest(outdir, "run", cfg, outputs, wall, residuals,
+                    force_mortar=force_mortar, times=times_arg)
     return EXIT_OK
 
 

@@ -136,10 +136,6 @@ class DGTrajectory:
     def final_value(self):
         return self.endpoint(self.partition.n_intervals - 1)
 
-    def left_limit(self, n):
-        """Value at t_n^-: previous endpoint, or the window initial value."""
-        return self.u_init if n == 0 else self.endpoint(n - 1)
-
     def value(self, t, left=False):
         """Evaluate at time t; left=True takes the limit from below at
         breakpoints (and the initial value at the window start)."""
@@ -196,9 +192,6 @@ class InterfaceTrace:
 
     partition: TimePartition
     coeffs: np.ndarray  # (N, d+1, n_iface)
-
-    def copy(self):
-        return InterfaceTrace(self.partition, self.coeffs.copy())
 
     def norm(self):
         """Discrete L2((0,T) x Gamma)-style coefficient norm."""

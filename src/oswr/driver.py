@@ -1,9 +1,13 @@
 """Waveform-relaxation driver.
 
-Builds the per-subdomain assemblies, exchanges transmission data between
-neighbors (Jacobi style: every subdomain solves against the previous
-iterate's traces), projects traces between nonconforming time
-grids, monitors interface residuals, and chains time windows.
+Builds the multidomain set-up in one pass: meshes and trace spaces
+first, then the decision of each interface between conforming and
+mortar, then every subdomain's operators once, with its interface
+blocks, and one exchange operator per directed pair.  It then exchanges
+transmission data between neighbors (Jacobi style: every subdomain
+solves against the previous iterate's traces), projects traces between
+nonconforming time grids, monitors interface residuals, and chains time
+windows.
 
 The conforming-trace exchange never extracts a normal derivative from
 the solution: the new data is the algebraic combination
@@ -13,7 +17,12 @@ the solution: the new data is the algebraic combination
                          + (tangential advection + diffusion) u_j ],
 
 all in weak (functional) form against the interface test functions; the
-mortar exchange carries the discrete flux unknown instead.
+mortar exchange carries the discrete flux unknown instead:
+
+    g_new(i<-j) = P_i [ -M_x Q_j + (M_bx + q_ij B_rx + K_sx) u_j
+                         + q_ij d/dt(I_j M_x u_j) ],
+
+with the cross blocks coupling j's trace functions to i's.
 """
 
 from __future__ import annotations
@@ -37,7 +46,11 @@ from oswr.dgsolver import (
     trajectory_values,
 )
 from oswr.timebasis import TimePartition, lift_rate_modes
-from oswr.timeproject import apply_projection, build_projection_matrices, hat_cross_matrix
+from oswr.timeproject import (
+    apply_projection,
+    build_projection_matrices,
+    hat_cross_matrix,  # unused here; bench/tracing.py wraps oswr.driver.hat_cross_matrix
+)
 
 __all__ = [
     "DivergenceError",
@@ -81,7 +94,7 @@ class IfaceAssembly:
     B_r: sp.csr_matrix
     K_s: sp.csr_matrix
     restrict: sp.csr_matrix    # selection (n_iface x ndof)
-    is_mortar: bool = False
+    is_mortar: bool
 
 
 @dataclass
@@ -92,9 +105,9 @@ class SubdomainAssembly:
     degree: int
     M_vol: sp.csr_matrix
     A_vol: sp.csr_matrix       # atilde + exterior Robin closure
-    M_full: sp.csr_matrix = None
-    A_full: sp.csr_matrix = None
-    iface: dict = field(default_factory=dict)
+    M_full: sp.csr_matrix      # M_vol + conforming q-weighted interface mass
+    A_full: sp.csr_matrix      # A_vol + interface blocks (see _finalize_operators)
+    iface: dict                # neighbor -> IfaceAssembly
     cache: FactorCache = field(default_factory=FactorCache)
     _load_cache: dict = field(default_factory=dict)
     f: object = None
@@ -138,8 +151,9 @@ def _restriction(nodes, ndof):
     return sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, ndof)).tocsr()
 
 
-def build_subdomain_assembly(cfg, spec, interfaces, p_ext=1.0):
-    """Mesh, space and all time-independent operators for one subdomain."""
+def _build_space(spec, interfaces):
+    """Mesh and trace spaces of one subdomain; each interface must cover
+    a whole face."""
     counts = (spec.nx,) if spec.dim == 1 else (spec.nx, spec.ny)
     mesh = fes.build_mesh(spec.box, counts)
     sides = {}
@@ -158,20 +172,23 @@ def build_subdomain_assembly(cfg, spec, interfaces, p_ext=1.0):
                     f"subdomain {spec.id}; only full-face (band) decompositions are supported"
                 )
         sides[nb] = side
-    space = fes.build_space(mesh, sides)
+    return fes.build_space(mesh, sides)
 
+
+def build_subdomain_assembly(cfg, spec, space, mortar):
+    """All time-independent operators of one subdomain; `mortar` holds
+    the neighbors across a mortar interface."""
+    mesh = space.mesh
     atilde = fes.assemble_atilde(mesh, spec.nu, spec.b, spec.c, spec.div_b())
-    ext = fes.assemble_exterior_robin(space, spec.b, p_ext=p_ext)
-    asm = SubdomainAssembly(
-        spec=spec, mesh=mesh, space=space, degree=spec.degree,
-        M_vol=fes.assemble_mass(mesh, spec.omega), A_vol=(atilde + ext).tocsr(), f=cfg.f,
-    )
-    n = asm.n_dofs
-    for nb in sorted(sides):
+    ext = fes.assemble_exterior_robin(space, spec.b)
+    M_vol = fes.assemble_mass(mesh, spec.omega)
+    A_vol = (atilde + ext).tocsr()
+    iface = {}
+    for nb in sorted(space.traces):
         params = cfg.transmission[(spec.id, nb)]
         blocks = fes.assemble_interface_ops(space, nb, params, spec.b)
         m_bn2 = (params.p * blocks.M_gamma - blocks.M_pbn).tocsr()
-        asm.iface[nb] = IfaceAssembly(
+        iface[nb] = IfaceAssembly(
             neighbor=nb,
             nodes=blocks.nodes,
             along=space.traces[nb].along,
@@ -183,21 +200,25 @@ def build_subdomain_assembly(cfg, spec, interfaces, p_ext=1.0):
             M_bn2=m_bn2,
             B_r=blocks.B_r,
             K_s=blocks.K_s,
-            restrict=_restriction(blocks.nodes, n),
+            restrict=_restriction(blocks.nodes, mesh.n_nodes),
+            is_mortar=nb in mortar,
         )
-    _finalize_operators(asm)
-    return asm
+    M_full, A_full = _finalize_operators(M_vol, A_vol, iface)
+    return SubdomainAssembly(
+        spec=spec, mesh=mesh, space=space, degree=spec.degree, M_vol=M_vol, A_vol=A_vol,
+        M_full=M_full, A_full=A_full, iface=iface, f=cfg.f,
+    )
 
 
-def _finalize_operators(asm):
-    """Fold the interface blocks into the volume operators M_full, A_full.
+def _finalize_operators(M_vol, A_vol, iface):
+    """Fold the interface blocks into the volume operators: (M_full, A_full).
 
     A conforming interface adds its whole transmission operator; a mortar
     interface only the (b.n/2) interface mass of the volume line, the
     rest lives in the flux rows of the step system."""
-    M_full = asm.M_vol.copy()
-    A_full = asm.A_vol.copy()
-    for nb, ia in sorted(asm.iface.items()):
+    M_full = M_vol.copy()
+    A_full = A_vol.copy()
+    for nb, ia in sorted(iface.items()):
         R = ia.restrict
         if ia.is_mortar:
             A_full = A_full + R.T @ ia.M_bn2 @ R
@@ -205,57 +226,41 @@ def _finalize_operators(asm):
             A_full = A_full + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
             if ia.q != 0.0:
                 M_full = M_full + ia.q * (R.T @ ia.M_gamma @ R)
-    asm.M_full = M_full.tocsr()
-    asm.A_full = A_full.tocsr()
+    return M_full.tocsr(), A_full.tocsr()
 
 
 @dataclass
-class CrossMatrices:
-    """Mortar coupling from neighbor j's trace space into i's (rows: i).
+class Exchange:
+    """What the directed exchange i <- j applies to j's interface data.
 
-    M_x:  int psi_i chi_j            (also couples the flux Q_j)
-    M_bx: int (b_j.n_j + p_ij) psi_i chi_j
-    B_rx: int grad_G.(r_ij chi_j) psi_i   (by parts)
-    K_sx: int q_ij s_ij dchi_j dpsi_i
+    Rows are i's trace test functions, columns j's trace functions.
+    Conforming: mass = j's M_Gamma, op = the tangential operator of the
+    interface (shared by both directions), p = p_ij + p_ji,
+    q = q_ij + q_ji.  Mortar: mass = M_x = int psi_i chi_j (also applied
+    to the flux Q_j), op = M_bx + q_ij B_rx + K_sx with
+    M_bx = int (b_j.n_j + p_ij) psi_i chi_j, B_rx and K_sx the tangential
+    blocks across the two traces, p = None (the flux Q_j takes the place
+    of the old data and its p-term), q = q_ij.
     """
 
-    M_x: sp.csr_matrix
-    M_bx: sp.csr_matrix
-    B_rx: sp.csr_matrix
-    K_sx: sp.csr_matrix
+    mass: sp.csr_matrix
+    op: sp.csr_matrix
+    p: float | None
+    q: float
+
+    @property
+    def mortar(self):
+        return self.p is None
 
 
-def _build_cross(md, i, j):
-    """Cross matrices for the directed mortar exchange i <- j."""
-    ai, aj = md.assemblies[i], md.assemblies[j]
+def _mortar_exchange(cfg, ai, aj):
+    """The directed mortar exchange i <- j."""
+    i, j = ai.spec.id, aj.spec.id
     ti, tj = ai.space.traces[j], aj.space.traces[i]
-    params = md.cfg.transmission[(i, j)]
-    if ai.mesh.dim == 1:
-        bnj = fes._bn_along(tj, aj.spec.b)(np.zeros(1))[0]
-        one = sp.csr_matrix(np.array([[1.0]]))
-        zero = sp.csr_matrix((1, 1))
-        return CrossMatrices(
-            M_x=one,
-            M_bx=sp.csr_matrix(np.array([[bnj + params.p]])),
-            B_rx=zero,
-            K_sx=zero.copy(),
-        )
+    params = cfg.transmission[(i, j)]
     bnj = fes._bn_along(tj, aj.spec.b)
-    M_x = hat_cross_matrix(ti.along, tj.along, None, "mass")
-    M_bx = hat_cross_matrix(ti.along, tj.along, lambda s: bnj(s) + params.p, "mass")
-    if params.r.is_zero():
-        B_rx = sp.csr_matrix(M_x.shape)
-    else:
-        def rw(s):
-            x, y = ti.points(s)
-            return fes._eval_coeff(params.r, x, y, 0.0)
-        B_rx = -hat_cross_matrix(ti.along, tj.along, rw, "dtarget")
-    qs = params.q * params.s
-    if qs == 0.0:
-        K_sx = sp.csr_matrix(M_x.shape)
-    else:
-        K_sx = hat_cross_matrix(ti.along, tj.along, lambda s: qs * np.ones_like(s), "grad_both")
-    return CrossMatrices(M_x=M_x, M_bx=M_bx, B_rx=B_rx, K_sx=K_sx)
+    M_x, M_bx, B_rx, K_sx = fes._face_blocks(ti, tj, lambda s: bnj(s) + params.p, params)
+    return Exchange(mass=M_x, op=M_bx + params.q * B_rx + K_sx, p=None, q=params.q)
 
 
 @dataclass
@@ -264,8 +269,7 @@ class Multidomain:
     assemblies: dict
     interfaces: list
     pairs: list          # directed (i, j) pairs
-    tang: dict           # unordered pair -> combined tangential operator
-    cross: dict          # directed pair -> CrossMatrices (mortar only)
+    exchange: dict       # directed pair -> Exchange
     partitions: dict = field(default_factory=dict)
     projections: dict = field(default_factory=dict)
     loads: dict = field(default_factory=dict)
@@ -292,54 +296,50 @@ class Multidomain:
         }
 
 
-def build_multidomain(cfg, force_mortar=False, p_ext=1.0):
+def build_multidomain(cfg, force_mortar=False):
     diags = prb.validate_problem(cfg)
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise ValueError("invalid problem: " + "; ".join(d.message for d in errors))
     interfaces = cfg.interfaces()
-    assemblies = {
-        s.id: build_subdomain_assembly(cfg, s, interfaces, p_ext=p_ext)
-        for s in cfg.subdomains
-    }
+    spaces = {s.id: _build_space(s, interfaces) for s in cfg.subdomains}
     pairs = []
+    mortar = set()  # directed pairs across a mortar interface
     for itf in interfaces:
         pairs.append((itf.i, itf.j))
         pairs.append((itf.j, itf.i))
-    pairs.sort()
-
-    # decide conforming vs mortar per interface
-    for itf in interfaces:
-        ai, aj = assemblies[itf.i], assemblies[itf.j]
-        al_i, al_j = ai.space.traces[itf.j].along, aj.space.traces[itf.i].along
-        if ai.mesh.dim == 1:
+        al_i = spaces[itf.i].traces[itf.j].along
+        al_j = spaces[itf.j].traces[itf.i].along
+        if al_i is None:  # 1D: the interface is a point
             conforming = True
         else:
             conforming = al_i.size == al_j.size and np.allclose(al_i, al_j, atol=1e-12)
-        mortar = force_mortar or not conforming
-        ai.iface[itf.j].is_mortar = mortar
-        aj.iface[itf.i].is_mortar = mortar
-    for asm in assemblies.values():
-        _finalize_operators(asm)
+        if force_mortar or not conforming:
+            mortar |= {(itf.i, itf.j), (itf.j, itf.i)}
+    pairs.sort()
+    assemblies = {
+        s.id: build_subdomain_assembly(
+            cfg, s, spaces[s.id], {nb for (i, nb) in mortar if i == s.id}
+        )
+        for s in cfg.subdomains
+    }
 
-    md = Multidomain(
-        cfg=cfg, assemblies=assemblies, interfaces=interfaces, pairs=pairs,
-        tang={}, cross={},
-    )
+    exchange = {}
     for itf in interfaces:
         i, j = itf.i, itf.j
         ai, aj = assemblies[i], assemblies[j]
-        if ai.iface[j].is_mortar:
-            md.cross[(i, j)] = _build_cross(md, i, j)
-            md.cross[(j, i)] = _build_cross(md, j, i)
+        if (i, j) in mortar:
+            exchange[(i, j)] = _mortar_exchange(cfg, ai, aj)
+            exchange[(j, i)] = _mortar_exchange(cfg, aj, ai)
         else:
-            qi = ai.iface[j].q
-            qj = aj.iface[i].q
-            md.tang[(min(i, j), max(i, j))] = (
-                qi * ai.iface[j].B_r + qj * aj.iface[i].B_r
-                + ai.iface[j].K_s + aj.iface[i].K_s
-            ).tocsr()
-    return md
+            ia, ja = ai.iface[j], aj.iface[i]
+            tang = (ia.q * ia.B_r + ja.q * ja.B_r + ia.K_s + ja.K_s).tocsr()
+            p, q = ia.p + ja.p, ia.q + ja.q
+            exchange[(i, j)] = Exchange(mass=ja.M_gamma, op=tang, p=p, q=q)
+            exchange[(j, i)] = Exchange(mass=ia.M_gamma, op=tang, p=p, q=q)
+    return Multidomain(
+        cfg=cfg, assemblies=assemblies, interfaces=interfaces, pairs=pairs, exchange=exchange,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +381,18 @@ def transmission_update(md, i, j, traj_j, flux_j, g_old, u_init_j):
     traj_j lives on T_j; g_old is g_{j,i} (the data j received, also on
     T_j); the result is projected onto T_i.
     """
-    aj = md.assemblies[j]
-    ia_j = aj.iface[i]
-    part_j = md.partitions[j]
-    lengths = part_j.lengths
-    RU = traj_j.coeffs[:, :, ia_j.nodes]
-    ru_init = np.asarray(u_init_j, dtype=float)[ia_j.nodes]
-
-    if ia_j.is_mortar:
-        cm = md.cross[(i, j)]
-        params_ij = md.cfg.transmission[(i, j)]
-        W = _apply_rows(cm.M_x, RU)
-        w_init = cm.M_x @ ru_init
-        gtil = -_apply_rows(cm.M_x, flux_j.coeffs[i])
-        gtil += _apply_rows(cm.M_bx + params_ij.q * cm.B_rx + cm.K_sx, RU)
-        if params_ij.q != 0.0:
-            gtil += params_ij.q * _lift_rate_window(W, w_init, lengths)
+    ex = md.exchange[(i, j)]
+    nodes = md.assemblies[j].iface[i].nodes
+    RU = traj_j.coeffs[:, :, nodes]
+    W = _apply_rows(ex.mass, RU)
+    w_init = ex.mass @ np.asarray(u_init_j, dtype=float)[nodes]
+    if ex.mortar:
+        gtil = -_apply_rows(ex.mass, flux_j.coeffs[i])
     else:
-        ia_i = md.assemblies[i].iface[j]
-        psum = ia_i.p + ia_j.p
-        qsum = ia_i.q + ia_j.q
-        W = _apply_rows(ia_j.M_gamma, RU)
-        w_init = ia_j.M_gamma @ ru_init
-        gtil = -g_old.coeffs + psum * W
-        tang = md.tang[(min(i, j), max(i, j))]
-        gtil += _apply_rows(tang, RU)
-        if qsum != 0.0:
-            gtil += qsum * _lift_rate_window(W, w_init, lengths)
+        gtil = -g_old.coeffs + ex.p * W
+    gtil += _apply_rows(ex.op, RU)
+    if ex.q != 0.0:
+        gtil += ex.q * _lift_rate_window(W, w_init, md.partitions[j].lengths)
 
     new = apply_projection(md.projections[(i, j)], gtil)
     return InterfaceTrace(partition=md.partitions[i], coeffs=new)

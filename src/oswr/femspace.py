@@ -4,15 +4,15 @@ Meshes are uniform structured grids on axis-aligned boxes: segments in
 1D, triangles in 2D (each cell split along the lower-left to upper-right
 diagonal, so nested refinements interpolate exactly).  Assembled forms:
 
-* mass with porosity weight, optionally augmented by q-weighted
-  interface mass (the Order-2 time-derivative term lives there);
+* mass with porosity weight;
 * the skew-symmetrized advection-diffusion-reaction volume form
       atilde(u,v) = int 1/2((b.grad u)v - (b.grad v)u)
                   + int nu grad u . grad v + int (c + div(b)/2) u v;
-* interface operator blocks on flat interfaces: interface mass,
-  (p - b.n/2)-weighted mass, tangential advection B_r and tangential
-  stiffness K_s;
-* exterior-boundary Robin closure (p_ext - b.n/2)-weighted mass;
+* operator blocks on flat faces, one code path for a subdomain's own
+  interface blocks (interface mass, (p - b.n/2)-weighted mass,
+  tangential advection B_r and tangential stiffness K_s), the mortar
+  blocks coupling two nonmatching traces of one interface, and the
+  exterior-boundary Robin closure (P_EXT - b.n/2)-weighted mass;
 * per-mode time-quadrature load vectors for the DG right-hand sides.
 
 Volume quadrature is the edge-midpoint rule per triangle (2-point Gauss
@@ -46,7 +46,11 @@ __all__ = [
     "nodal_interpolate",
     "scatter_matrix",
     "InterfaceBlocks",
+    "P_EXT",
 ]
+
+# Robin coefficient of the absorbing closure on exterior faces.
+P_EXT = 1.0
 
 _G2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
@@ -72,11 +76,6 @@ class Mesh:
     @property
     def n_nodes(self):
         return self.coords.shape[0]
-
-    def node_index(self, i, j=None):
-        if self.dim == 1:
-            return i
-        return j * (self.nx + 1) + i
 
     def side_nodes(self, side):
         """Node ids on a box side, sorted along the side."""
@@ -244,29 +243,8 @@ def _seg_geometry(mesh, elems_idx):
     return segs, h, xq
 
 
-def assemble_mass(mesh, omega, elems=None, t=0.0, interface_weights=None, space=None):
-    """Mass matrix int omega phi_k phi_l, optionally augmented by
-    q-weighted interface mass (pass a FemSpace and a neighbor->q map).
-
-    The interface term realizes the boundary part of the Order-2 mass
-    pairing; in 1D the interface is a point and contributes q on that
-    node's diagonal."""
-    if interface_weights:
-        if space is None:
-            raise ValueError("interface_weights needs the FemSpace")
-        M = assemble_mass(mesh, omega, elems=elems, t=t)
-        n = mesh.n_nodes
-        for nb, q in sorted(interface_weights.items()):
-            if q == 0.0:
-                continue
-            tr = space.traces[nb]
-            if mesh.dim == 1:
-                M = M + sp.coo_matrix(([q], ([tr.nodes[0]], [tr.nodes[0]])),
-                                      shape=(n, n)).tocsr()
-            else:
-                B = hat_cross_matrix(tr.along, tr.along, None, "mass")
-                M = M + q * scatter_matrix(B, tr.nodes, tr.nodes, n, n)
-        return M
+def assemble_mass(mesh, omega, elems=None, t=0.0):
+    """Mass matrix int omega phi_k phi_l."""
     n = mesh.n_nodes
     if mesh.dim == 1:
         segs, h, xq = _seg_geometry(mesh, elems)
@@ -369,7 +347,8 @@ def assemble_atilde(mesh, nu, b, c, div_b, elems=None, t=0.0):
 
 @dataclass(frozen=True)
 class TraceSpace:
-    """Trace of the P1 space on one flat interface."""
+    """Trace of the P1 space on one flat face (an interface, or an
+    exterior face with neighbor EXTERIOR)."""
 
     neighbor: int
     side: str
@@ -397,7 +376,7 @@ class FemSpace:
 
     mesh: Mesh
     traces: dict  # neighbor id -> TraceSpace
-    exterior: tuple  # of (side, nodes, along, normal, position, axis)
+    exterior: tuple  # of TraceSpace, one per exterior face
 
     @property
     def n_dofs(self):
@@ -410,39 +389,27 @@ _SIDE_NORMALS_2D = {
 }
 
 
+EXTERIOR = -1  # the neighbor id of an exterior face
+
+
+def _side_trace(mesh, side, neighbor):
+    nodes = mesh.side_nodes(side)
+    if mesh.dim == 1:
+        normal = (-1.0,) if side == "xmin" else (1.0,)
+        return TraceSpace(neighbor, side, nodes, None, normal, float(mesh.coords[nodes[0]]), 0)
+    axis = 0 if side in ("xmin", "xmax") else 1
+    return TraceSpace(neighbor, side, nodes, mesh.coords[nodes, 1 - axis],
+                      _SIDE_NORMALS_2D[side], float(mesh.coords[nodes[0], axis]), axis)
+
+
 def build_space(mesh, interface_sides):
-    """interface_sides: neighbor id -> side name ('xmin', ...)."""
-    traces = {}
-    used = set()
-    for nb, side in interface_sides.items():
-        nodes = mesh.side_nodes(side)
-        if mesh.dim == 1:
-            traces[nb] = TraceSpace(nb, side, nodes, None,
-                                    (-1.0,) if side == "xmin" else (1.0,),
-                                    float(mesh.coords[nodes[0]]), 0)
-        else:
-            axis = 0 if side in ("xmin", "xmax") else 1
-            along = mesh.coords[nodes, 1 - axis]
-            pos = float(mesh.coords[nodes[0], axis])
-            traces[nb] = TraceSpace(nb, side, nodes, along,
-                                    _SIDE_NORMALS_2D[side], pos, axis)
-        used.add(side)
-    exterior = []
+    """interface_sides: neighbor id -> side name ('xmin', ...); every
+    other side of the box is an exterior face."""
+    traces = {nb: _side_trace(mesh, side, nb) for nb, side in interface_sides.items()}
+    used = set(interface_sides.values())
     sides = ("xmin", "xmax") if mesh.dim == 1 else ("xmin", "xmax", "ymin", "ymax")
-    for side in sides:
-        if side in used:
-            continue
-        nodes = mesh.side_nodes(side)
-        if mesh.dim == 1:
-            exterior.append((side, nodes, None,
-                             (-1.0,) if side == "xmin" else (1.0,),
-                             float(mesh.coords[nodes[0]]), 0))
-        else:
-            axis = 0 if side in ("xmin", "xmax") else 1
-            along = mesh.coords[nodes, 1 - axis]
-            pos = float(mesh.coords[nodes[0], axis])
-            exterior.append((side, nodes, along, _SIDE_NORMALS_2D[side], pos, axis))
-    return FemSpace(mesh=mesh, traces=traces, exterior=tuple(exterior))
+    exterior = tuple(_side_trace(mesh, side, EXTERIOR) for side in sides if side not in used)
+    return FemSpace(mesh=mesh, traces=traces, exterior=exterior)
 
 
 def scatter_matrix(B, rows_gidx, cols_gidx, n_rows, n_cols):
@@ -484,6 +451,47 @@ def _bn_along(trace, b, t=0.0):
     return f
 
 
+def _face_blocks(target, source, weight, params=None):
+    """Operator blocks on one flat face, rows on the target trace's test
+    functions psi_k, columns on the source trace's functions chi_l.
+
+    Alone, the weighted mass int w psi_k chi_l (weight: a callable of the
+    face coordinate).  With transmission params (p, q, r, s), the blocks
+    (M, M_w, B_r, K_s): the plain mass int psi_k chi_l, the weighted
+    mass, the tangential advection int grad_G.(r chi_l) psi_k (by parts,
+    endpoint terms dropped) and the tangential stiffness
+    int q s dchi_l dpsi_k.  A subdomain's own blocks pass its trace as
+    both target and source.  A 1D face is a point: a mass is the weight
+    there and the tangential blocks vanish.
+    """
+    point = target.along is None
+
+    def mass(w):
+        if point:
+            return sp.csr_matrix(np.array([[1.0 if w is None else w(np.zeros(1))[0]]]))
+        return hat_cross_matrix(target.along, source.along, w, "mass")
+
+    if params is None:
+        return mass(weight)
+    M, M_w = mass(None), mass(weight)
+    shape = (target.n, source.n)
+    if point or params.r.is_zero():
+        B_r = sp.csr_matrix(shape)
+    else:
+        def rw(s):
+            x, y = target.points(s)
+            return _eval_coeff(params.r, x, y, 0.0)
+        B_r = -hat_cross_matrix(target.along, source.along, rw, "dtarget")
+    qs = params.q * params.s
+    if point or qs == 0.0:
+        K_s = sp.csr_matrix(shape)
+    else:
+        K_s = hat_cross_matrix(
+            target.along, source.along, lambda s: qs * np.ones_like(s), "grad_both"
+        )
+    return M, M_w, B_r, K_s
+
+
 def assemble_interface_ops(space, neighbor, params, b):
     """Interface operator blocks for the directed interface (self -> neighbor).
 
@@ -495,54 +503,25 @@ def assemble_interface_ops(space, neighbor, params, b):
     if neighbor not in space.traces:
         raise KeyError(f"no interface to neighbor {neighbor}")
     tr = space.traces[neighbor]
-    if space.mesh.dim == 1:
-        one = sp.csr_matrix(np.array([[1.0]]))
-        bn = float(_bn_along(tr, b)(np.zeros(1))[0])
-        m_pbn = sp.csr_matrix(np.array([[params.p - 0.5 * bn]]))
-        zero = sp.csr_matrix((1, 1))
-        return InterfaceBlocks(one, m_pbn, zero, zero.copy(), tr.nodes)
     bn = _bn_along(tr, b)
-    m_gamma = hat_cross_matrix(tr.along, tr.along, None, "mass")
-    m_pbn = hat_cross_matrix(
-        tr.along, tr.along, lambda s: params.p - 0.5 * bn(s), "mass"
-    )
-    if params.r.is_zero():
-        b_r = sp.csr_matrix((tr.n, tr.n))
-    else:
-        def rw(s):
-            x, y = tr.points(s)
-            return _eval_coeff(params.r, x, y, 0.0)
-        b_r = -hat_cross_matrix(tr.along, tr.along, rw, "dtarget")
-    qs = params.q * params.s
-    if qs == 0.0:
-        k_s = sp.csr_matrix((tr.n, tr.n))
-    else:
-        k_s = hat_cross_matrix(tr.along, tr.along, lambda s: qs * np.ones_like(s), "grad_both")
-    return InterfaceBlocks(m_gamma, m_pbn, b_r, k_s, tr.nodes)
+    return InterfaceBlocks(*_face_blocks(tr, tr, lambda s: params.p - 0.5 * bn(s), params),
+                           tr.nodes)
 
 
-def assemble_exterior_robin(space, b, p_ext=1.0):
-    """Absorbing-type closure on exterior faces: (p_ext - b.n/2) mass.
+def assemble_exterior_robin(space, b):
+    """Absorbing-type closure on exterior faces: (P_EXT - b.n/2) mass.
 
     The continuous problem lives on the whole space; the computational
     box is closed with the homogeneous Robin condition
-    (nu d_n - b.n) u + p_ext u = 0, which contributes this boundary
+    (nu d_n - b.n) u + P_EXT u = 0, which contributes this boundary
     mass to the spatial operator.
     """
     n = space.n_dofs
     out = sp.csr_matrix((n, n))
-    for side, nodes, along, normal, position, axis in space.exterior:
-        if space.mesh.dim == 1:
-            x = space.mesh.coords[nodes[0]]
-            bn = float(_eval_coeff(b[0], np.array([x]), np.zeros(1), 0.0)[0]) * normal[0]
-            out = out + sp.coo_matrix(
-                ([p_ext - 0.5 * bn], ([nodes[0]], [nodes[0]])), shape=(n, n)
-            ).tocsr()
-            continue
-        tr = TraceSpace(-1, side, nodes, along, normal, position, axis)
+    for tr in space.exterior:
         bn = _bn_along(tr, b)
-        B = hat_cross_matrix(along, along, lambda s: p_ext - 0.5 * bn(s), "mass")
-        out = out + scatter_matrix(B, nodes, nodes, n, n)
+        B = _face_blocks(tr, tr, lambda s: P_EXT - 0.5 * bn(s))
+        out = out + scatter_matrix(B, tr.nodes, tr.nodes, n, n)
     return out
 
 

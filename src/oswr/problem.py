@@ -448,10 +448,6 @@ class TransmissionParams:
     r: CoefficientExpression = field(default_factory=lambda: const_expr(0.0))
     s: float = 1.0
 
-    @property
-    def kind(self):
-        return "robin" if self.q == 0.0 else "order2"
-
 
 @dataclass(frozen=True)
 class Interface:

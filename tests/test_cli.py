@@ -112,6 +112,17 @@ class TestRun:
         for name in ("solution_1.csv", "solution_2.csv", "residuals.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_manifest_rerun_keeps_flags(self, cfg_path, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["run", str(cfg_path), "--out", str(out1),
+                     "--force-mortar", "--times", "0.125,0.25"]) == 0
+        assert main(["run", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        for name in ("solution_1.csv", "solution_2.csv", "residuals.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        doc = json.loads((out2 / "manifest.json").read_text())
+        assert doc["force_mortar"] is True
+        assert doc["times"] == "0.125,0.25"
+
     def test_snapshot_times_flag(self, cfg_path, tmp_path):
         out = tmp_path / "t"
         assert main(["run", str(cfg_path), "--out", str(out),

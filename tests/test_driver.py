@@ -384,6 +384,31 @@ def test_nonconforming_envelope_monitor(capsys):
     assert np.isfinite(ratio)
 
 
+@pytest.mark.parametrize(
+    "text,force_mortar",
+    [(CFG_MIXED, False), (CFG_2D, True), (CFG_1D, False)],
+    ids=["mixed", "mortar-2d", "1d"],
+)
+def test_each_subdomain_assembled_once(monkeypatch, text, force_mortar):
+    # the conforming/mortar decision comes before assembly, so the volume
+    # operators and their interface closure are built once per subdomain
+    calls = {"atilde": 0, "finalize": 0}
+    atilde, finalize = fes.assemble_atilde, drv._finalize_operators
+
+    def count(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fes, "assemble_atilde", count("atilde", atilde))
+    monkeypatch.setattr(drv, "_finalize_operators", count("finalize", finalize))
+    cfg = parse_config(text)
+    build_multidomain(cfg, force_mortar=force_mortar)
+    n = len(cfg.subdomains)
+    assert calls == {"atilde": n, "finalize": n}
+
+
 class TestMortarEquivalence:
     def test_matching_meshes_match_conforming(self):
         cfg = parse_config(CFG_2D)

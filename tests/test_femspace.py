@@ -120,7 +120,7 @@ class TestMass:
         # a q-weighted point mass on the interface node raises that
         # diagonal entry by exactly q
         from oswr.problem import parse_config
-        from oswr.driver import build_subdomain_assembly
+        from oswr.driver import build_multidomain
 
         cfg = parse_config("""
 [domain]
@@ -145,18 +145,44 @@ to = 2
 p = 1.0
 q = 1.0
 """)
-        asm = build_subdomain_assembly(cfg, cfg.subdomain(1), cfg.interfaces())
+        asm = build_multidomain(cfg).assemblies[1]
         dM = (asm.M_full - asm.M_vol).toarray()
         expect = np.zeros_like(dM)
         expect[-1, -1] = 1.0
         assert dM == pytest.approx(expect, abs=1e-15)
 
-    def test_interface_weights_argument(self):
-        mesh = build_mesh((0.0, 0.5, 0.0, 2.0), (4, 8))
-        space = build_space(mesh, {2: "xmax"})
-        M0 = assemble_mass(mesh, 1.0)
-        M = assemble_mass(mesh, 1.0, interface_weights={2: 0.3}, space=space)
-        dM = (M - M0).toarray()
+    def test_interface_q_mass_2d(self):
+        from oswr.problem import parse_config
+        from oswr.driver import build_multidomain
+
+        cfg = parse_config("""
+[domain]
+box = 0 1 0 2
+T = 1
+u0 = "0"
+[subdomain]
+id = 1
+box = 0 0.5 0 2
+nx = 4
+ny = 8
+nt = 2
+degree = 1
+[subdomain]
+id = 2
+box = 0.5 1 0 2
+nx = 4
+ny = 8
+nt = 2
+degree = 1
+[transmission]
+from = 1
+to = 2
+p = 1.0
+q = 0.3
+""")
+        asm = build_multidomain(cfg).assemblies[1]
+        mesh = asm.mesh
+        dM = (asm.M_full - asm.M_vol).toarray()
         nodes = mesh.side_nodes("xmax")
         # q * interface mass: total added measure is q * |Gamma|
         assert dM.sum() == pytest.approx(0.3 * 2.0, abs=1e-12)
@@ -295,7 +321,7 @@ class TestExterior:
     def test_1d_point_values(self):
         mesh = build_mesh((0.0, 1.0), (4,))
         space = build_space(mesh, {})
-        E = assemble_exterior_robin(space, (const_expr(0.6),), p_ext=1.0).toarray()
+        E = assemble_exterior_robin(space, (const_expr(0.6),)).toarray()
         # left end: n = -1, b.n = -0.6: p - b.n/2 = 1.3; right: 0.7
         assert E[0, 0] == pytest.approx(1.3)
         assert E[-1, -1] == pytest.approx(0.7)
@@ -304,7 +330,7 @@ class TestExterior:
     def test_2d_only_exterior_sides(self):
         mesh = build_mesh((0.0, 0.5, 0.0, 2.0), (4, 8))
         space = build_space(mesh, {2: "xmax"})
-        E = assemble_exterior_robin(space, (const_expr(0.0), const_expr(0.0)), p_ext=1.0)
+        E = assemble_exterior_robin(space, (const_expr(0.0), const_expr(0.0)))
         nodes = mesh.side_nodes("xmax")
         inner = [n for n in nodes if n not in
                  set(mesh.side_nodes("ymin")) | set(mesh.side_nodes("ymax"))]
