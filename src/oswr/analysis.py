@@ -36,6 +36,7 @@ from oswr.driver import (
     initial_guess,
     iterate,
     run_windows,
+    transfer_trace,
 )
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
@@ -442,6 +443,7 @@ class StudyTable:
     rows: list        # dicts: level, h/k per subdomain, norms per subdomain
     slopes: dict      # (norm, sid) -> fitted slope
     sids: list
+    histories: list = field(default_factory=list)  # per level: IterationHistory per window
 
     NORMS = ("e_inf", "e_l2", "e_T_l2", "e_T_h1")
 
@@ -515,10 +517,30 @@ def reference_grid(cfg, axis, levels, refine_ratio=2, min_factor=4):
     return RefGrid(nx=nx, ny=ref_ny, nt=ref_nt)
 
 
+def _warm_traces(md, traces, along):
+    """A coarser level's final traces of every window (directed pair ->
+    InterfaceTrace) with their interface coordinates (directed pair ->
+    `along`), mapped onto the grids of md."""
+    out = []
+    for window in traces:
+        mapped = {}
+        for (i, j), tr in window.items():
+            asm = md.assemblies[i]
+            part = TimePartition.uniform(tr.partition.start, tr.partition.end, asm.spec.nt)
+            mapped[(i, j)] = transfer_trace(tr, along[(i, j)], part, asm.iface[j].along)
+        out.append(mapped)
+    return out
+
+
 def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
                       reference=None, verbose=False):
     """Refine `levels` times along the given axis, run OSWR to a tight
-    tolerance per level, and fit log-log slopes of the error norms."""
+    tolerance per level, and fit log-log slopes of the error norms.
+
+    Level 0 starts from the configured initial guess; every later level
+    starts from the previous level's converged traces, mapped onto its
+    grids (nested iteration).  Only the traces and their interface
+    coordinates are carried from one level to the next."""
     if levels < 3:
         raise ValueError("a study needs at least 3 levels")
     if axis not in ("time", "space", "spacetime"):
@@ -526,13 +548,17 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
     if reference is None:
         reference = solve_monodomain(cfg, reference_grid(cfg, axis, levels, refine_ratio))
     sids = [s.id for s in cfg.subdomains]
-    rows = []
+    rows, histories = [], []
+    warm = None
     for lev in range(levels):
         cl = _scaled_cfg(cfg, axis, refine_ratio**lev)
         md = build_multidomain(cl)
         solution = run_windows(
-            cl, md=md, tol=tol, budget=budget or cl.max_iterations
+            cl, md=md, tol=tol, budget=budget or cl.max_iterations,
+            traces=None if warm is None else _warm_traces(md, *warm),
         )
+        warm = solution.traces, {(i, j): md.assemblies[i].iface[j].along for (i, j) in md.pairs}
+        histories.append(solution.histories)
         rep = error_norms(solution, reference)
         row = {"level": lev}
         for s in cl.subdomains:
@@ -554,7 +580,7 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
             slopes[(name, sid)] = fit_slope(
                 [r[(size_key, sid)] for r in rows], [r[(name, sid)] for r in rows]
             )
-    return StudyTable(axis=axis, rows=rows, slopes=slopes, sids=sids)
+    return StudyTable(axis=axis, rows=rows, slopes=slopes, sids=sids, histories=histories)
 
 
 # ---------------------------------------------------------------------------

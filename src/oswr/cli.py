@@ -155,6 +155,24 @@ def _study_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def _study_residuals(table):
+    """Per level, per window: the sweep residuals and those of each
+    directed interface ("i->j")."""
+    return [
+        [
+            {
+                "residuals": hist.residuals,
+                "pair_residuals": {
+                    f"{i}->{j}": [r[(i, j)] for r in hist.pair_residuals]
+                    for (i, j) in hist.pair_residuals[0]
+                },
+            }
+            for hist in level
+        ]
+        for level in table.histories
+    ]
+
+
 _GNUPLOT = """set logscale xy
 set key left top
 set xlabel "{xlabel}"
@@ -198,7 +216,7 @@ def cmd_study(args):
         ))
         outputs.append(gp.name)
     _write_manifest(outdir, f"study --axis {args.axis} --levels {args.levels}",
-                    cfg, outputs, wall, [])
+                    cfg, outputs, wall, _study_residuals(table))
     return EXIT_OK
 
 

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oswr import femspace as fes
 from oswr import problem as prb
 from oswr.dgsolver import (
-    DGTrajectory,
     FactorCache,
     InterfaceTrace,
     SolverError,
@@ -49,7 +49,7 @@ from oswr.timebasis import TimePartition, lift_rate_modes
 from oswr.timeproject import (
     apply_projection,
     build_projection_matrices,
-    hat_cross_matrix,  # unused here; bench/tracing.py wraps oswr.driver.hat_cross_matrix
+    hat_cross_matrix,
 )
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "build_multidomain",
     "initial_guess",
     "transmission_update",
+    "transfer_trace",
     "interface_residual",
     "iterate",
     "run_windows",
@@ -408,6 +409,33 @@ def _lift_rate_window(W, w_init, lengths):
     return out
 
 
+def transfer_trace(trace, along, partition, along_new):
+    """Map the directed trace g_{i,j} of one window onto refined grids.
+
+    trace lives on i's time partition of the window and on i's interface
+    nodes at coordinates `along` (None for a 1D point interface); the
+    result lives on `partition` (the same window) and on the nodes at
+    `along_new`.  In time the Legendre modes are L2-projected, which is
+    exact when `partition` refines the old one.  In space the
+    coefficients are functionals (load rows) against the interface hats,
+    so they map as g_new = C M^-1 g with M the old interface mass and C
+    the cross mass of the new hats against the old ones; on nested
+    meshes this keeps every old functional: P^T g_new = g for the
+    prolongation P.  Equal coordinates skip the space step.
+    """
+    coeffs = apply_projection(
+        build_projection_matrices(trace.partition, partition, trace.coeffs.shape[1] - 1),
+        trace.coeffs,
+    )
+    if along is not None and not np.array_equal(along, along_new):
+        M = hat_cross_matrix(along, along)
+        C = hat_cross_matrix(along_new, along)
+        shp = coeffs.shape
+        rep = spla.splu(M.tocsc()).solve(coeffs.reshape(-1, shp[-1]).T)
+        coeffs = (C @ rep).T.reshape(shp[:-1] + (C.shape[0],))
+    return InterfaceTrace(partition=partition, coeffs=coeffs)
+
+
 def interface_residual(g_new, g_old):
     """Relative discrete L2((0,T) x Gamma) change of transmission data."""
     if g_new.coeffs.shape != g_old.coeffs.shape:
@@ -426,8 +454,8 @@ def interface_residual(g_new, g_old):
 @dataclass
 class IterationHistory:
     residuals: list = field(default_factory=list)
+    pair_residuals: list = field(default_factory=list)  # per sweep: directed pair -> residual
     solution_norms: dict = field(default_factory=dict)  # sid -> list
-    change_norms: dict = field(default_factory=dict)    # sid -> list
     wall_times: list = field(default_factory=list)
     converged: bool = False
 
@@ -462,10 +490,7 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
                 traces[(sid, nb)] = tr
     scale = {pair: max(traces[pair].norm(), 0.0) for pair in md.pairs}
 
-    history = IterationHistory(
-        solution_norms={s: [] for s in sids}, change_norms={s: [] for s in sids}
-    )
-    prev_traj = None
+    history = IterationHistory(solution_norms={s: [] for s in sids})
     trajectories, fluxes = {}, {}
     r0 = None
     for it in range(1, budget + 1):
@@ -489,22 +514,12 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
             r_pair[pair] = delta / den if den > 0 else delta
         r_k = float(np.max([*r_pair.values(), 0.0]))  # a NaN propagates
         history.residuals.append(r_k)
+        history.pair_residuals.append(r_pair)
         history.wall_times.append(time.perf_counter() - tic)
         for sid in sids:
-            nrm = trajectory_norm(trajectories[sid], md.assemblies[sid].M_vol)
-            history.solution_norms[sid].append(nrm)
-            if prev_traj is None:
-                history.change_norms[sid].append(nrm)
-            else:
-                diff = DGTrajectory(
-                    trajectories[sid].partition,
-                    trajectories[sid].coeffs - prev_traj[sid].coeffs,
-                    trajectories[sid].u_init,
-                )
-                history.change_norms[sid].append(
-                    trajectory_norm(diff, md.assemblies[sid].M_vol)
-                )
-        prev_traj = trajectories
+            history.solution_norms[sid].append(
+                trajectory_norm(trajectories[sid], md.assemblies[sid].M_vol)
+            )
         traces = new_traces
         if not np.isfinite(r_k):
             raise DivergenceError(
@@ -567,7 +582,7 @@ class TrajectoryView:
 class MultidomainSolution:
     cfg: prb.ExperimentConfig
     trajectories: dict  # sid -> list of DGTrajectory (one per window)
-    traces: dict        # final transmission data per directed pair
+    traces: list        # per window: final transmission data per directed pair
     histories: list     # IterationHistory per window
     meshes: dict        # sid -> subdomain Mesh
 
@@ -575,8 +590,13 @@ class MultidomainSolution:
         return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
 
 
-def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=False):
-    """Sequential time windows; each window's endpoint seeds the next."""
+def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=False,
+                traces=None):
+    """Sequential time windows; each window's endpoint seeds the next.
+
+    traces, if given, holds one dict of starting transmission data per
+    window (directed pair -> InterfaceTrace on the window's partitions);
+    without it every window starts from the `guess` strategy."""
     if md is None:
         md = build_multidomain(cfg, force_mortar=force_mortar)
     budget = cfg.max_iterations if budget is None else budget
@@ -588,17 +608,18 @@ def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=Fa
         for sid, asm in md.assemblies.items()
     }
     all_traj = {sid: [] for sid in md.assemblies}
-    histories = []
-    traces = None
+    histories, final_traces = [], []
     for w in range(cfg.windows):
-        trajectories, fluxes, traces, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol, guess=guess
+        trajectories, _, final, hist = iterate(
+            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol, guess=guess,
+            traces=None if traces is None else traces[w],
         )
         histories.append(hist)
+        final_traces.append(final)
         for sid, traj in trajectories.items():
             all_traj[sid].append(traj)
         u_cur = {sid: traj.final_value() for sid, traj in trajectories.items()}
     return MultidomainSolution(
-        cfg=cfg, trajectories=all_traj, traces=traces, histories=histories,
+        cfg=cfg, trajectories=all_traj, traces=final_traces, histories=histories,
         meshes={sid: asm.mesh for sid, asm in md.assemblies.items()},
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oswr.analysis
 import oswr.driver
 from oswr.dgsolver import FactorCache
 from oswr.problem import parse_config
@@ -119,3 +120,22 @@ def test_factor_exposes_solve_and_triangles():
     factor = FactorCache().get((1, 0.5), lambda: 2.0 * sp.identity(3, format="csc"))
     assert np.array_equal(factor.solve(np.full(3, 2.0)), np.ones(3))
     assert factor.L.nnz + factor.U.nnz == 6
+
+
+def test_study_sweep_counter_sees_every_level(monkeypatch):
+    # bench/workloads.py counts a study's sweeps by wrapping the name
+    # convergence_study calls, oswr.analysis.run_windows
+    original = oswr.analysis.run_windows
+    calls = []
+
+    def counted(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        calls.append((kwargs.get("traces"), sum(h.iterations for h in sol.histories)))
+        return sol
+
+    monkeypatch.setattr(oswr.analysis, "run_windows", counted)
+    table = oswr.analysis.convergence_study(parse_config(CONFORMING), "time", 3)
+    assert len(calls) == 3
+    assert calls[0][0] is None
+    assert all(traces is not None for traces, _ in calls[1:])
+    assert [n for _, n in calls] == [sum(h.iterations for h in level) for level in table.histories]

@@ -148,6 +148,14 @@ class TestStudy:
         assert len(lines) == 5  # header + 3 levels + slopes footer
         assert lines[-1].startswith("slopes,")
         assert (out / "study.gp").exists()
+        # per level and window: the sweep residuals and each directed interface's
+        history = json.loads((out / "manifest.json").read_text())["residual_history"]
+        assert len(history) == 3
+        for level in history:
+            (window,) = level
+            pairs = window["pair_residuals"]
+            assert sorted(pairs) == ["1->2", "2->1"]
+            assert window["residuals"] == [max(r) for r in zip(*pairs.values())]
 
     def test_deterministic(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oswr.driver as drv
 import oswr.femspace as fes
@@ -13,9 +15,12 @@ from oswr.driver import (
     interface_residual,
     iterate,
     run_windows,
+    transfer_trace,
     transmission_update,
 )
 from oswr.problem import parse_config
+from oswr.timebasis import TimePartition, legendre_eval
+from oswr.timeproject import apply_projection, build_projection_matrices
 
 CFG_1D = """
 [domain]
@@ -359,6 +364,108 @@ class TestIterate:
                                  cfg.max_iterations, cfg.tolerance, guess="from_u0")
         for sid in trajs:
             assert np.array_equal(sol.trajectories[sid][0].coeffs, trajs[sid].coeffs)
+
+
+    def test_run_windows_keeps_every_window_and_restarts_from_it(self):
+        cfg = parse_config(CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 3"))
+        md = build_multidomain(cfg)
+        sol = run_windows(cfg, md=md)
+        assert len(sol.traces) == cfg.windows
+        for w, window in enumerate(sol.traces):
+            assert sorted(window) == md.pairs
+            assert window[(1, 2)].partition.start == pytest.approx(w * cfg.T / cfg.windows)
+        # restarted from its own converged traces, each window is done at once
+        again = run_windows(cfg, md=md, traces=sol.traces)
+        assert all(h.converged and h.iterations <= 2 for h in again.histories)
+        assert max(h.iterations for h in sol.histories) > 2
+
+    def test_pair_residuals_recorded_per_sweep(self):
+        cfg = parse_config(CFG_2D)
+        sol = run_windows(cfg)
+        hist = sol.histories[0]
+        assert len(hist.pair_residuals) == hist.iterations
+        for r_k, r_pair in zip(hist.residuals, hist.pair_residuals):
+            assert sorted(r_pair) == [(1, 2), (2, 1)]
+            assert r_k == max(r_pair.values())
+
+
+# ---------------------------------------------------------------------------
+# Trace transfer between nested refinement levels
+# ---------------------------------------------------------------------------
+
+# Cells of a coarse grid, each with the relative lengths of the fine cells
+# that split it: nested grids with cell-size ratios of at most 50.
+nested_cells = st.lists(
+    st.tuples(st.floats(0.1, 1.0), st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3)),
+    min_size=1, max_size=6,
+)
+
+
+def _nested_grids(origin, cells):
+    coarse = origin + np.concatenate([[0.0], np.cumsum([c for c, _ in cells])])
+    fine = [coarse[:1]]
+    for (a, b), (_, parts) in zip(zip(coarse[:-1], coarse[1:]), cells):
+        cuts = np.cumsum(parts)[:-1] / np.sum(parts)
+        fine.append(np.concatenate([a + (b - a) * cuts, [b]]))
+    return coarse, np.concatenate(fine)
+
+
+def _hats(coarse, fine):
+    """Prolongation P: P[k, l] is coarse hat l at fine node k."""
+    return np.column_stack([np.interp(fine, coarse, e) for e in np.eye(coarse.size)])
+
+
+def _values(partition, coeffs, times):
+    out = []
+    for t in times:
+        n = partition.locate(t)
+        iv = (partition.breakpoints[n], partition.lengths[n])
+        out.append(sum(coeffs[n, j] * legendre_eval(j, iv, t) for j in range(coeffs.shape[1])))
+    return np.array(out)
+
+
+class TestTransferTrace:
+    @settings(max_examples=40, deadline=None)
+    @given(cells=nested_cells, t0=st.floats(-2.0, 2.0), d=st.sampled_from([0, 1]),
+           n_nodes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_time_exact_on_nested_partitions(self, cells, t0, d, n_nodes, seed):
+        bp_c, bp_f = _nested_grids(t0, cells)
+        coarse, fine = TimePartition(bp_c), TimePartition(bp_f)
+        g = np.random.default_rng(seed).standard_normal((coarse.n_intervals, d + 1, n_nodes))
+        out = transfer_trace(InterfaceTrace(coarse, g), None, fine, None)
+        assert out.partition is fine and out.coeffs.shape == (fine.n_intervals, d + 1, n_nodes)
+        scale = np.max(np.abs(g))
+        # the coarse piecewise polynomial, evaluated inside every fine interval
+        times = (bp_f[:-1, None] + np.array([0.1, 0.5, 0.9])[None, :] * fine.lengths[:, None])
+        times = times.ravel()
+        assert np.max(np.abs(_values(fine, out.coeffs, times) - _values(coarse, g, times))) \
+            <= 1e-13 * scale
+        back = apply_projection(build_projection_matrices(fine, coarse, d), out.coeffs)
+        assert np.max(np.abs(back - g)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=nested_cells, x0=st.floats(-2.0, 2.0), d=st.sampled_from([0, 1]),
+           n_intervals=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_space_keeps_every_coarse_functional(self, cells, x0, d, n_intervals, seed):
+        coarse, fine = _nested_grids(x0, cells)
+        part = TimePartition.uniform(0.0, 1.0, n_intervals)
+        g = np.random.default_rng(seed).standard_normal((n_intervals, d + 1, coarse.size))
+        out = transfer_trace(InterfaceTrace(part, g), coarse, part, fine)
+        assert out.coeffs.shape == (n_intervals, d + 1, fine.size)
+        # P^T g_fine = g_coarse: the fine data tested with the coarse hats
+        back = np.einsum("kl,nbk->nbl", _hats(coarse, fine), out.coeffs)
+        assert np.max(np.abs(back - g)) <= 1e-13 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("along", [None, np.linspace(0.0, 2.0, 7)], ids=["1d-point", "equal"])
+    def test_equal_coordinates_skip_the_space_step(self, along):
+        rng = np.random.default_rng(8)
+        coarse, fine = TimePartition.uniform(0.0, 0.5, 3), TimePartition.uniform(0.0, 0.5, 6)
+        n = 1 if along is None else along.size
+        tr = InterfaceTrace(coarse, rng.standard_normal((3, 2, n)))
+        same = None if along is None else along.copy()
+        out = transfer_trace(tr, along, fine, same)
+        time_only = apply_projection(build_projection_matrices(coarse, fine, 1), tr.coeffs)
+        assert np.array_equal(out.coeffs, time_only)
 
 
 def test_nonconforming_envelope_monitor(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oswr.timebasis import (
     GAUSS4_NODES,
@@ -157,6 +159,73 @@ class TestLift:
                 right_val = np.sum(psi)
                 rhs = 0.5 * (right_val**2 - left**2)
                 assert lhs >= rhs - 1e-12
+
+
+class TestLiftProperties:
+    """The lift identities on random intervals, degrees and data."""
+
+    value = st.floats(-10.0, 10.0)
+
+    @staticmethod
+    def _quad(interval):
+        t_n, k = interval
+        return t_n + k * GAUSS4_NODES, k * GAUSS4_WEIGHTS
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([0, 1]), t_n=st.floats(-5.0, 5.0), k=st.floats(1e-2, 10.0),
+           chi=st.lists(value, min_size=2, max_size=2), left=value)
+    def test_interpolates_left_value_and_radau_nodes(self, d, t_n, k, chi, left):
+        interval = (t_n, k)
+        chi = np.array(chi[: d + 1])
+        lifted = lift(chi, left)
+        scale = 1.0 + np.max(np.abs(chi)) + abs(left)
+        assert abs(poly_eval(lifted, interval, t_n) - left) <= 1e-13 * scale
+        for tau in gauss_radau(d).nodes:
+            t = t_n + tau * k
+            assert abs(poly_eval(lifted, interval, t) - poly_eval(chi, interval, t)) \
+                <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([0, 1]), t_n=st.floats(-5.0, 5.0), k=st.floats(1e-2, 10.0),
+           chi=st.lists(value, min_size=2, max_size=2), left=value)
+    def test_rate_modes_are_the_derivative_of_the_lift(self, d, t_n, k, chi, left):
+        chi = np.array(chi[: d + 1])
+        c = lift(chi, left)
+        # d/dt P_1 = 2/k, d/dt P_2 = (2/k) 3 theta
+        want = [2.0 * c[1] / k] + ([6.0 * c[2] / k] if d == 1 else [])
+        got = lift_rate_modes(chi, left, k)
+        scale = (1.0 + np.max(np.abs(chi)) + abs(left)) / k
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([0, 1]), t_n=st.floats(-5.0, 5.0), k=st.floats(1e-2, 10.0),
+           chi=st.lists(value, min_size=2, max_size=2),
+           psi=st.lists(value, min_size=2, max_size=2), left=value)
+    def test_radau_lift_identity(self, d, t_n, k, chi, psi, left):
+        # int d(I chi)/dt psi - int chi' psi = (chi(t_n+) - chi(t_n-)) psi(t_n+)
+        interval = (t_n, k)
+        chi, psi = np.array(chi[: d + 1]), np.array(psi[: d + 1])
+        ts, w = self._quad(interval)
+        rate = poly_eval(lift_rate_modes(chi, left, k), interval, ts)
+        dchi = 0.0 if d == 0 else 2.0 * chi[1] / k
+        psi_t = poly_eval(psi, interval, ts)
+        lhs1, lhs2 = np.sum(w * rate * psi_t), np.sum(w * dchi * psi_t)
+        jump = (poly_eval(chi, interval, t_n) - left) * poly_eval(psi, interval, t_n)
+        scale = 1.0 + abs(lhs1) + abs(lhs2) + abs(jump)
+        assert abs(lhs1 - lhs2 - jump) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([0, 1]), t_n=st.floats(-5.0, 5.0), k=st.floats(1e-2, 10.0),
+           psi=st.lists(value, min_size=2, max_size=2), left=value)
+    def test_decay_inequality(self, d, t_n, k, psi, left):
+        # int d(I psi)/dt psi >= (psi(t_{n+1})^2 - psi(t_n^-)^2) / 2
+        interval = (t_n, k)
+        psi = np.array(psi[: d + 1])
+        ts, w = self._quad(interval)
+        lhs = np.sum(w * poly_eval(lift_rate_modes(psi, left, k), interval, ts)
+                     * poly_eval(psi, interval, ts))
+        rhs = 0.5 * (np.sum(psi) ** 2 - left**2)
+        assert lhs >= rhs - 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
 class TestProjectInterval:

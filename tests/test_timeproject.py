@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oswr.timebasis import TimePartition, legendre_eval, project_interval
 from oswr.timeproject import apply_projection, build_projection_matrices, hat_cross_matrix
@@ -167,6 +169,47 @@ class TestApply:
         pm = build_projection_matrices(src, tgt, 1)
         out = apply_projection(pm, coeffs_s)
         assert np.allclose(out, coeffs_t, atol=1e-12)
+
+
+def _partition(lengths):
+    """A partition of [0, 1] with cells proportional to `lengths`."""
+    bp = np.concatenate([[0.0], np.cumsum(lengths)]) / np.sum(lengths)
+    bp[-1] = 1.0
+    return TimePartition(bp)
+
+
+cell_lengths = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8)
+
+
+class TestProjectionProperties:
+    """Contraction and idempotence on random nonconforming partitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(src=cell_lengths, tgt=cell_lengths, d=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_contraction(self, src, tgt, d, seed):
+        src, tgt = _partition(src), _partition(tgt)
+        g = np.random.default_rng(seed).standard_normal((src.n_intervals, d + 1))
+        out = apply_projection(build_projection_matrices(src, tgt, d), g)
+        assert coeff_norm(tgt, out) <= coeff_norm(src, g) * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(src=cell_lengths, tgt=cell_lengths, d=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_idempotence(self, src, tgt, d, seed):
+        # h = P g lies in the target space: taken to the common refinement
+        # (exactly) and projected again, it is h itself, and P through the
+        # common refinement is P
+        src, tgt = _partition(src), _partition(tgt)
+        merged = TimePartition(np.unique(np.concatenate([src.breakpoints, tgt.breakpoints])))
+        g = np.random.default_rng(seed).standard_normal((src.n_intervals, d + 1))
+        h = apply_projection(build_projection_matrices(src, tgt, d), g)
+        h_m = apply_projection(build_projection_matrices(tgt, merged, d), h)
+        back = build_projection_matrices(merged, tgt, d)
+        scale = np.max(np.abs(g))
+        assert np.max(np.abs(apply_projection(back, h_m) - h)) <= 1e-12 * scale
+        g_m = apply_projection(build_projection_matrices(src, merged, d), g)
+        assert np.max(np.abs(apply_projection(back, g_m) - h)) <= 1e-12 * scale
 
 
 class TestHatCross:
