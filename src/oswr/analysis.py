@@ -1,14 +1,15 @@
 """Reference solves, error norms, convergence studies and parameter sweeps.
 
-The monodomain reference assembles the same skew-symmetrized subdomain
-forms element-group by element-group (one group per coefficient region),
-plus the interface jump correction
+The monodomain reference is assembled region by region, one region per
+subdomain, with the code the subdomain solves use: a region is the
+subdomain's mesh at the reference grid counts, its volume operators
+(mass, skew-symmetrized volume form and exterior Robin closure) are the
+subdomain's own, and each interface adds the face block
 
     - int_Gamma ((b_i.n_i + b_j.n_j)/2) u v
 
 that encodes continuity of the total flux (b u - nu grad u).n across a
-coefficient discontinuity, and the same exterior Robin closure the
-subdomain solves use.  With that, the converged OSWR iterate and the
+coefficient discontinuity.  With that, the converged OSWR iterate and the
 monodomain solution coincide on conforming grids up to solver tolerance.
 
 Error norms follow a nested-refinement discipline: every study grid is a
@@ -32,6 +33,9 @@ from oswr import problem as prb
 from oswr.dgsolver import DGTrajectory, FactorCache, solve_window
 from oswr.driver import (
     TrajectoryView,
+    _build_space,
+    _check_problem,
+    _volume_operators,
     build_multidomain,
     initial_guess,
     iterate,
@@ -39,7 +43,9 @@ from oswr.driver import (
     transfer_trace,
 )
 from oswr.timebasis import TimePartition, gauss_radau
-from oswr.timeproject import hat_cross_matrix
+from oswr.timeproject import (
+    hat_cross_matrix,  # unused here; bench/tracing.py wraps oswr.analysis.hat_cross_matrix
+)
 
 __all__ = [
     "RefGrid",
@@ -69,55 +75,17 @@ def _global_mesh(cfg, ref):
     """Tensor mesh of the global box whose restriction to every
     subdomain box refines that subdomain's own grid lines."""
     subs = sorted(cfg.subdomains, key=lambda s: s.box[0])
+    xs = [np.array([cfg.domain_box[0]])]
+    for s in subs:
+        xs.append(np.linspace(s.box[0], s.box[1], ref.nx[s.id] + 1)[1:])
     if cfg.dim == 1:
-        xs = [np.array([cfg.domain_box[0]])]
-        for s in subs:
-            xs.append(np.linspace(s.box[0], s.box[1], ref.nx[s.id] + 1)[1:])
         return fes.build_tensor_mesh(np.concatenate(xs))
     # bands in x are the supported reference layout; verify
     y0, y1 = cfg.domain_box[2], cfg.domain_box[3]
     for s in subs:
         if abs(s.box[2] - y0) > 1e-12 or abs(s.box[3] - y1) > 1e-12:
             raise ValueError("monodomain reference supports band decompositions in x only")
-    xs = [np.array([cfg.domain_box[0]])]
-    for s in subs:
-        xs.append(np.linspace(s.box[0], s.box[1], ref.nx[s.id] + 1)[1:])
-    ys = np.linspace(y0, y1, ref.ny + 1)
-    return fes.build_tensor_mesh(np.concatenate(xs), ys)
-
-
-def _owner_elems(cfg, mesh):
-    """Element ids grouped by owning subdomain (centroid location)."""
-    if mesh.dim == 1:
-        cent = 0.5 * (mesh.coords[mesh.elems[:, 0]] + mesh.coords[mesh.elems[:, 1]])
-        cx, cy = cent, None
-    else:
-        pts = mesh.coords[mesh.elems]
-        cent = pts.mean(axis=1)
-        cx, cy = cent[:, 0], cent[:, 1]
-    groups = {}
-    for s in cfg.subdomains:
-        if mesh.dim == 1:
-            m = (cx >= s.box[0]) & (cx <= s.box[1])
-        else:
-            m = (cx >= s.box[0]) & (cx <= s.box[1]) & (cy >= s.box[2]) & (cy <= s.box[3])
-        groups[s.id] = np.nonzero(m)[0]
-    counts = sum(g.size for g in groups.values())
-    if counts != mesh.elems.shape[0]:
-        raise ValueError("could not assign every element to a subdomain")
-    return groups
-
-
-def _interface_nodes(mesh, itf):
-    tol = 1e-12 * max(1.0, abs(itf.position))
-    if mesh.dim == 1:
-        idx = np.nonzero(np.abs(mesh.coords - itf.position) <= tol)[0]
-        return idx, None
-    axis = itf.axis
-    idx = np.nonzero(np.abs(mesh.coords[:, axis] - itf.position) <= tol)[0]
-    along = mesh.coords[idx, 1 - axis]
-    order = np.argsort(along)
-    return idx[order], along[order]
+    return fes.build_tensor_mesh(np.concatenate(xs), np.linspace(y0, y1, ref.ny + 1))
 
 
 @dataclass
@@ -129,9 +97,6 @@ class _GlobalAssembly:
     degree: int
     n_dofs: int
     iface: dict = field(default_factory=dict)
-
-
-_G2T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
 @dataclass(frozen=True)
@@ -157,8 +122,8 @@ class TimeLayout:
         return cls(
             sup_times=np.concatenate([bp, interior]),
             sup_left=np.arange(bp.size + interior.size) < bp.size,
-            gauss_times=(a + _G2T[None, :] * k).ravel(),
-            gauss_weights=np.repeat(0.5 * k, _G2T.size, axis=1).ravel(),
+            gauss_times=(a + fes._G2[None, :] * k).ravel(),
+            gauss_weights=np.repeat(0.5 * k, fes._G2.size, axis=1).ravel(),
         )
 
 
@@ -168,7 +133,7 @@ class Reference:
 
     mesh: fes.Mesh
     trajectory: DGTrajectory
-    owners: dict
+    regions: dict  # sid -> (FemSpace of the region, its reference node ids)
     cfg: prb.ExperimentConfig
     _norm_ops: dict = field(default_factory=dict)
     _interp: dict = field(default_factory=dict)
@@ -195,19 +160,13 @@ class Reference:
         return self._interp[key]
 
     def norm_ops(self, sid):
-        """Restricted mass/stiffness of one subdomain region plus the
-        participating node set."""
+        """The reference node ids of one subdomain region, and the unit
+        mass and stiffness on the region's mesh."""
         if sid not in self._norm_ops:
-            elems = self.owners[sid]
-            nodes = np.unique(self.mesh.elems[elems])
-            M = fes.assemble_mass(self.mesh, 1.0, elems=elems)
-            K = fes.assemble_atilde(
-                self.mesh, 1.0, (0.0, 0.0) if self.mesh.dim == 2 else (0.0,), 0.0, 0.0,
-                elems=elems,
-            )
-            Msub = M[nodes][:, nodes].tocsr()
-            Ksub = K[nodes][:, nodes].tocsr()
-            self._norm_ops[sid] = (nodes, Msub, Ksub)
+            space, nodes = self.regions[sid]
+            M = fes.assemble_mass(space.mesh, 1.0)
+            K = fes.assemble_atilde(space.mesh, 1.0, (0.0,) * space.mesh.dim, 0.0, 0.0)
+            self._norm_ops[sid] = (nodes, M, K)
         return self._norm_ops[sid]
 
 
@@ -227,92 +186,64 @@ class _IntervalLoads:
         return fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
 
 
+def _reference_operators(cfg, ref):
+    """The reference mesh, its regions (sid -> (FemSpace, node ids)) and
+    the operators M = sum_s M_vol_s, A = sum_s A_vol_s - sum_Gamma G,
+    with G the interface face block of weight (b_i.n_i + b_j.n_j)/2."""
+    mesh = _global_mesh(cfg, ref)
+    n = mesh.n_nodes
+    interfaces = cfg.interfaces()
+    regions = {}
+    M = sp.csr_matrix((n, n))
+    A = sp.csr_matrix((n, n))
+    offset = 0
+    for s in sorted(cfg.subdomains, key=lambda s: s.box[0]):
+        spec = replace(s, nx=ref.nx[s.id], ny=ref.ny)
+        space = _build_space(spec, interfaces)
+        ids = offset + np.arange(spec.nx + 1)
+        if mesh.dim == 2:  # node j * (NX + 1) + i of the global tensor mesh
+            ids = (np.arange(ref.ny + 1)[:, None] * (mesh.nx + 1) + ids[None, :]).ravel()
+        regions[s.id] = (space, ids)
+        offset += spec.nx
+        M_vol, A_vol = _volume_operators(spec, space)
+        M = M + fes.scatter_matrix(M_vol, ids, ids, n, n)
+        A = A + fes.scatter_matrix(A_vol, ids, ids, n, n)
+
+    b = {s.id: s.b for s in cfg.subdomains}
+    for itf in interfaces:
+        (space_i, ids_i), (space_j, _) = regions[itf.i], regions[itf.j]
+        ti = space_i.traces[itf.j]
+        bn_i = fes._bn_along(ti, b[itf.i])
+        bn_j = fes._bn_along(space_j.traces[itf.i], b[itf.j])
+        G = fes._face_blocks(ti, ti, lambda x: 0.5 * (bn_i(x) + bn_j(x)))
+        A = A - fes.scatter_matrix(G, ids_i[ti.nodes], ids_i[ti.nodes], n, n)
+    return mesh, regions, M, A
+
+
 def solve_monodomain(cfg, ref):
     """DG(d)-in-time, P1-in-space solve on the whole box, one window.
 
-    The spatial operator is the sum of the subdomain skew forms, minus
-    the interface correction gamma = (b_i.n_i + b_j.n_j)/2 (zero when b
-    is continuous), plus the exterior Robin closure.
+    The reference mesh is split into one region per subdomain: the
+    subdomain's mesh at the reference counts ref.nx[sid] (and ref.ny).
+    Each region contributes its subdomain's volume operators, the skew
+    form plus the exterior Robin closure, and each interface subtracts
+    the correction gamma = (b_i.n_i + b_j.n_j)/2 (zero when b is
+    continuous).  Rejects the problems `build_multidomain` rejects, and
+    a grid whose nx keys are not the subdomain ids.
     """
-    mesh = _global_mesh(cfg, ref)
-    owners = _owner_elems(cfg, mesh)
+    _check_problem(cfg)
+    sids = {s.id for s in cfg.subdomains}
+    if set(ref.nx) != sids:
+        raise ValueError(f"reference grid nx has keys {sorted(ref.nx)}, not the subdomain ids "
+                         f"{sorted(sids)} (missing {sorted(sids - set(ref.nx))})")
+    mesh, regions, M, A = _reference_operators(cfg, ref)
     degree = cfg.subdomains[0].degree
-    n = mesh.n_nodes
-
-    M = sp.csr_matrix((n, n))
-    A = sp.csr_matrix((n, n))
-    by_id = {s.id: s for s in cfg.subdomains}
-    for sid, elems in sorted(owners.items()):
-        s = by_id[sid]
-        M = M + fes.assemble_mass(mesh, s.omega, elems=elems)
-        A = A + fes.assemble_atilde(mesh, s.nu, s.b, s.c, s.div_b(), elems=elems)
-
-    # interface flux-jump correction
-    for itf in cfg.interfaces():
-        si, sj = by_id[itf.i], by_id[itf.j]
-        nodes, along = _interface_nodes(mesh, itf)
-        n_i = itf.normal_i
-
-        def gamma(ssp, axis=itf.axis, pos=itf.position, n_i=n_i, si=si, sj=sj):
-            if mesh.dim == 1:
-                x, y = np.asarray(ssp, float) * 0 + pos, np.zeros_like(np.asarray(ssp, float))
-            elif axis == 0:
-                x, y = pos * np.ones_like(ssp), ssp
-            else:
-                x, y = ssp, pos * np.ones_like(ssp)
-            bn_i = fes._eval_coeff(si.b[0], x, y, 0.0) * n_i[0]
-            bn_j = -fes._eval_coeff(sj.b[0], x, y, 0.0) * n_i[0]
-            if mesh.dim == 2:
-                bn_i = bn_i + fes._eval_coeff(si.b[1], x, y, 0.0) * n_i[1]
-                bn_j = bn_j - fes._eval_coeff(sj.b[1], x, y, 0.0) * n_i[1]
-            return 0.5 * (bn_i + bn_j)
-
-        if mesh.dim == 1:
-            g = float(gamma(np.zeros(1))[0])
-            A = A - sp.coo_matrix(([g], ([nodes[0]], [nodes[0]])), shape=(n, n)).tocsr()
-        else:
-            G = hat_cross_matrix(along, along, gamma, "mass")
-            A = A - fes.scatter_matrix(G, nodes, nodes, n, n)
-
-    # exterior closure with owner-dispatched advection
-    sides = ("xmin", "xmax") if mesh.dim == 1 else ("xmin", "xmax", "ymin", "ymax")
-    for side in sides:
-        nodes = mesh.side_nodes(side)
-        if mesh.dim == 1:
-            x = mesh.coords[nodes[0]]
-            s = next(s for s in cfg.subdomains if s.box[0] - 1e-12 <= x <= s.box[1] + 1e-12)
-            nx_dir = -1.0 if side == "xmin" else 1.0
-            bn = fes._eval_coeff(s.b[0], np.array([x]), np.zeros(1), 0.0)[0] * nx_dir
-            A = A + sp.coo_matrix(
-                ([fes.P_EXT - 0.5 * bn], ([nodes[0]], [nodes[0]])), shape=(n, n)
-            ).tocsr()
-            continue
-        axis = 0 if side in ("xmin", "xmax") else 1
-        normal = fes._SIDE_NORMALS_2D[side]
-        pos = mesh.box[2 * axis] if side.endswith("min") else mesh.box[2 * axis + 1]
-        along = mesh.coords[nodes, 1 - axis]
-
-        def w(ssp, axis=axis, pos=pos, normal=normal):
-            x = pos * np.ones_like(ssp) if axis == 0 else ssp
-            y = ssp if axis == 0 else pos * np.ones_like(ssp)
-            bn = np.zeros_like(ssp)
-            for s in cfg.subdomains:
-                inside = (x >= s.box[0]) & (x <= s.box[1]) & (y >= s.box[2]) & (y <= s.box[3])
-                if np.any(inside):
-                    bx = fes._eval_coeff(s.b[0], x, y, 0.0)
-                    by_ = fes._eval_coeff(s.b[1], x, y, 0.0)
-                    bn = np.where(inside, bx * normal[0] + by_ * normal[1], bn)
-            return fes.P_EXT - 0.5 * bn
-
-        B = hat_cross_matrix(along, along, w, "mass")
-        A = A + fes.scatter_matrix(B, nodes, nodes, n, n)
-
-    asm = _GlobalAssembly(M_full=M.tocsr(), A_full=A.tocsr(), degree=degree, n_dofs=n)
+    asm = _GlobalAssembly(M_full=M, A_full=A, degree=degree, n_dofs=mesh.n_nodes)
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
     traj = solve_window(asm, {}, part, u0, _IntervalLoads(mesh, cfg.f, part, degree),
                         cache=FactorCache())
-    return Reference(mesh=mesh, trajectory=traj, owners=owners, cfg=cfg)
+    return Reference(mesh=mesh, trajectory=traj, regions=regions, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -195,9 +195,7 @@ class InterfaceTrace:
 
     def norm(self):
         """Discrete L2((0,T) x Gamma)-style coefficient norm."""
-        gram = self.partition.lengths[:, None] / (
-            2.0 * np.arange(self.coeffs.shape[1])[None, :] + 1.0
-        )
+        gram = self.partition.gram(self.coeffs.shape[1] - 1)
         return float(np.sqrt(np.sum(gram[:, :, None] * self.coeffs**2)))
 
 
@@ -325,7 +323,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=Non
     rows = {nb: slice(offs[i], offs[i + 1]) for i, nb in enumerate(mortar)}
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once
-    gram = partition.lengths[:, None] / (2.0 * np.arange(d + 1) + 1.0)
+    gram = partition.gram(d)
     data = {nb: gram[:, :, None] * tr.coeffs for nb, tr in traces_in.items()}
     conforming = [(assembly.iface[nb].nodes, g) for nb, g in data.items() if nb not in rows]
     flux_data = [(rows[nb], g) for nb, g in data.items() if nb in rows]
@@ -354,9 +352,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=Non
 
 def trajectory_norm(traj, M):
     """Discrete L2(window; L2) norm with mass matrix M."""
-    gram = traj.partition.lengths[:, None] / (
-        2.0 * np.arange(traj.coeffs.shape[1])[None, :] + 1.0
-    )
+    gram = traj.partition.gram(traj.degree)
     total = 0.0
     for n in range(traj.partition.n_intervals):
         for j in range(traj.coeffs.shape[1]):

@@ -176,14 +176,20 @@ def _build_space(spec, interfaces):
     return fes.build_space(mesh, sides)
 
 
+def _volume_operators(spec, space):
+    """(M_vol, A_vol) of one subdomain: the omega-weighted mass, and the
+    skew volume form plus the exterior Robin closure."""
+    mesh = space.mesh
+    atilde = fes.assemble_atilde(mesh, spec.nu, spec.b, spec.c, spec.div_b())
+    ext = fes.assemble_exterior_robin(space, spec.b)
+    return fes.assemble_mass(mesh, spec.omega), (atilde + ext).tocsr()
+
+
 def build_subdomain_assembly(cfg, spec, space, mortar):
     """All time-independent operators of one subdomain; `mortar` holds
     the neighbors across a mortar interface."""
     mesh = space.mesh
-    atilde = fes.assemble_atilde(mesh, spec.nu, spec.b, spec.c, spec.div_b())
-    ext = fes.assemble_exterior_robin(space, spec.b)
-    M_vol = fes.assemble_mass(mesh, spec.omega)
-    A_vol = (atilde + ext).tocsr()
+    M_vol, A_vol = _volume_operators(spec, space)
     iface = {}
     for nb in sorted(space.traces):
         params = cfg.transmission[(spec.id, nb)]
@@ -297,11 +303,15 @@ class Multidomain:
         }
 
 
-def build_multidomain(cfg, force_mortar=False):
-    diags = prb.validate_problem(cfg)
-    errors = [d for d in diags if d.severity == "error"]
+def _check_problem(cfg):
+    """Raise ValueError naming every error `validate_problem` finds."""
+    errors = [d for d in prb.validate_problem(cfg) if d.severity == "error"]
     if errors:
         raise ValueError("invalid problem: " + "; ".join(d.message for d in errors))
+
+
+def build_multidomain(cfg, force_mortar=False):
+    _check_problem(cfg)
     interfaces = cfg.interfaces()
     spaces = {s.id: _build_space(s, interfaces) for s in cfg.subdomains}
     pairs = []

@@ -16,8 +16,9 @@ diagonal, so nested refinements interpolate exactly).  Assembled forms:
 * per-mode time-quadrature load vectors for the DG right-hand sides.
 
 Volume quadrature is the edge-midpoint rule per triangle (2-point Gauss
-per segment), exact for P2 integrands.  Assembly is deterministic:
-identical inputs produce identical entries.
+per segment), exact for P2 integrands.  Operator coefficients are
+evaluated at t = 0: `validate_problem` rejects any that depend on t.
+Assembly is deterministic: identical inputs produce identical entries.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def build_mesh(box, counts):
 # ---------------------------------------------------------------------------
 
 
-def _tri_geometry(mesh, elems_idx):
-    tris = mesh.elems if elems_idx is None else mesh.elems[elems_idx]
+def _tri_geometry(mesh):
+    tris = mesh.elems
     p = mesh.coords[tris]  # (M, 3, 2)
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
@@ -219,23 +220,18 @@ def _tri_geometry(mesh, elems_idx):
 _PHI_MID = 0.5 * (1.0 - np.eye(3))
 
 
-def _accumulate(rows, cols, vals, tris, local):
-    for l in range(3):
-        for k in range(3):
-            rows.append(tris[:, l])
-            cols.append(tris[:, k])
-            vals.append(local[:, l, k])
+def _coo(elems, local, n):
+    """The (n, n) sum of the element matrices: local[m, l, k] at
+    (elems[m, l], elems[m, k])."""
+    pairs = [(l, k) for l in range(elems.shape[1]) for k in range(elems.shape[1])]
+    rows = np.concatenate([elems[:, l] for l, _ in pairs])
+    cols = np.concatenate([elems[:, k] for _, k in pairs])
+    vals = np.concatenate([local[:, l, k] for l, k in pairs])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _coo(rows, cols, vals, n):
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-
-
-def _seg_geometry(mesh, elems_idx):
-    segs = mesh.elems if elems_idx is None else mesh.elems[elems_idx]
+def _seg_geometry(mesh):
+    segs = mesh.elems
     xa = mesh.coords[segs[:, 0]]
     xb = mesh.coords[segs[:, 1]]
     h = xb - xa
@@ -243,29 +239,21 @@ def _seg_geometry(mesh, elems_idx):
     return segs, h, xq
 
 
-def assemble_mass(mesh, omega, elems=None, t=0.0):
+def assemble_mass(mesh, omega):
     """Mass matrix int omega phi_k phi_l."""
     n = mesh.n_nodes
     if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh, elems)
-        om = _eval_coeff(omega, xq, np.zeros_like(xq), t)
+        segs, h, xq = _seg_geometry(mesh)
+        om = _eval_coeff(omega, xq, np.zeros_like(xq), 0.0)
         w = 0.5 * h[:, None]  # equal Gauss weights
         phi = np.stack([1.0 - _G2, _G2])  # (2 basis, 2 qp)
         local = np.einsum("mq,lq,kq->mlk", w * om, phi, phi)
-        rows, cols, vals = [], [], []
-        for l in range(2):
-            for k in range(2):
-                rows.append(segs[:, l])
-                cols.append(segs[:, k])
-                vals.append(local[:, l, k])
-        return _coo(rows, cols, vals, n)
-    tris, area, _, mids = _tri_geometry(mesh, elems)
-    om = _eval_coeff(omega, mids[..., 0], mids[..., 1], t)
+        return _coo(segs, local, n)
+    tris, area, _, mids = _tri_geometry(mesh)
+    om = _eval_coeff(omega, mids[..., 0], mids[..., 1], 0.0)
     w = (area / 3.0)[:, None] * om  # (M, 3 qp)
     local = np.einsum("mq,ql,qk->mlk", w, _PHI_MID, _PHI_MID)
-    rows, cols, vals = [], [], []
-    _accumulate(rows, cols, vals, tris, local)
-    return _coo(rows, cols, vals, n)
+    return _coo(tris, local, n)
 
 
 def _eval_coeff(coeff, x, y, t):
@@ -277,7 +265,7 @@ def _eval_coeff(coeff, x, y, t):
     return np.broadcast_to(np.asarray(vals, dtype=float), np.shape(x))
 
 
-def assemble_atilde(mesh, nu, b, c, div_b, elems=None, t=0.0):
+def assemble_atilde(mesh, nu, b, c, div_b):
     """Skew-symmetrized advection-diffusion-reaction volume form.
 
     Raises if the diffusion evaluates negative at a quadrature point
@@ -286,13 +274,13 @@ def assemble_atilde(mesh, nu, b, c, div_b, elems=None, t=0.0):
     """
     n = mesh.n_nodes
     if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh, elems)
+        segs, h, xq = _seg_geometry(mesh)
         zero = np.zeros_like(xq)
-        nuq = _eval_coeff(nu, xq, zero, t)
+        nuq = _eval_coeff(nu, xq, zero, 0.0)
         if np.any(nuq < 0):
             raise ValueError("negative diffusion nu at a quadrature point")
-        bq = _eval_coeff(b[0], xq, zero, t)
-        cq = _eval_coeff(c, xq, zero, t) + 0.5 * _eval_coeff(div_b, xq, zero, t)
+        bq = _eval_coeff(b[0], xq, zero, 0.0)
+        cq = _eval_coeff(c, xq, zero, 0.0) + 0.5 * _eval_coeff(div_b, xq, zero, 0.0)
         w = 0.5 * h[:, None]
         phi = np.stack([1.0 - _G2, _G2])  # (2, qp)
         gphi = np.stack([-1.0 / h, 1.0 / h])  # (2, M)
@@ -307,22 +295,16 @@ def assemble_atilde(mesh, nu, b, c, div_b, elems=None, t=0.0):
                     axis=1,
                 )
                 local[:, l, k] = diff + reac + adv
-        rows, cols, vals = [], [], []
-        for l in range(2):
-            for k in range(2):
-                rows.append(segs[:, l])
-                cols.append(segs[:, k])
-                vals.append(local[:, l, k])
-        return _coo(rows, cols, vals, n)
+        return _coo(segs, local, n)
 
-    tris, area, grads, mids = _tri_geometry(mesh, elems)
+    tris, area, grads, mids = _tri_geometry(mesh)
     x, y = mids[..., 0], mids[..., 1]
-    nuq = _eval_coeff(nu, x, y, t)
+    nuq = _eval_coeff(nu, x, y, 0.0)
     if np.any(nuq < 0):
         raise ValueError("negative diffusion nu at a quadrature point")
-    bxq = _eval_coeff(b[0], x, y, t)
-    byq = _eval_coeff(b[1], x, y, t)
-    cq = _eval_coeff(c, x, y, t) + 0.5 * _eval_coeff(div_b, x, y, t)
+    bxq = _eval_coeff(b[0], x, y, 0.0)
+    byq = _eval_coeff(b[1], x, y, 0.0)
+    cq = _eval_coeff(c, x, y, 0.0) + 0.5 * _eval_coeff(div_b, x, y, 0.0)
     w = (area / 3.0)[:, None]  # (M, 1) broadcast over qp
 
     local = np.zeros((tris.shape[0], 3, 3))
@@ -335,9 +317,7 @@ def assemble_atilde(mesh, nu, b, c, div_b, elems=None, t=0.0):
     bg = np.einsum("mqd,mkd->mqk", np.stack([bxq, byq], axis=-1), grads)  # (M,q,k)
     term = np.einsum("mq,mqk,ql->mlk", w * np.ones_like(bxq), bg, _PHI_MID)
     local += 0.5 * (term - np.swapaxes(term, 1, 2))
-    rows, cols, vals = [], [], []
-    _accumulate(rows, cols, vals, tris, local)
-    return _coo(rows, cols, vals, n)
+    return _coo(tris, local, n)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +419,14 @@ class InterfaceBlocks:
     nodes: np.ndarray
 
 
-def _bn_along(trace, b, t=0.0):
+def _bn_along(trace, b):
     """b . n_i as a callable of the interface coordinate."""
     def f(s):
         x, y = trace.points(s)
-        bx = _eval_coeff(b[0], x, y, t)
+        bx = _eval_coeff(b[0], x, y, 0.0)
         if len(b) == 1:
             return bx * trace.normal[0]
-        by = _eval_coeff(b[1], x, y, t)
+        by = _eval_coeff(b[1], x, y, 0.0)
         return bx * trace.normal[0] + by * trace.normal[1]
     return f
 
@@ -530,19 +510,19 @@ def assemble_exterior_robin(space, b):
 # ---------------------------------------------------------------------------
 
 
-def assemble_space_load(mesh, g, elems=None, t=0.0):
+def assemble_space_load(mesh, g, t=0.0):
     """Load vector int g(.,t) phi_k dx."""
     n = mesh.n_nodes
     out = np.zeros(n)
     if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh, elems)
+        segs, h, xq = _seg_geometry(mesh)
         gq = _eval_coeff(g, xq, np.zeros_like(xq), t)
         w = 0.5 * h[:, None]
         phi = np.stack([1.0 - _G2, _G2])
         for k in range(2):
             np.add.at(out, segs[:, k], np.sum(w * gq * phi[k][None, :], axis=1))
         return out
-    tris, area, _, mids = _tri_geometry(mesh, elems)
+    tris, area, _, mids = _tri_geometry(mesh)
     gq = _eval_coeff(g, mids[..., 0], mids[..., 1], t)
     w = (area / 3.0)[:, None]
     for k in range(3):
@@ -550,7 +530,7 @@ def assemble_space_load(mesh, g, elems=None, t=0.0):
     return out
 
 
-def assemble_load(mesh, f, interval, d, elems=None):
+def assemble_load(mesh, f, interval, d):
     """Per-mode load vectors F_beta = int_{I_n} L_beta(s) (f(.,s), phi) ds.
 
     Tensorized 4-point Gauss in time over the spatial rule.  For data
@@ -562,14 +542,14 @@ def assemble_load(mesh, f, interval, d, elems=None):
     if getattr(f, "is_zero", lambda: False)():
         return np.zeros((d + 1, n))
     if not time_dep:
-        F0 = k_n * assemble_space_load(mesh, f, elems=elems, t=t_n)
+        F0 = k_n * assemble_space_load(mesh, f, t=t_n)
         out = np.zeros((d + 1, n))
         out[0] = F0
         return out
     ts = t_n + k_n * GAUSS4_NODES
     out = np.zeros((d + 1, n))
     for tq, wq in zip(ts, GAUSS4_WEIGHTS * k_n):
-        load = assemble_space_load(mesh, f, elems=elems, t=tq)
+        load = assemble_space_load(mesh, f, t=tq)
         for beta in range(d + 1):
             out[beta] += wq * legendre_eval(beta, (t_n, k_n), tq) * load
     return out

@@ -84,6 +84,10 @@ class TimePartition:
     def end(self):
         return float(self.breakpoints[-1])
 
+    def gram(self, degree):
+        """(N, degree+1) Legendre Gram weights int_{I_n} L_j^2 = k_n/(2j+1)."""
+        return self.lengths[:, None] / (2.0 * np.arange(degree + 1) + 1.0)
+
     def locate(self, t):
         """Index n with t in (t_n, t_{n+1}]; t at the start maps to 0."""
         bp = self.breakpoints

@@ -1,13 +1,21 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oswr import femspace as fes
 from oswr.analysis import (
     RefGrid,
+    Reference,
+    _GlobalAssembly,
+    _global_mesh,
+    _IntervalLoads,
+    _reference_operators,
     convergence_study,
     error_norms,
     fit_slope,
@@ -16,10 +24,11 @@ from oswr.analysis import (
     solve_monodomain,
     sweep_parameters,
 )
-from oswr.dgsolver import DGTrajectory
+from oswr.dgsolver import DGTrajectory, solve_window
 from oswr.driver import TrajectoryView, build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
+from oswr.timeproject import hat_cross_matrix
 
 CFG_1D = """
 [domain]
@@ -55,6 +64,22 @@ degree = 1
 from = 1
 to = 2
 p = 1.0
+"""
+
+SINGLE_1D = """
+[domain]
+box = 0 1
+T = 0.5
+u0 = "exp(-30*(x-0.5)^2)"
+[subdomain]
+id = 1
+box = 0 1
+nu = "0.1"
+bx = "0.5"
+c = "1"
+nx = 32
+nt = 8
+degree = 1
 """
 
 # Porosity-type jump on interface meshes that do not match (5 vs 4 cells).
@@ -123,26 +148,25 @@ class TestMonodomain:
         cfg2 = parse_config(CFG_1D.replace('nu = "0.05"', 'nu = "0.1"')
                             .replace('bx = "0.2"', 'bx = "0.5"')
                             .replace('c = "0.3"', 'c = "1"'))
-        single = parse_config("""
-[domain]
-box = 0 1
-T = 0.5
-u0 = "exp(-30*(x-0.5)^2)"
-[subdomain]
-id = 1
-box = 0 1
-nu = "0.1"
-bx = "0.5"
-c = "1"
-nx = 32
-nt = 8
-degree = 1
-""")
+        single = parse_config(SINGLE_1D)
         ref_a = solve_monodomain(cfg2, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
         ref_b = solve_monodomain(single, RefGrid(nx={1: 32}, ny=None, nt=8))
         assert np.allclose(
             ref_a.trajectory.coeffs, ref_b.trajectory.coeffs, atol=1e-11
         )
+
+    def test_time_dependent_coefficient_rejected(self):
+        # as build_multidomain does, rather than freezing nu at t = 0
+        cfg = parse_config(CFG_1D.replace('nu = "0.05"', 'nu = "0.05*(1+t)"'))
+        with pytest.raises(ValueError, match="coefficient nu depends on t"):
+            solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
+
+    def test_grid_must_count_every_subdomain(self):
+        cfg = parse_config(CFG_1D)
+        with pytest.raises(ValueError, match=r"missing \[2\]"):
+            solve_monodomain(cfg, RefGrid(nx={1: 16}, ny=None, nt=8))
+        with pytest.raises(ValueError, match=r"keys \[1, 2, 3\]"):
+            solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16, 3: 16}, ny=None, nt=8))
 
     def test_fixed_point_matches_monodomain(self):
         cfg = parse_config(CFG_1D)
@@ -150,6 +174,194 @@ degree = 1
         sol = run_windows(cfg, md=md)
         ref = solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
         assert max_nodal_difference(sol, md, ref) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Monodomain oracle: the element-group assembler that the region-by-region
+# reference replaced.  Elements are grouped by centroid, interface nodes
+# found by coordinate search, and the interface correction and exterior
+# closure written out, with the advection of each exterior point picked by
+# a box test.  A mesh that keeps every node but only one group's elements
+# assembles that group alone.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_owner_elems(cfg, mesh):
+    if mesh.dim == 1:
+        cx, cy = 0.5 * (mesh.coords[mesh.elems[:, 0]] + mesh.coords[mesh.elems[:, 1]]), None
+    else:
+        cent = mesh.coords[mesh.elems].mean(axis=1)
+        cx, cy = cent[:, 0], cent[:, 1]
+    groups = {}
+    for s in cfg.subdomains:
+        m = (cx >= s.box[0]) & (cx <= s.box[1])
+        if mesh.dim == 2:
+            m &= (cy >= s.box[2]) & (cy <= s.box[3])
+        groups[s.id] = np.nonzero(m)[0]
+    assert sum(g.size for g in groups.values()) == mesh.elems.shape[0]
+    return groups
+
+
+def _oracle_interface_nodes(mesh, itf):
+    tol = 1e-12 * max(1.0, abs(itf.position))
+    if mesh.dim == 1:
+        return np.nonzero(np.abs(mesh.coords - itf.position) <= tol)[0], None
+    idx = np.nonzero(np.abs(mesh.coords[:, itf.axis] - itf.position) <= tol)[0]
+    along = mesh.coords[idx, 1 - itf.axis]
+    order = np.argsort(along)
+    return idx[order], along[order]
+
+
+def oracle_reference_operators(cfg, ref):
+    """(mesh, element groups, M, A) of the element-group assembler."""
+    mesh = _global_mesh(cfg, ref)
+    owners = _oracle_owner_elems(cfg, mesh)
+    n = mesh.n_nodes
+    M = sp.csr_matrix((n, n))
+    A = sp.csr_matrix((n, n))
+    by_id = {s.id: s for s in cfg.subdomains}
+    for sid, elems in sorted(owners.items()):
+        s = by_id[sid]
+        group = replace(mesh, elems=mesh.elems[elems])
+        M = M + fes.assemble_mass(group, s.omega)
+        A = A + fes.assemble_atilde(group, s.nu, s.b, s.c, s.div_b())
+
+    for itf in cfg.interfaces():
+        si, sj = by_id[itf.i], by_id[itf.j]
+        nodes, along = _oracle_interface_nodes(mesh, itf)
+        n_i = itf.normal_i
+
+        def gamma(ssp, axis=itf.axis, pos=itf.position, n_i=n_i, si=si, sj=sj):
+            if mesh.dim == 1:
+                x, y = np.asarray(ssp, float) * 0 + pos, np.zeros_like(np.asarray(ssp, float))
+            elif axis == 0:
+                x, y = pos * np.ones_like(ssp), ssp
+            else:
+                x, y = ssp, pos * np.ones_like(ssp)
+            bn_i = fes._eval_coeff(si.b[0], x, y, 0.0) * n_i[0]
+            bn_j = -fes._eval_coeff(sj.b[0], x, y, 0.0) * n_i[0]
+            if mesh.dim == 2:
+                bn_i = bn_i + fes._eval_coeff(si.b[1], x, y, 0.0) * n_i[1]
+                bn_j = bn_j - fes._eval_coeff(sj.b[1], x, y, 0.0) * n_i[1]
+            return 0.5 * (bn_i + bn_j)
+
+        if mesh.dim == 1:
+            g = float(gamma(np.zeros(1))[0])
+            A = A - sp.coo_matrix(([g], ([nodes[0]], [nodes[0]])), shape=(n, n)).tocsr()
+        else:
+            G = hat_cross_matrix(along, along, gamma, "mass")
+            A = A - fes.scatter_matrix(G, nodes, nodes, n, n)
+
+    sides = ("xmin", "xmax") if mesh.dim == 1 else ("xmin", "xmax", "ymin", "ymax")
+    for side in sides:
+        nodes = mesh.side_nodes(side)
+        if mesh.dim == 1:
+            x = mesh.coords[nodes[0]]
+            s = next(s for s in cfg.subdomains if s.box[0] - 1e-12 <= x <= s.box[1] + 1e-12)
+            nx_dir = -1.0 if side == "xmin" else 1.0
+            bn = fes._eval_coeff(s.b[0], np.array([x]), np.zeros(1), 0.0)[0] * nx_dir
+            A = A + sp.coo_matrix(
+                ([fes.P_EXT - 0.5 * bn], ([nodes[0]], [nodes[0]])), shape=(n, n)
+            ).tocsr()
+            continue
+        axis = 0 if side in ("xmin", "xmax") else 1
+        normal = fes._SIDE_NORMALS_2D[side]
+        pos = mesh.box[2 * axis] if side.endswith("min") else mesh.box[2 * axis + 1]
+        along = mesh.coords[nodes, 1 - axis]
+
+        def w(ssp, axis=axis, pos=pos, normal=normal):
+            x = pos * np.ones_like(ssp) if axis == 0 else ssp
+            y = ssp if axis == 0 else pos * np.ones_like(ssp)
+            bn = np.zeros_like(ssp)
+            for s in cfg.subdomains:
+                inside = (x >= s.box[0]) & (x <= s.box[1]) & (y >= s.box[2]) & (y <= s.box[3])
+                if np.any(inside):
+                    bx = fes._eval_coeff(s.b[0], x, y, 0.0)
+                    by_ = fes._eval_coeff(s.b[1], x, y, 0.0)
+                    bn = np.where(inside, bx * normal[0] + by_ * normal[1], bn)
+            return fes.P_EXT - 0.5 * bn
+
+        B = hat_cross_matrix(along, along, w, "mass")
+        A = A + fes.scatter_matrix(B, nodes, nodes, n, n)
+    return mesh, owners, M.tocsr(), A.tocsr()
+
+
+def oracle_norm_ops(mesh, elems):
+    nodes = np.unique(mesh.elems[elems])
+    group = replace(mesh, elems=mesh.elems[elems])
+    M = fes.assemble_mass(group, 1.0)
+    K = fes.assemble_atilde(group, 1.0, (0.0, 0.0) if mesh.dim == 2 else (0.0,), 0.0, 0.0)
+    return nodes, M[nodes][:, nodes].tocsr(), K[nodes][:, nodes].tocsr()
+
+
+def _same_bytes(a, b):
+    if sp.issparse(a):
+        return all(_same_bytes(getattr(a, f), getattr(b, f)) for f in ("data", "indices", "indptr"))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SINGLE_2D = """
+[domain]
+box = 0 1 0 2
+T = 0.25
+u0 = "0.5*exp(-10*(x-0.5)^2-3*(y-1)^2)"
+[subdomain]
+id = 1
+box = 0 1 0 2
+nu = "0.05+0.02*x*y"
+bx = "0.3*y"
+by = "-0.2*x"
+c = "0.1"
+omega = "1+x"
+nx = 4
+ny = 6
+nt = 4
+degree = 1
+"""
+
+HETEROGENEOUS_CFG = (Path(__file__).resolve().parents[1] / "demos" / "heterogeneous.cfg").read_text()
+
+
+class TestMonodomainOracle:
+    """The region-by-region reference against the element-group oracle:
+    the same mass and norm matrices byte for byte, the same sparsity of
+    the spatial operator with values to 1e-15 max|A| (the sums at shared
+    corner and interface nodes run in another order)."""
+
+    CASES = {
+        "1d-two": (CFG_1D, RefGrid(nx={1: 16, 2: 24}, ny=None, nt=8)),
+        "1d-one": (SINGLE_1D, RefGrid(nx={1: 20}, ny=None, nt=8)),
+        "2d-one": (SINGLE_2D, RefGrid(nx={1: 8}, ny=12, nt=4)),
+        "2d-heterogeneous": (HETEROGENEOUS_CFG, RefGrid(nx={1: 8, 2: 12}, ny=32, nt=4)),
+        "2d-porosity": (CFG_2D, RefGrid(nx={1: 4, 2: 6}, ny=20, nt=4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_operators_match_oracle(self, case):
+        text, ref = self.CASES[case]
+        cfg = parse_config(text)
+        mesh_o, owners, M_o, A_o = oracle_reference_operators(cfg, ref)
+        mesh, regions, M, A = _reference_operators(cfg, ref)
+        assert _same_bytes(mesh.coords, mesh_o.coords)
+        assert _same_bytes(M, M_o)
+        assert _same_bytes(A.indices, A_o.indices) and _same_bytes(A.indptr, A_o.indptr)
+        assert np.max(np.abs(A.data - A_o.data)) <= 1e-15 * np.max(np.abs(A_o.data))
+        reference = Reference(mesh=mesh, trajectory=None, regions=regions, cfg=cfg)
+        for sid, elems in owners.items():
+            for new, old in zip(reference.norm_ops(sid), oracle_norm_ops(mesh_o, elems)):
+                assert _same_bytes(new, old), (sid, case)
+
+    def test_criterion_2_reference_trajectory_bit_identical(self):
+        cfg = parse_config(HETEROGENEOUS_CFG)
+        ref = reference_grid(cfg, "time", 3)
+        mesh, _, M, A = oracle_reference_operators(cfg, ref)
+        degree = cfg.subdomains[0].degree
+        part = TimePartition.uniform(0.0, cfg.T, ref.nt)
+        oracle = solve_window(
+            _GlobalAssembly(M_full=M, A_full=A, degree=degree, n_dofs=mesh.n_nodes), {}, part,
+            fes.nodal_interpolate(mesh, cfg.u0), _IntervalLoads(mesh, cfg.f, part, degree),
+        )
+        assert _same_bytes(solve_monodomain(cfg, ref).trajectory.coeffs, oracle.coeffs)
 
 
 class TestErrorNorms:

@@ -115,6 +115,24 @@ def test_tracer_sees_every_window_solve(monkeypatch, text, mortar):
     assert tracer.counts["dgsolver.steps"] == sweeps * sum(s.nt for s in cfg.subdomains)
 
 
+def test_tracer_sees_the_reference_solve(monkeypatch):
+    # the reference assembles through oswr.femspace, not through the
+    # oswr.analysis.hat_cross_matrix name the tracer also wraps
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    cfg = parse_config(MORTAR)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        oswr.analysis.solve_monodomain(cfg, oswr.analysis.RefGrid(nx={1: 2, 2: 2}, ny=12, nt=3))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["dgsolver.window"] == 1
+    assert tracer.counts["timeproject.hat_cross"] > 0
+    assert tracer.counts["femspace.assemble"] > 0
+
+
 def test_factor_exposes_solve_and_triangles():
     # the tracer times `solve` and counts nnz(L+U) of each new factor
     factor = FactorCache().get((1, 0.5), lambda: 2.0 * sp.identity(3, format="csc"))
