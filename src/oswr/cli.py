@@ -192,15 +192,14 @@ def cmd_study(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    axis = {"spacetime": "spacetime", "time": "time", "space": "space"}[args.axis]
-    table = ana.convergence_study(cfg, axis, args.levels, tol=args.tol)
+    table = ana.convergence_study(cfg, args.axis, args.levels, tol=args.tol)
     wall = time.perf_counter() - t0
     path = outdir / "study.csv"
     path.write_text(_study_csv(table))
     outputs = [path.name]
     if args.plot:
         sids = table.sids
-        xcol = 2 if axis == "time" else 1  # 1-based: k_1 or h_1
+        xcol = 2 if args.axis == "time" else 1  # 1-based: k_1 or h_1
         plots = []
         col = 1 + 2 * len(sids) + 1
         for name in table.NORMS:
@@ -212,7 +211,7 @@ def cmd_study(args):
                 col += 1
         gp = outdir / "study.gp"
         gp.write_text(_GNUPLOT.format(
-            xlabel="k" if axis == "time" else "h", plots=", \\\n".join(plots)
+            xlabel="k" if args.axis == "time" else "h", plots=", \\\n".join(plots)
         ))
         outputs.append(gp.name)
     _write_manifest(outdir, f"study --axis {args.axis} --levels {args.levels}",

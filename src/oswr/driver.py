@@ -110,7 +110,6 @@ class SubdomainAssembly:
     A_full: sp.csr_matrix      # A_vol + interface blocks (see _finalize_operators)
     iface: dict                # neighbor -> IfaceAssembly
     cache: FactorCache = field(default_factory=FactorCache)
-    _load_cache: dict = field(default_factory=dict)
     f: object = None
 
     @property
@@ -122,14 +121,11 @@ class SubdomainAssembly:
         return [nb for nb, ia in sorted(self.iface.items()) if ia.is_mortar]
 
     def window_loads(self, partition):
-        key = (round(partition.start, 14), round(partition.end, 14), partition.n_intervals)
-        if key not in self._load_cache:
-            bp = partition.breakpoints
-            self._load_cache[key] = [
-                fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
-                for n in range(partition.n_intervals)
-            ]
-        return self._load_cache[key]
+        bp = partition.breakpoints
+        return [
+            fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
+            for n in range(partition.n_intervals)
+        ]
 
 
 def _interface_side(spec, itf):
@@ -600,18 +596,16 @@ class MultidomainSolution:
         return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
 
 
-def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=False,
-                traces=None):
+def run_windows(cfg, md=None, budget=None, tol=None, traces=None):
     """Sequential time windows; each window's endpoint seeds the next.
 
     traces, if given, holds one dict of starting transmission data per
     window (directed pair -> InterfaceTrace on the window's partitions);
-    without it every window starts from the `guess` strategy."""
+    without it every window starts from the configured initial guess."""
     if md is None:
-        md = build_multidomain(cfg, force_mortar=force_mortar)
+        md = build_multidomain(cfg)
     budget = cfg.max_iterations if budget is None else budget
     tol = cfg.tolerance if tol is None else tol
-    guess = cfg.initial_guess if guess is None else guess
     bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
     u_cur = {
         sid: fes.nodal_interpolate(asm.mesh, cfg.u0, t=0.0)
@@ -621,7 +615,7 @@ def run_windows(cfg, md=None, budget=None, tol=None, guess=None, force_mortar=Fa
     histories, final_traces = [], []
     for w in range(cfg.windows):
         trajectories, _, final, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol, guess=guess,
+            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol, guess=cfg.initial_guess,
             traces=None if traces is None else traces[w],
         )
         histories.append(hist)

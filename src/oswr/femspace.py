@@ -15,9 +15,13 @@ diagonal, so nested refinements interpolate exactly).  Assembled forms:
   exterior-boundary Robin closure (P_EXT - b.n/2)-weighted mass;
 * per-mode time-quadrature load vectors for the DG right-hand sides.
 
-Volume quadrature is the edge-midpoint rule per triangle (2-point Gauss
-per segment), exact for P2 integrands.  Operator coefficients are
-evaluated at t = 0: `validate_problem` rejects any that depend on t.
+The volume forms share one path for 1D and 2D: `_quadrature` gives the
+points, weights, basis values and constant basis gradients of each
+element (2-point Gauss per segment, the edge-midpoint rule per
+triangle, both exact for P2 integrands), and the mass, the volume form
+and the load are the same einsums over them in either dimension.
+Operator coefficients are evaluated at t = 0: `validate_problem`
+rejects any that depend on t.
 Assembly is deterministic: identical inputs produce identical entries.
 """
 
@@ -196,28 +200,38 @@ def build_mesh(box, counts):
 # ---------------------------------------------------------------------------
 
 
-def _tri_geometry(mesh):
-    tris = mesh.elems
-    p = mesh.coords[tris]  # (M, 3, 2)
+def _quadrature(mesh):
+    """Volume quadrature of a mesh: (elems, x, y, w, phi, grads).
+
+    x, y, w: (M, Q) points and weights (y is zero in 1D); phi[q, l]: the
+    P1 basis values at the points; grads: (M, L, dim) constant basis
+    gradients.  Segments take 2-point Gauss, triangles the edge-midpoint
+    rule (midpoint q opposite vertex q); both are exact for P2 integrands.
+    """
+    elems = mesh.elems
+    if mesh.dim == 1:
+        xa = mesh.coords[elems[:, 0]]
+        h = mesh.coords[elems[:, 1]] - xa
+        x = xa[:, None] + h[:, None] * _G2[None, :]
+        w = np.broadcast_to(0.5 * h[:, None], x.shape)
+        phi = np.stack([1.0 - _G2, _G2], axis=1)
+        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[..., None]
+        return elems, x, np.zeros_like(x), w, phi, grads
+    p = mesh.coords[elems]  # (M, 3, 2)
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det  # positively oriented by construction
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]  # positive by construction
     # grad lambda_a = perp(c - b)/(2A), perp(v) = (-v_y, v_x), cyclic
-    grads = np.empty((tris.shape[0], 3, 2))
+    grads = np.empty((elems.shape[0], 3, 2))
+    mids = np.empty((elems.shape[0], 3, 2))
     for a in range(3):
         v = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
         grads[:, a, 0] = -v[:, 1] / det
         grads[:, a, 1] = v[:, 0] / det
-    # edge midpoints; midpoint q is opposite vertex q
-    mids = np.empty((tris.shape[0], 3, 2))
-    for q in range(3):
-        mids[:, q] = 0.5 * (p[:, (q + 1) % 3] + p[:, (q + 2) % 3])
-    return tris, area, grads, mids
-
-
-# P1 values at the edge midpoints: phi[k](mid_q) = 0 if k == q else 1/2
-_PHI_MID = 0.5 * (1.0 - np.eye(3))
+        mids[:, a] = 0.5 * (p[:, (a + 1) % 3] + p[:, (a + 2) % 3])
+    w = np.broadcast_to((0.5 * det / 3.0)[:, None], mids.shape[:2])
+    # phi_l(mid_q) = 0 if l == q else 1/2
+    return elems, mids[..., 0], mids[..., 1], w, 0.5 * (1.0 - np.eye(3)), grads
 
 
 def _coo(elems, local, n):
@@ -230,30 +244,12 @@ def _coo(elems, local, n):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _seg_geometry(mesh):
-    segs = mesh.elems
-    xa = mesh.coords[segs[:, 0]]
-    xb = mesh.coords[segs[:, 1]]
-    h = xb - xa
-    xq = xa[:, None] + h[:, None] * _G2[None, :]  # (M, 2)
-    return segs, h, xq
-
-
 def assemble_mass(mesh, omega):
     """Mass matrix int omega phi_k phi_l."""
-    n = mesh.n_nodes
-    if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh)
-        om = _eval_coeff(omega, xq, np.zeros_like(xq), 0.0)
-        w = 0.5 * h[:, None]  # equal Gauss weights
-        phi = np.stack([1.0 - _G2, _G2])  # (2 basis, 2 qp)
-        local = np.einsum("mq,lq,kq->mlk", w * om, phi, phi)
-        return _coo(segs, local, n)
-    tris, area, _, mids = _tri_geometry(mesh)
-    om = _eval_coeff(omega, mids[..., 0], mids[..., 1], 0.0)
-    w = (area / 3.0)[:, None] * om  # (M, 3 qp)
-    local = np.einsum("mq,ql,qk->mlk", w, _PHI_MID, _PHI_MID)
-    return _coo(tris, local, n)
+    elems, x, y, w, phi, _ = _quadrature(mesh)
+    om = _eval_coeff(omega, x, y, 0.0)
+    local = np.einsum("mq,ql,qk->mlk", w * om, phi, phi)
+    return _coo(elems, local, mesh.n_nodes)
 
 
 def _eval_coeff(coeff, x, y, t):
@@ -272,52 +268,24 @@ def assemble_atilde(mesh, nu, b, c, div_b):
     (boundary-touching zeros are tolerated: they only drop that point's
     contribution).
     """
-    n = mesh.n_nodes
-    if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh)
-        zero = np.zeros_like(xq)
-        nuq = _eval_coeff(nu, xq, zero, 0.0)
-        if np.any(nuq < 0):
-            raise ValueError("negative diffusion nu at a quadrature point")
-        bq = _eval_coeff(b[0], xq, zero, 0.0)
-        cq = _eval_coeff(c, xq, zero, 0.0) + 0.5 * _eval_coeff(div_b, xq, zero, 0.0)
-        w = 0.5 * h[:, None]
-        phi = np.stack([1.0 - _G2, _G2])  # (2, qp)
-        gphi = np.stack([-1.0 / h, 1.0 / h])  # (2, M)
-        local = np.zeros((segs.shape[0], 2, 2))
-        for l in range(2):
-            for k in range(2):
-                diff = np.sum(w * nuq, axis=1) * gphi[k] * gphi[l]
-                reac = np.sum(w * cq * phi[k][None, :] * phi[l][None, :], axis=1)
-                adv = 0.5 * np.sum(
-                    w * bq * (gphi[k][:, None] * phi[l][None, :]
-                              - gphi[l][:, None] * phi[k][None, :]),
-                    axis=1,
-                )
-                local[:, l, k] = diff + reac + adv
-        return _coo(segs, local, n)
-
-    tris, area, grads, mids = _tri_geometry(mesh)
-    x, y = mids[..., 0], mids[..., 1]
+    elems, x, y, w, phi, grads = _quadrature(mesh)
     nuq = _eval_coeff(nu, x, y, 0.0)
     if np.any(nuq < 0):
         raise ValueError("negative diffusion nu at a quadrature point")
-    bxq = _eval_coeff(b[0], x, y, 0.0)
-    byq = _eval_coeff(b[1], x, y, 0.0)
+    bq = np.stack([_eval_coeff(bi, x, y, 0.0) for bi in b], axis=-1)  # (M, q, dim)
     cq = _eval_coeff(c, x, y, 0.0) + 0.5 * _eval_coeff(div_b, x, y, 0.0)
-    w = (area / 3.0)[:, None]  # (M, 1) broadcast over qp
 
-    local = np.zeros((tris.shape[0], 3, 3))
     # diffusion: grads constant per element
     gdot = np.einsum("mld,mkd->mlk", grads, grads)
+    local = np.zeros_like(gdot)
     local += np.sum(w * nuq, axis=1)[:, None, None] * gdot
     # reaction shift
-    local += np.einsum("mq,ql,qk->mlk", w * cq, _PHI_MID, _PHI_MID)
+    local += np.einsum("mq,ql,qk->mlk", w * cq, phi, phi)
     # skew advection: 1/2 sum_q w_q [ (b.g_k) phi_l(q) - (b.g_l) phi_k(q) ]
-    bg = np.einsum("mqd,mkd->mqk", np.stack([bxq, byq], axis=-1), grads)  # (M,q,k)
-    term = np.einsum("mq,mqk,ql->mlk", w * np.ones_like(bxq), bg, _PHI_MID)
+    bg = np.einsum("mqd,mkd->mqk", bq, grads)
+    term = np.einsum("mq,mqk,ql->mlk", w, bg, phi)
     local += 0.5 * (term - np.swapaxes(term, 1, 2))
-    return _coo(tris, local, n)
+    return _coo(elems, local, mesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +391,8 @@ def _bn_along(trace, b):
     """b . n_i as a callable of the interface coordinate."""
     def f(s):
         x, y = trace.points(s)
-        bx = _eval_coeff(b[0], x, y, 0.0)
-        if len(b) == 1:
-            return bx * trace.normal[0]
-        by = _eval_coeff(b[1], x, y, 0.0)
-        return bx * trace.normal[0] + by * trace.normal[1]
+        return np.sum([_eval_coeff(bi, x, y, 0.0) * ni for bi, ni in zip(b, trace.normal)],
+                      axis=0)
     return f
 
 
@@ -512,21 +477,11 @@ def assemble_exterior_robin(space, b):
 
 def assemble_space_load(mesh, g, t=0.0):
     """Load vector int g(.,t) phi_k dx."""
-    n = mesh.n_nodes
-    out = np.zeros(n)
-    if mesh.dim == 1:
-        segs, h, xq = _seg_geometry(mesh)
-        gq = _eval_coeff(g, xq, np.zeros_like(xq), t)
-        w = 0.5 * h[:, None]
-        phi = np.stack([1.0 - _G2, _G2])
-        for k in range(2):
-            np.add.at(out, segs[:, k], np.sum(w * gq * phi[k][None, :], axis=1))
-        return out
-    tris, area, _, mids = _tri_geometry(mesh)
-    gq = _eval_coeff(g, mids[..., 0], mids[..., 1], t)
-    w = (area / 3.0)[:, None]
-    for k in range(3):
-        np.add.at(out, tris[:, k], np.sum(w * gq * _PHI_MID[:, k][None, :], axis=1))
+    elems, x, y, w, phi, _ = _quadrature(mesh)
+    gq = _eval_coeff(g, x, y, t)
+    out = np.zeros(mesh.n_nodes)
+    for k in range(elems.shape[1]):
+        np.add.at(out, elems[:, k], np.sum(w * gq * phi[:, k][None, :], axis=1))
     return out
 
 

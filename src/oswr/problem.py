@@ -815,6 +815,8 @@ def validate_problem(cfg):
         err("window count must be >= 1")
     if cfg.tolerance <= 0:
         err("tolerance must be positive")
+    if cfg.max_iterations < 1:
+        err("max_iterations must be >= 1")
 
     degrees = {s.degree for s in cfg.subdomains}
     if len(degrees) > 1:

@@ -69,6 +69,17 @@ class TestRun:
         p.write_text(bad)
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--p", "1,2"]])
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_iteration_budget_below_one_exit_2(self, cfg_path, tmp_path, capsys, command, budget):
+        p = tmp_path / "budget.cfg"
+        p.write_text(cfg_path.read_text().replace("max_iterations = 100",
+                                                  f"max_iterations = {budget}"))
+        out = tmp_path / "o"
+        assert main([command[0], str(p), *command[1:], "--out", str(out)]) == 2
+        assert "max_iterations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_time_dependent_coefficient_exit_2(self, cfg_path, tmp_path, capsys):
         p = tmp_path / "tdep.cfg"
         p.write_text(cfg_path.read_text().replace('nu = "0.1"', 'nu = "0.1*(1+t)"'))

@@ -1,4 +1,4 @@
-"""The demos that use the evaluation layer run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -13,7 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "01_dg_time_stepping.py",
     "02_two_subdomains_robin.py",
+    "03_nonconforming_time.py",
     "04_mortar_nonmatching_space.py",
+    "05_parameter_sweep.py",
 ])
 def test_demo_runs(demo):
     env = dict(os.environ)

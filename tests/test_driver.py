@@ -522,7 +522,7 @@ class TestMortarEquivalence:
         md_c = build_multidomain(cfg)
         sol_c = run_windows(cfg, md=md_c)
         md_m = build_multidomain(cfg, force_mortar=True)
-        sol_m = run_windows(cfg, md=md_m, force_mortar=True)
+        sol_m = run_windows(cfg, md=md_m)
         for sid in sol_c.trajectories:
             a = sol_c.trajectories[sid][0].coeffs
             b = sol_m.trajectories[sid][0].coeffs
@@ -565,7 +565,7 @@ class TestMortarEquivalence:
         assert [nb for nb, ia in sorted(mixed.iface.items()) if not ia.is_mortar] == [1]
         sol = run_windows(cfg, md=md)
         assert sol.histories[0].converged
-        sol_m = run_windows(cfg, force_mortar=True)
+        sol_m = run_windows(cfg, md=build_multidomain(cfg, force_mortar=True))
         for sid in sol.trajectories:
             a = sol.trajectories[sid][0].coeffs
             b = sol_m.trajectories[sid][0].coeffs

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oswr.femspace import (
+    _G2,
+    _coo,
+    _eval_coeff,
     assemble_atilde,
     assemble_exterior_robin,
     assemble_interface_ops,
     assemble_load,
     assemble_mass,
+    assemble_space_load,
     build_mesh,
     build_space,
     build_tensor_mesh,
@@ -343,3 +347,165 @@ class TestInterpolate:
         g = parse_expression("x+y")
         v = nodal_interpolate(m, g)
         assert v == pytest.approx(m.coords[:, 0] + m.coords[:, 1])
+
+
+# ---------------------------------------------------------------------------
+# Volume assembly against the per-dimension assemblers it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_tri_geometry(mesh):
+    tris = mesh.elems
+    p = mesh.coords[tris]  # (M, 3, 2)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = 0.5 * det
+    grads = np.empty((tris.shape[0], 3, 2))
+    for a in range(3):
+        v = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+        grads[:, a, 0] = -v[:, 1] / det
+        grads[:, a, 1] = v[:, 0] / det
+    mids = np.empty((tris.shape[0], 3, 2))
+    for q in range(3):
+        mids[:, q] = 0.5 * (p[:, (q + 1) % 3] + p[:, (q + 2) % 3])
+    return tris, area, grads, mids
+
+
+_ORACLE_PHI_MID = 0.5 * (1.0 - np.eye(3))
+
+
+def _oracle_seg_geometry(mesh):
+    segs = mesh.elems
+    xa = mesh.coords[segs[:, 0]]
+    xb = mesh.coords[segs[:, 1]]
+    h = xb - xa
+    xq = xa[:, None] + h[:, None] * _G2[None, :]
+    return segs, h, xq
+
+
+def oracle_mass(mesh, omega):
+    n = mesh.n_nodes
+    if mesh.dim == 1:
+        segs, h, xq = _oracle_seg_geometry(mesh)
+        om = _eval_coeff(omega, xq, np.zeros_like(xq), 0.0)
+        w = 0.5 * h[:, None]
+        phi = np.stack([1.0 - _G2, _G2])
+        local = np.einsum("mq,lq,kq->mlk", w * om, phi, phi)
+        return _coo(segs, local, n)
+    tris, area, _, mids = _oracle_tri_geometry(mesh)
+    om = _eval_coeff(omega, mids[..., 0], mids[..., 1], 0.0)
+    w = (area / 3.0)[:, None] * om
+    local = np.einsum("mq,ql,qk->mlk", w, _ORACLE_PHI_MID, _ORACLE_PHI_MID)
+    return _coo(tris, local, n)
+
+
+def oracle_atilde(mesh, nu, b, c, div_b):
+    n = mesh.n_nodes
+    if mesh.dim == 1:
+        segs, h, xq = _oracle_seg_geometry(mesh)
+        zero = np.zeros_like(xq)
+        nuq = _eval_coeff(nu, xq, zero, 0.0)
+        bq = _eval_coeff(b[0], xq, zero, 0.0)
+        cq = _eval_coeff(c, xq, zero, 0.0) + 0.5 * _eval_coeff(div_b, xq, zero, 0.0)
+        w = 0.5 * h[:, None]
+        phi = np.stack([1.0 - _G2, _G2])
+        gphi = np.stack([-1.0 / h, 1.0 / h])
+        local = np.zeros((segs.shape[0], 2, 2))
+        for l in range(2):
+            for k in range(2):
+                diff = np.sum(w * nuq, axis=1) * gphi[k] * gphi[l]
+                reac = np.sum(w * cq * phi[k][None, :] * phi[l][None, :], axis=1)
+                adv = 0.5 * np.sum(
+                    w * bq * (gphi[k][:, None] * phi[l][None, :]
+                              - gphi[l][:, None] * phi[k][None, :]),
+                    axis=1,
+                )
+                local[:, l, k] = diff + reac + adv
+        return _coo(segs, local, n)
+    tris, area, grads, mids = _oracle_tri_geometry(mesh)
+    x, y = mids[..., 0], mids[..., 1]
+    nuq = _eval_coeff(nu, x, y, 0.0)
+    bxq = _eval_coeff(b[0], x, y, 0.0)
+    byq = _eval_coeff(b[1], x, y, 0.0)
+    cq = _eval_coeff(c, x, y, 0.0) + 0.5 * _eval_coeff(div_b, x, y, 0.0)
+    w = (area / 3.0)[:, None]
+    local = np.zeros((tris.shape[0], 3, 3))
+    gdot = np.einsum("mld,mkd->mlk", grads, grads)
+    local += np.sum(w * nuq, axis=1)[:, None, None] * gdot
+    local += np.einsum("mq,ql,qk->mlk", w * cq, _ORACLE_PHI_MID, _ORACLE_PHI_MID)
+    bg = np.einsum("mqd,mkd->mqk", np.stack([bxq, byq], axis=-1), grads)
+    term = np.einsum("mq,mqk,ql->mlk", w * np.ones_like(bxq), bg, _ORACLE_PHI_MID)
+    local += 0.5 * (term - np.swapaxes(term, 1, 2))
+    return _coo(tris, local, n)
+
+
+def oracle_space_load(mesh, g, t=0.0):
+    n = mesh.n_nodes
+    out = np.zeros(n)
+    if mesh.dim == 1:
+        segs, h, xq = _oracle_seg_geometry(mesh)
+        gq = _eval_coeff(g, xq, np.zeros_like(xq), t)
+        w = 0.5 * h[:, None]
+        phi = np.stack([1.0 - _G2, _G2])
+        for k in range(2):
+            np.add.at(out, segs[:, k], np.sum(w * gq * phi[k][None, :], axis=1))
+        return out
+    tris, area, _, mids = _oracle_tri_geometry(mesh)
+    gq = _eval_coeff(g, mids[..., 0], mids[..., 1], t)
+    w = (area / 3.0)[:, None]
+    for k in range(3):
+        np.add.at(out, tris[:, k], np.sum(w * gq * _ORACLE_PHI_MID[:, k][None, :], axis=1))
+    return out
+
+
+_ATOMS = ["1", "x", "y", "x*y", "sin(3*x)", "cos(2*y)", "exp(-x*y)", "x^2", "t*x"]
+
+
+@st.composite
+def _coefficient(draw, positive=False):
+    """A float constant or an expression of x, y (and t) with random
+    coefficients; positive=True keeps it >= 0.01 on any box."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.01, 2.0) if positive else st.floats(-2.0, 2.0))
+    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from(_ATOMS)),
+                          min_size=1, max_size=3))
+    if positive:
+        return parse_expression("0.01+" + "+".join(f"({abs(a):.6f})*({f})^2" for a, f in terms))
+    return parse_expression("+".join(f"({a:.6f})*{f}" for a, f in terms))
+
+
+_grid_lines = st.lists(st.floats(0.05, 1.0), min_size=1, max_size=7).map(
+    lambda steps: np.concatenate([[-0.3], -0.3 + np.cumsum(steps)])
+)
+
+
+def _same_csr(A, B):
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and A.data.tobytes() == B.data.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]), xs=_grid_lines, ys=_grid_lines,
+    omega=_coefficient(positive=True), nu=_coefficient(positive=True),
+    b=st.tuples(_coefficient(), _coefficient()), c=_coefficient(), div_b=_coefficient(),
+    g=_coefficient(), t=st.floats(0.0, 1.0),
+)
+def test_volume_assembly_matches_per_dimension_oracle(dim, xs, ys, omega, nu, b, c, div_b, g, t):
+    """One quadrature path for 1D and 2D: M, A and the load equal the
+    per-dimension assemblers bit for bit, except the 1D A, whose einsums
+    sum products in another order than the 1D loop (same sparsity, within
+    1e-15 max|A|)."""
+    mesh = build_tensor_mesh(xs) if dim == 1 else build_tensor_mesh(xs, ys)
+    b = b[:dim]
+    assert _same_csr(assemble_mass(mesh, omega), oracle_mass(mesh, omega))
+    assert assemble_space_load(mesh, g, t).tobytes() == oracle_space_load(mesh, g, t).tobytes()
+    A = assemble_atilde(mesh, nu, b, c, div_b)
+    A_old = oracle_atilde(mesh, nu, b, c, div_b)
+    if dim == 2:
+        assert _same_csr(A, A_old)
+    else:
+        assert np.array_equal(A.indptr, A_old.indptr)
+        assert np.array_equal(A.indices, A_old.indices)
+        assert np.max(np.abs(A.data - A_old.data)) <= 1e-15 * np.max(np.abs(A_old.data))

@@ -342,6 +342,13 @@ class TestValidation:
             diags = validate_problem(cfg)
             assert any("mixed" in d.message.lower() for d in diags if d.severity == "error")
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_iteration_budget_below_one_rejected(self, budget):
+        text = EXP1.replace("max_iterations = 100", f"max_iterations = {budget}")
+        diags = validate_problem(parse_config(text))
+        assert any("max_iterations must be >= 1" in d.message
+                   for d in diags if d.severity == "error")
+
     @pytest.mark.parametrize("old,new,where", [
         ('nu = "0.001*sqrt(y)"', 'nu = "0.001*sqrt(y)*(1+100*t)"', "subdomain 1: coefficient nu"),
         ('bx = "-0.1"', 'bx = "-0.1*t"', "subdomain 2: coefficient bx"),
