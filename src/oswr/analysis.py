@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from oswr import femspace as fes
 from oswr import problem as prb
-from oswr.dgsolver import DGTrajectory, FactorCache, solve_window
+from oswr.dgsolver import DGTrajectory, Operators, solve_window
 from oswr.driver import (
     TrajectoryView,
     _build_space,
@@ -86,17 +86,6 @@ def _global_mesh(cfg, ref):
         if abs(s.box[2] - y0) > 1e-12 or abs(s.box[3] - y1) > 1e-12:
             raise ValueError("monodomain reference supports band decompositions in x only")
     return fes.build_tensor_mesh(np.concatenate(xs), np.linspace(y0, y1, ref.ny + 1))
-
-
-@dataclass
-class _GlobalAssembly:
-    """Minimal assembly facade for the monodomain march."""
-
-    M_full: sp.csr_matrix
-    A_full: sp.csr_matrix
-    degree: int
-    n_dofs: int
-    iface: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -238,11 +227,10 @@ def solve_monodomain(cfg, ref):
                          f"{sorted(sids)} (missing {sorted(sids - set(ref.nx))})")
     mesh, regions, M, A = _reference_operators(cfg, ref)
     degree = cfg.subdomains[0].degree
-    asm = _GlobalAssembly(M_full=M, A_full=A, degree=degree, n_dofs=mesh.n_nodes)
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
-    traj = solve_window(asm, {}, part, u0, _IntervalLoads(mesh, cfg.f, part, degree),
-                        cache=FactorCache())
+    traj = solve_window(Operators(M, A, degree), {}, part, u0,
+                        _IntervalLoads(mesh, cfg.f, part, degree))
     return Reference(mesh=mesh, trajectory=traj, regions=regions, cfg=cfg)
 
 
@@ -463,8 +451,8 @@ def _warm_traces(md, traces, along):
     return out
 
 
-def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
-                      reference=None, verbose=False):
+def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, reference=None,
+                      verbose=False):
     """Refine `levels` times along the given axis, run OSWR to a tight
     tolerance per level, and fit log-log slopes of the error norms.
 
@@ -485,7 +473,7 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, budget=None,
         cl = _scaled_cfg(cfg, axis, refine_ratio**lev)
         md = build_multidomain(cl)
         solution = run_windows(
-            cl, md=md, tol=tol, budget=budget or cl.max_iterations,
+            cl, md=md, tol=tol,
             traces=None if warm is None else _warm_traces(md, *warm),
         )
         warm = solution.traces, {(i, j): md.assemblies[i].iface[j].along for (i, j) in md.pairs}
@@ -536,13 +524,16 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
 
     mode='error' runs the homogeneous problem (f = u0 = 0) with a seeded
     random initial guess; mode='full' runs the configured problem with
-    its configured initial-guess strategy.  Budget exhaustion is recorded
-    as saturation (converged=False), not a failure.
+    its configured initial-guess strategy.  budget=None takes the
+    config's max_iterations.  Budget exhaustion is recorded as saturation
+    (converged=False), not a failure.
     """
     if not p_values:
         raise ValueError("empty p list")
     q_values = list(q_values) or [0.0]
-    budget = budget or cfg.max_iterations
+    budget = cfg.max_iterations if budget is None else budget
+    if budget < 1:
+        raise ValueError(f"iteration budget must be at least 1, got {budget}")
     base = _error_mode_cfg(cfg) if mode == "error" else cfg
     rows = []
     for p in p_values:
@@ -566,10 +557,7 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                     for nb, tr in initial_guess("zero", md, sid, u_init[sid]).items():
                         tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
                         traces[(sid, nb)] = tr
-            _, _, _, hist = iterate(
-                md, (0.0, c.T), u_init, budget, target_residual,
-                guess=c.initial_guess, traces=traces,
-            )
+            _, _, _, hist = iterate(md, (0.0, c.T), u_init, budget, target_residual, traces=traces)
             rows.append({
                 "p": float(p), "q": float(q),
                 "iterations": hist.iterations, "converged": hist.converged,

@@ -189,6 +189,9 @@ def cmd_study(args):
     if args.levels < 3:
         print("error: a study needs at least 3 levels (slope fit)", file=sys.stderr)
         return EXIT_CONFIG
+    if not args.tol > 0:
+        print("error: --tol must be a positive real", file=sys.stderr)
+        return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -229,6 +232,9 @@ def cmd_sweep(args):
         return EXIT_CONFIG
     if any(q < 0 for q in q_values):
         print("error: --q values must be nonnegative", file=sys.stderr)
+        return EXIT_CONFIG
+    if not args.target > 0:
+        print("error: --target must be a positive real", file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,30 +1,32 @@
 """Local subdomain solver: DG(d) time stepping over one window.
 
-The per-interval scheme is assembled from the Legendre coupling tables:
-with mass-like operator Mm and stiffness-like operator Aa, the unknown
-modes U_0..U_d on interval I_n solve
+On interval I_n of length k the Legendre modes x = (X_0, .., X_d) of
+all unknowns solve the Kronecker system
 
-    sum_k A[k][j] Mm U_k + gram[j] Aa U_j = (-1)^j Mm U(t_n^-) + F_j,
+    S(k) x = (A^T (x) MM + k diag(gram) (x) KK) x
+           = ((-1)^j P u(t_n^-) + F_j)_j,
 
-which for d=0 is the modified backward Euler step
-    (Mm + k Aa) U = Mm U^n + F_0,
-and for d=1 the 2x2 block system
-    [[Mm + k Aa,  Mm], [-Mm,  Mm + (k/3) Aa]] (U_0, U_1).
+with A and gram the Legendre coupling tables of `build_interval_basis`
+at k = 1 (A does not depend on k, the gram of length k is k gram), MM
+and KK the spatial mass-like and stiffness-like block matrices, and P
+the first block column of MM, the rows that the previous endpoint
+u(t_n^-) enters.  For d = 0 this is the modified backward Euler step
+(M + k A) U = M u(t_n^-) + F_0; for d = 1 the 2x2 block system
+[[M + k A, M], [-M, M + (k/3) A]] (U_0, U_1).
 
-One loop serves every subdomain.  A conforming interface adds no
-unknowns: its operators are folded into the volume operators Mm, Aa and
-its transmission data loads the volume rows at its nodes.  A mortar
-interface adds a block of discrete flux unknowns Q, loaded by its
-transmission data, which couples nonmatching spatial meshes (the
+One march serves every system.  A conforming interface adds no
+unknowns: its operators are folded into the volume operators M_full,
+A_full and its transmission data loads the volume rows at its nodes.  A
+mortar interface adds a block of discrete flux unknowns Q, loaded by
+its transmission data, which couples nonmatching spatial meshes (the
 space-time nonconforming decomposition of Hoang, Jaffre, Japhet, Kern &
-Roberts, SINUM 51 (2013)).  Without mortar interfaces there are no flux
-blocks.
+Roberts, SINUM 51 (2013)).  Without mortar interfaces MM = M_full and
+KK = A_full.
 
-The step system is affine in the step length, S(k) = S_mass + k S_stiff
-(tab.A does not depend on k, tab.gram is proportional to it).  A
-FactorCache keeps the step operator (S_mass, S_stiff, P), with P the
-mass rows that u(t_n^-) enters, and one sparse LU factor per step class,
-so a uniform grid factors once.
+S(k) = S_mass + k S_stiff is affine in k.  Every system owns a
+FactorCache that keeps its step operator (S_mass, S_stiff, P) and one
+sparse LU factor per step class, so a uniform grid factors once and no
+other system can be handed its operator.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ __all__ = [
     "InterfaceTrace",
     "MortarFlux",
     "FactorCache",
-    "linear_solve",
-    "dg_step_matrix",
-    "step_d0",
-    "step_d1",
+    "Operators",
     "solve_window",
     "solve_window_mortar",
     "trajectory_norm",
@@ -74,8 +73,8 @@ def _factorize(matrix):
 
 @dataclass
 class FactorCache:
-    """LU factorizations keyed by (degree, step class), and the step
-    operator (S_mass, S_stiff, P) of each degree."""
+    """One system's LU factorizations keyed by (degree, step class), and
+    its step operator (S_mass, S_stiff, P) of each degree."""
 
     factors: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
@@ -109,12 +108,23 @@ def _check_residual(rel, where=""):
         raise SolverError(f"{where}linear solve residual {rel:.3e} exceeds {RESIDUAL_TOL:.0e}")
 
 
-def linear_solve(matrix, rhs):
-    """Direct sparse solve with a residual contract of 1e-12 relative."""
-    rhs = np.asarray(rhs, dtype=float)
-    x = _factorize(matrix).solve(rhs)
-    _check_residual(_relative_residual(matrix @ x - rhs, rhs))
-    return x
+@dataclass
+class Operators:
+    """A system without interfaces: mass-like M_full, stiffness-like
+    A_full, DG degree, and the factor cache of its step operator."""
+
+    M_full: sp.csr_matrix
+    A_full: sp.csr_matrix
+    degree: int
+    cache: FactorCache = field(default_factory=FactorCache)
+
+    @property
+    def n_dofs(self):
+        return self.M_full.shape[0]
+
+    @property
+    def iface(self):
+        return {}
 
 
 @dataclass
@@ -209,54 +219,16 @@ class MortarFlux:
 
 def _step_parts(mass, stiff, d):
     """The k-independent parts of one DG(d) step system,
-    S(k) = S_mass + k S_stiff.
-
-    mass and stiff are square grids of spatial blocks (None where zero)
-    of the mass-like and stiffness-like operators; every diagonal
-    stiffness block is given.  tab.A does not depend on k and
-    tab.gram[j] = k/(2j+1), so the table of k = 1 gives both parts.
-    """
+    S(k) = S_mass + k S_stiff, from the spatial block matrices MM (mass)
+    and KK (stiff): S_mass = A^T (x) MM, S_stiff = diag(gram) (x) KK.
+    tab.gram[j] = k/(2j+1), so the table of k = 1 gives both parts."""
     tab = build_interval_basis(d, 1.0)
-    nblk = len(mass)
-    size = nblk * (d + 1)
-    S_mass = [[None] * size for _ in range(size)]
-    S_stiff = [[None] * size for _ in range(size)]
-    for j in range(d + 1):
-        for kk in range(d + 1):
-            for r in range(nblk):
-                for c in range(nblk):
-                    row, col = j * nblk + r, kk * nblk + c
-                    if mass[r][c] is not None:
-                        S_mass[row][col] = tab.A[kk, j] * mass[r][c]
-                    elif r == c:  # an empty block fixes the block size
-                        S_mass[row][col] = sp.csr_matrix(stiff[r][r].shape)
-                    if kk == j and stiff[r][c] is not None:
-                        S_stiff[row][col] = tab.gram[j] * stiff[r][c]
-    return sp.bmat(S_mass, format="csr"), sp.bmat(S_stiff, format="csr")
-
-
-def dg_step_matrix(Mm, Aa, k, d):
-    """Block system of one DG(d) step for mass-like Mm, stiffness-like Aa."""
-    S_mass, S_stiff = _step_parts([[Mm]], [[Aa]], d)
-    return (S_mass + k * S_stiff).tocsc(), build_interval_basis(d, k)
-
-
-def step_d0(M, A, u_prev, k, F0):
-    """One DG(0) (modified backward Euler) step."""
-    return linear_solve((M + k * A).tocsc(), M @ u_prev + F0)
-
-
-def step_d1(M, A, u_prev, k, F0, F1):
-    """One DG(1) step; returns the Legendre modes (U_0, U_1)."""
-    n = M.shape[0]
-    S, _ = dg_step_matrix(M, A, k, 1)
-    Mu = M @ u_prev
-    x = linear_solve(S, np.concatenate([Mu + F0, -Mu + F1]))
-    return x[:n], x[n:]
+    return (sp.kron(tab.A.T, mass, format="csr"),
+            sp.kron(np.diag(tab.gram), stiff, format="csr"))
 
 
 def _step_operator(assembly, mortar, d):
-    """Step operator (S_mass, S_stiff, P) of one subdomain.
+    """Step operator (S_mass, S_stiff, P) of one system.
 
     Spatial blocks, volume U first, then the flux Q of each mortar
     interface:
@@ -264,8 +236,11 @@ def _step_operator(assembly, mortar, d):
                     -R^T M_Gamma;
     interface line: q-weighted interface mass q M_Gamma R under the time
                     tables, plus M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U.
-    P is the first block column of the mass grid: P @ u(t_n^-) is what
-    the previous endpoint contributes to every row of one mode.
+    A flux row has no mass of its own; its empty diagonal block fixes the
+    block size.  P is the first block column of MM: P @ u(t_n^-) is what
+    the previous endpoint contributes to every row of one mode.  It is
+    stacked from the blocks, not sliced from MM, because slicing sorts
+    the column indices of a row and so reorders the sums of P @ u.
     """
     ifaces = [assembly.iface[nb] for nb in mortar]
     nblk = 1 + len(ifaces)
@@ -275,11 +250,12 @@ def _step_operator(assembly, mortar, d):
     stiff[0][0] = assembly.A_full
     for r, ia in enumerate(ifaces, start=1):
         mass[r][0] = ia.q * (ia.M_gamma @ ia.restrict)
+        mass[r][r] = sp.csr_matrix(ia.M_gamma.shape)
         stiff[0][r] = -(ia.restrict.T @ ia.M_gamma)
         stiff[r][r] = ia.M_gamma
         stiff[r][0] = (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
     P = sp.vstack([row[0] for row in mass], format="csr")
-    return (*_step_parts(mass, stiff, d), P)
+    return (*_step_parts(sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), d), P)
 
 
 def _solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
@@ -299,24 +275,24 @@ def _solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
     return x
 
 
-def solve_window(assembly, traces_in, partition, u_init, loads, cache=None):
+def solve_window(assembly, traces_in, partition, u_init, loads):
     """The trajectory of `solve_window_mortar`, without the flux."""
-    return solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache)[0]
+    return solve_window_mortar(assembly, traces_in, partition, u_init, loads)[0]
 
 
-def solve_window_mortar(assembly, traces_in, partition, u_init, loads, cache=None):
-    """March one subdomain over a window.
+def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
+    """March one system (a SubdomainAssembly, or Operators) over a window.
 
     traces_in maps neighbor id -> InterfaceTrace on this subdomain's
     partition: a conforming trace loads the volume rows at its interface
     nodes, a mortar trace the flux rows of its interface.  loads[n] is
     the (d+1, ndof) volume load of interval n.  Returns (DGTrajectory,
-    MortarFlux); the flux has one entry per mortar interface.
+    MortarFlux); the flux has one entry per mortar interface.  The step
+    operator and its factors live in assembly.cache.
     """
     d = assembly.degree
     ndof = assembly.n_dofs
-    if cache is None:
-        cache = FactorCache()
+    cache = assembly.cache
     mortar = [nb for nb, ia in sorted(assembly.iface.items()) if ia.is_mortar]
     S_mass, S_stiff, P = cache.operator(d, lambda: _step_operator(assembly, mortar, d))
     offs = np.cumsum([ndof] + [assembly.iface[nb].nodes.size for nb in mortar])

@@ -83,7 +83,6 @@ class DivergenceError(RuntimeError):
 class IfaceAssembly:
     """One subdomain's view of one directed interface (self -> neighbor)."""
 
-    neighbor: int
     nodes: np.ndarray
     along: np.ndarray | None
     p: float
@@ -105,9 +104,8 @@ class SubdomainAssembly:
     space: fes.FemSpace
     degree: int
     M_vol: sp.csr_matrix
-    A_vol: sp.csr_matrix       # atilde + exterior Robin closure
     M_full: sp.csr_matrix      # M_vol + conforming q-weighted interface mass
-    A_full: sp.csr_matrix      # A_vol + interface blocks (see _finalize_operators)
+    A_full: sp.csr_matrix      # atilde + exterior Robin + interface blocks (_finalize_operators)
     iface: dict                # neighbor -> IfaceAssembly
     cache: FactorCache = field(default_factory=FactorCache)
     f: object = None
@@ -192,7 +190,6 @@ def build_subdomain_assembly(cfg, spec, space, mortar):
         blocks = fes.assemble_interface_ops(space, nb, params, spec.b)
         m_bn2 = (params.p * blocks.M_gamma - blocks.M_pbn).tocsr()
         iface[nb] = IfaceAssembly(
-            neighbor=nb,
             nodes=blocks.nodes,
             along=space.traces[nb].along,
             p=params.p,
@@ -208,7 +205,7 @@ def build_subdomain_assembly(cfg, spec, space, mortar):
         )
     M_full, A_full = _finalize_operators(M_vol, A_vol, iface)
     return SubdomainAssembly(
-        spec=spec, mesh=mesh, space=space, degree=spec.degree, M_vol=M_vol, A_vol=A_vol,
+        spec=spec, mesh=mesh, space=space, degree=spec.degree, M_vol=M_vol,
         M_full=M_full, A_full=A_full, iface=iface, f=cfg.f,
     )
 
@@ -270,7 +267,6 @@ def _mortar_exchange(cfg, ai, aj):
 class Multidomain:
     cfg: prb.ExperimentConfig
     assemblies: dict
-    interfaces: list
     pairs: list          # directed (i, j) pairs
     exchange: dict       # directed pair -> Exchange
     partitions: dict = field(default_factory=dict)
@@ -344,9 +340,7 @@ def build_multidomain(cfg, force_mortar=False):
             p, q = ia.p + ja.p, ia.q + ja.q
             exchange[(i, j)] = Exchange(mass=ja.M_gamma, op=tang, p=p, q=q)
             exchange[(j, i)] = Exchange(mass=ia.M_gamma, op=tang, p=p, q=q)
-    return Multidomain(
-        cfg=cfg, assemblies=assemblies, interfaces=interfaces, pairs=pairs, exchange=exchange,
-    )
+    return Multidomain(cfg=cfg, assemblies=assemblies, pairs=pairs, exchange=exchange)
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +469,14 @@ def _solve_one(md, sid, traces, u_init):
     part = md.partitions[sid]
     mine = {nb: traces[(sid, nb)] for nb in asm.iface}
     try:
-        return solve_window_mortar(asm, mine, part, u_init, md.loads[sid], cache=asm.cache)
+        return solve_window_mortar(asm, mine, part, u_init, md.loads[sid])
     except SolverError as e:
         raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
 
 
-def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
-    """Run the Jacobi waveform-relaxation loop on one window.
+def iterate(md, window, u_init, budget, tol, traces=None):
+    """Run the Jacobi waveform-relaxation loop on one window, from
+    `traces` or else from the configured initial guess.
 
     Returns (trajectories, fluxes, traces, history); trajectories are the
     last computed iterate (solved against the pre-update traces).
@@ -492,7 +487,7 @@ def iterate(md, window, u_init, budget, tol, guess="from_u0", traces=None):
     if traces is None:
         traces = {}
         for sid in sids:
-            for nb, tr in initial_guess(guess, md, sid, u_init[sid]).items():
+            for nb, tr in initial_guess(md.cfg.initial_guess, md, sid, u_init[sid]).items():
                 traces[(sid, nb)] = tr
     scale = {pair: max(traces[pair].norm(), 0.0) for pair in md.pairs}
 
@@ -615,7 +610,7 @@ def run_windows(cfg, md=None, budget=None, tol=None, traces=None):
     histories, final_traces = [], []
     for w in range(cfg.windows):
         trajectories, _, final, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol, guess=cfg.initial_guess,
+            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol,
             traces=None if traces is None else traces[w],
         )
         histories.append(hist)

@@ -12,7 +12,6 @@ from oswr import femspace as fes
 from oswr.analysis import (
     RefGrid,
     Reference,
-    _GlobalAssembly,
     _global_mesh,
     _IntervalLoads,
     _reference_operators,
@@ -24,7 +23,7 @@ from oswr.analysis import (
     solve_monodomain,
     sweep_parameters,
 )
-from oswr.dgsolver import DGTrajectory, solve_window
+from oswr.dgsolver import DGTrajectory, Operators, solve_window
 from oswr.driver import TrajectoryView, build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
@@ -358,8 +357,8 @@ class TestMonodomainOracle:
         degree = cfg.subdomains[0].degree
         part = TimePartition.uniform(0.0, cfg.T, ref.nt)
         oracle = solve_window(
-            _GlobalAssembly(M_full=M, A_full=A, degree=degree, n_dofs=mesh.n_nodes), {}, part,
-            fes.nodal_interpolate(mesh, cfg.u0), _IntervalLoads(mesh, cfg.f, part, degree),
+            Operators(M, A, degree), {}, part, fes.nodal_interpolate(mesh, cfg.u0),
+            _IntervalLoads(mesh, cfg.f, part, degree),
         )
         assert _same_bytes(solve_monodomain(cfg, ref).trajectory.coeffs, oracle.coeffs)
 
@@ -458,6 +457,17 @@ class TestSweep:
         t2 = sweep_parameters(cfg, [0.5, 1.0], [0.0, 0.05], 1e-6, seed=3, budget=60)
         assert len(t1.rows) == 4
         assert [r["iterations"] for r in t1.rows] == [r["iterations"] for r in t2.rows]
+
+    def test_budget_none_takes_the_config(self):
+        cfg = parse_config(CFG_1D.replace("max_iterations = 300", "max_iterations = 3"))
+        table = sweep_parameters(cfg, [1.0], [0.0], 1e-30, seed=0)
+        assert table.rows[0]["iterations"] == 3
+        assert not table.rows[0]["converged"]
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            sweep_parameters(parse_config(CFG_1D), [1.0], [0.0], 1e-6, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,20 @@ class TestStudy:
         assert (a / "study.csv").read_bytes() == (b / "study.csv").read_bytes()
 
 
+class TestNonPositiveTolerance:
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command,flag", [
+        (["sweep", "--p", "1,2"], "--target"),
+        (["study", "--axis", "time", "--levels", "3"], "--tol"),
+    ])
+    def test_exit_2_before_writing(self, cfg_path, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o"
+        assert main([command[0], str(cfg_path), *command[1:], flag, value,
+                     "--out", str(out)]) == 2
+        assert f"{flag} must be a positive real" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_robin_table(self, cfg_path, tmp_path):
         out = tmp_path / "w"

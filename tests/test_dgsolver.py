@@ -1,25 +1,28 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oswr.dgsolver import (
+    RESIDUAL_TOL,
     DGTrajectory,
     FactorCache,
     InterfaceTrace,
+    Operators,
     SolverError,
-    linear_solve,
+    _step_operator,
+    _step_parts,
     solve_window,
     solve_window_mortar,
-    step_d0,
-    step_d1,
 )
 from oswr.driver import build_multidomain
 from oswr.problem import parse_config
-from oswr.timebasis import TimePartition
+from oswr.timebasis import TimePartition, build_interval_basis
 
 ONE = sp.csr_matrix(np.array([[1.0]]))
 
@@ -29,95 +32,147 @@ def pade12(z):
     return (1.0 - z / 3.0) / (1.0 + 2.0 * z / 3.0 + z**2 / 6.0)
 
 
+def one_step(a, k, d, u0=0.0, F=None):
+    """Modes of one DG(d) step of u' + a u = f of length k from u0, with
+    F[j] = int L_j f."""
+    F = np.zeros(d + 1) if F is None else np.asarray(F, dtype=float)
+    part = TimePartition.uniform(0.0, k, 1)
+    traj = solve_window(Operators(ONE, a * ONE, d), {}, part, np.array([u0]), [F[:, None]])
+    return traj.coeffs[0, :, 0]
+
+
 class TestScalarSteps:
     def test_d0_decay(self):
-        u1 = step_d0(ONE, ONE, np.array([1.0]), 0.1, np.zeros(1))
-        assert u1[0] == pytest.approx(1.0 / 1.1, abs=1e-14)
+        (u1,) = one_step(1.0, 0.1, 0, u0=1.0)
+        assert u1 == pytest.approx(1.0 / 1.1, abs=1e-14)
 
     def test_d0_zero_data(self):
-        u1 = step_d0(ONE, 2.0 * ONE, np.array([0.0]), 0.3, np.zeros(1))
-        assert u1[0] == 0.0
+        (u1,) = one_step(2.0, 0.3, 0)
+        assert u1 == 0.0
 
     def test_d0_constant_source(self):
         # u' = 1, u0 = 0, k = 0.5: F0 = int_In 1 = 0.5
-        u1 = step_d0(ONE, 0.0 * ONE, np.array([0.0]), 0.5, np.array([0.5]))
-        assert u1[0] == pytest.approx(0.5, abs=1e-15)
+        (u1,) = one_step(0.0, 0.5, 0, F=[0.5])
+        assert u1 == pytest.approx(0.5, abs=1e-15)
 
     def test_d0_equals_backward_euler_with_averaged_source(self):
         # for f constant in time the two coincide exactly
         k, c, f = 0.2, 0.7, 1.3
         u0 = 0.4
-        u_dg = step_d0(ONE, c * ONE, np.array([u0]), k, np.array([k * f]))[0]
+        (u_dg,) = one_step(c, k, 0, u0=u0, F=[k * f])
         u_be = (u0 + k * f) / (1.0 + c * k)
         assert u_dg == pytest.approx(u_be, abs=1e-15)
 
     def test_d1_exact_on_linear(self):
-        U0, U1 = step_d1(ONE, 0.0 * ONE, np.array([0.0]), 1.0,
-                         np.array([1.0]), np.array([0.0]))
-        assert U0[0] == pytest.approx(0.5, abs=1e-14)
-        assert U1[0] == pytest.approx(0.5, abs=1e-14)
+        U0, U1 = one_step(0.0, 1.0, 1, F=[1.0, 0.0])
+        assert U0 == pytest.approx(0.5, abs=1e-14)
+        assert U1 == pytest.approx(0.5, abs=1e-14)
 
     def test_d1_zero_data(self):
-        U0, U1 = step_d1(ONE, ONE, np.array([0.0]), 1.0, np.zeros(1), np.zeros(1))
-        assert U0[0] == 0.0 and U1[0] == 0.0
+        U0, U1 = one_step(1.0, 1.0, 1)
+        assert U0 == 0.0 and U1 == 0.0
 
     @pytest.mark.parametrize("lam,k", [(1.0, 1.0), (2.5, 0.3), (0.1, 0.05), (10.0, 0.2)])
     def test_d1_endpoint_is_pade(self, lam, k):
-        U0, U1 = step_d1(ONE, lam * ONE, np.array([1.0]), k, np.zeros(1), np.zeros(1))
-        assert U0[0] + U1[0] == pytest.approx(pade12(lam * k), abs=1e-12)
+        U0, U1 = one_step(lam, k, 1, u0=1.0)
+        assert U0 + U1 == pytest.approx(pade12(lam * k), abs=1e-12)
 
     def test_d1_third_order_endpoint(self):
         errs = []
-        for k in (0.2, 0.1, 0.05):
-            n = int(round(1.0 / k))
-            u = np.array([1.0])
-            for _ in range(n):
-                a, b = step_d1(ONE, ONE, u, k, np.zeros(1), np.zeros(1))
-                u = a + b
-            errs.append(abs(u[0] - np.exp(-1.0)))
+        for n in (5, 10, 20):
+            part = TimePartition.uniform(0.0, 1.0, n)
+            loads = [np.zeros((2, 1))] * n
+            traj = solve_window(Operators(ONE, ONE, 1), {}, part, np.array([1.0]), loads)
+            errs.append(abs(traj.final_value()[0] - np.exp(-1.0)))
         rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
         assert rate[0] == pytest.approx(3.0, abs=0.15)
         assert rate[1] == pytest.approx(3.0, abs=0.15)
 
 
 class TestLinearSolve:
-    def test_identity(self):
-        I = sp.identity(5, format="csr")
-        b = np.arange(5.0)
-        assert np.array_equal(linear_solve(I.tocsc(), b), b)
-
-    def test_constructed_solution(self):
-        n = 20
-        main = 2.0 * np.ones(n)
-        off = -1.0 * np.ones(n - 1)
-        A = sp.diags([off, main, off], [-1, 0, 1], format="csc")
-        x = np.ones(n)
-        out = linear_solve(A, A @ x)
-        assert np.allclose(out, x, atol=1e-12)
-
-    def test_random_spd_residual(self):
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((50, 50))
-        A = sp.csc_matrix(B @ B.T + 50 * np.eye(50))
-        b = rng.standard_normal(50)
-        x = linear_solve(A, b)
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
-
     def test_singular_reports(self):
-        A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises((SolverError, RuntimeError)):
-            linear_solve(A, np.array([1.0, 0.0]))
+        # S(k) = M for A = 0, d = 0: the step system is exactly singular
+        M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        asm = Operators(M, sp.csr_matrix((2, 2)), 0)
+        part = TimePartition.uniform(0.0, 1.0, 2)
+        with pytest.raises(SolverError, match="factorization breakdown"):
+            solve_window(asm, {}, part, np.zeros(2), [np.array([[1.0, 0.0]])] * 2)
 
 
-class _OdeAssembly:
-    """Minimal assembly facade for ODE-level window tests."""
+def _step_parts_loop(mass, stiff, d):
+    """Oracle: the step parts placed block by block from square grids of
+    spatial blocks (None where zero; every diagonal stiffness block is
+    given, a missing diagonal mass block is empty)."""
+    tab = build_interval_basis(d, 1.0)
+    nblk = len(mass)
+    size = nblk * (d + 1)
+    S_mass = [[None] * size for _ in range(size)]
+    S_stiff = [[None] * size for _ in range(size)]
+    for j in range(d + 1):
+        for kk in range(d + 1):
+            for r in range(nblk):
+                for c in range(nblk):
+                    row, col = j * nblk + r, kk * nblk + c
+                    if mass[r][c] is not None:
+                        S_mass[row][col] = tab.A[kk, j] * mass[r][c]
+                    elif r == c:
+                        S_mass[row][col] = sp.csr_matrix(stiff[r][r].shape)
+                    if kk == j and stiff[r][c] is not None:
+                        S_stiff[row][col] = tab.gram[j] * stiff[r][c]
+    return sp.bmat(S_mass, format="csr"), sp.bmat(S_stiff, format="csr")
 
-    def __init__(self, M, A, degree):
-        self.M_full = M
-        self.A_full = A
-        self.degree = degree
-        self.n_dofs = M.shape[0]
-        self.iface = {}
+
+def _same_csr(a, b):
+    return a.shape == b.shape and all(
+        getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in ("indptr", "indices", "data")
+    )
+
+
+@st.composite
+def block_grids(draw):
+    """(mass, stiff) square grids of 1-3 random sparse blocks: stiffness
+    diagonal always given, mass diagonal of a later block sometimes
+    missing (a flux row), off-diagonal blocks sometimes None."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def block(r, c):
+        return sp.random(sizes[r], sizes[c], density=rng.uniform(0.2, 1.0), format="csr",
+                         random_state=rng)
+
+    n = len(sizes)
+    mass = [[block(r, c) if draw(st.booleans()) or (r == c == 0) else None for c in range(n)]
+            for r in range(n)]
+    stiff = [[block(r, c) if r == c or draw(st.booleans()) else None for c in range(n)]
+             for r in range(n)]
+    return mass, stiff
+
+
+class TestKroneckerStepParts:
+    @settings(max_examples=60, deadline=None)
+    @given(grids=block_grids(), d=st.sampled_from([0, 1]))
+    def test_equals_block_loop(self, grids, d):
+        mass, stiff = grids
+        full = [[sp.csr_matrix(stiff[r][r].shape) if b is None and r == c else b
+                 for c, b in enumerate(row)] for r, row in enumerate(mass)]
+        S_mass, S_stiff = _step_parts(sp.bmat(full, format="csr"),
+                                      sp.bmat(stiff, format="csr"), d)
+        O_mass, O_stiff = _step_parts_loop(mass, stiff, d)
+        assert _same_csr(S_mass, O_mass)
+        assert _same_csr(S_stiff, O_stiff)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_mortar_step_operator_equals_block_loop(self, d):
+        asm = _mortar_assembly()
+        ia = asm.iface[2]
+        mass = [[asm.M_full, None], [ia.q * (ia.M_gamma @ ia.restrict), None]]
+        stiff = [[asm.A_full, -(ia.restrict.T @ ia.M_gamma)],
+                 [(ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict, ia.M_gamma]]
+        S_mass, S_stiff, P = _step_operator(asm, [2], d)
+        O_mass, O_stiff = _step_parts_loop(mass, stiff, d)
+        assert _same_csr(S_mass, O_mass)
+        assert _same_csr(S_stiff, O_stiff)
+        assert _same_csr(P, sp.vstack([row[0] for row in mass], format="csr"))
 
 
 def _window_loads(M, A, w, partition, degree):
@@ -140,7 +195,7 @@ class TestSolveWindow:
     def test_zero_everywhere(self):
         M = sp.identity(3, format="csr")
         A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        asm = _OdeAssembly(M, A, 1)
+        asm = Operators(M, A, 1)
         part = TimePartition.uniform(0.0, 1.0, 4)
         loads = [np.zeros((2, 3))] * 4
         traj = solve_window(asm, {}, part, np.zeros(3), loads)
@@ -153,7 +208,7 @@ class TestSolveWindow:
         A = sp.csr_matrix(B @ B.T / 10 + np.eye(n))
         M = sp.csr_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
         w = rng.standard_normal(n)
-        asm = _OdeAssembly(M, A, 1)
+        asm = Operators(M, A, 1)
         part = TimePartition.uniform(0.0, 1.0, 3)
         loads = _window_loads(M, A, w, part, 1)
         traj = solve_window(asm, {}, part, np.zeros(n), loads)
@@ -168,7 +223,7 @@ class TestSolveWindow:
         A = sp.csr_matrix(B @ B.T / 5 + np.eye(n))
         M = sp.identity(n, format="csr")
         u0 = rng.standard_normal(n)
-        asm = _OdeAssembly(M, A, 1)
+        asm = Operators(M, A, 1)
         whole = TimePartition.uniform(0.0, 1.0, 4)
         loads = [np.zeros((2, n))] * 4
         traj = solve_window(asm, {}, whole, u0, loads)
@@ -187,7 +242,7 @@ class TestSolveWindow:
         B = rng.standard_normal((n, n))
         A = sp.csr_matrix(B @ B.T / 8 + 0.5 * np.eye(n))
         M = sp.identity(n, format="csr")
-        asm = _OdeAssembly(M, A, d)
+        asm = Operators(M, A, d)
         part = TimePartition.uniform(0.0, 2.0, 10)
         loads = [np.zeros((d + 1, n))] * 10
         traj = solve_window(asm, {}, part, rng.standard_normal(n), loads)
@@ -219,6 +274,13 @@ def _dg1_matrix(Ms, As, k):
     return sp.bmat([[Ms + k * As, Ms], [-Ms, Ms + (k / 3.0) * As]], format="csc")
 
 
+def _solve_checked(matrix, rhs):
+    """Fresh sparse LU solve held to the 1e-12 relative residual."""
+    x = spla.splu(sp.csc_matrix(matrix)).solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+    return x
+
+
 def _march_reference(Ms, As, part, u_init, data):
     """DG(1) march with a fresh factorization of each step's exact-k matrix.
 
@@ -232,7 +294,7 @@ def _march_reference(Ms, As, part, u_init, data):
     for n, k in enumerate(part.lengths):
         Mu = Ms @ u
         rhs = np.concatenate([Mu + data[n][0], -Mu + data[n][1]])
-        out[n] = linear_solve(_dg1_matrix(Ms, As, float(k)), rhs).reshape(2, size)
+        out[n] = _solve_checked(_dg1_matrix(Ms, As, float(k)), rhs).reshape(2, size)
         u[:ndof] = out[n, 0, :ndof] + out[n, 1, :ndof]
     return out
 
@@ -314,16 +376,16 @@ class TestStepClassCache:
         M = sp.csr_matrix(np.diag(rng.uniform(0.5, 2.0, n)))
         u0 = rng.standard_normal(n)
         loads = list(rng.standard_normal((part.n_intervals, 2, n)))
-        cache = FactorCache()
-        traj = solve_window(_OdeAssembly(M, A, 1), {}, part, u0, loads, cache=cache)
-        assert len(cache.factors) == 1
+        asm = Operators(M, A, 1)
+        traj = solve_window(asm, {}, part, u0, loads)
+        assert len(asm.cache.factors) == 1
         ref = _march_reference(M, A, part, u0, loads)
         assert _relative_gap(traj.coeffs, ref) <= 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(part=uniform_windows)
     def test_mortar_one_factorization_exact_steps(self, part):
-        asm = _mortar_assembly()
+        asm = replace(_mortar_assembly(), cache=FactorCache())
         assert asm.mortar_neighbors == [2]
         ia = asm.iface[2]
         ndof, ni = asm.n_dofs, ia.nodes.size
@@ -331,11 +393,8 @@ class TestStepClassCache:
         g = rng.standard_normal((part.n_intervals, 2, ni))
         u0 = rng.standard_normal(ndof)
         loads = asm.window_loads(part)
-        cache = FactorCache()
-        traj, flux = solve_window_mortar(
-            asm, {2: InterfaceTrace(part, g)}, part, u0, loads, cache=cache
-        )
-        assert len(cache.factors) == 1
+        traj, flux = solve_window_mortar(asm, {2: InterfaceTrace(part, g)}, part, u0, loads)
+        assert len(asm.cache.factors) == 1
 
         Ms = sp.bmat([[asm.M_full, None],
                       [ia.q * (ia.M_gamma @ ia.restrict), sp.csr_matrix((ni, ni))]])
@@ -349,6 +408,20 @@ class TestStepClassCache:
         assert _relative_gap(traj.coeffs, ref[:, :, :ndof]) <= 1e-12
         assert _relative_gap(flux.coeffs[2], ref[:, :, ndof:]) <= 1e-12
 
+    def test_same_size_systems_keep_their_own_operators(self):
+        # Two 2x2 systems marched in turn: each trajectory is its own.
+        part = TimePartition.uniform(0.0, 1.0, 4)
+        u0 = np.array([1.0, -0.5])
+        loads = [np.array([[0.2, 0.1], [0.0, -0.3]])] * 4
+        M = sp.identity(2, format="csr")
+        systems = [Operators(M, sp.csr_matrix(a), 1)
+                   for a in ([[1.0, 0.2], [0.0, 2.0]], [[3.0, -1.0], [1.0, 0.5]])]
+        trajs = [solve_window(asm, {}, part, u0, loads) for asm in systems]
+        for asm, traj in zip(systems, trajs):
+            ref = _march_reference(M, asm.A_full, part, u0, loads)
+            assert _relative_gap(traj.coeffs, ref) <= 1e-12
+        assert _relative_gap(trajs[0].coeffs, trajs[1].coeffs) > 1e-2
+
     def test_merged_step_class_meets_residual_contract(self):
         # Lengths 1 and 1 + 8e-13 share one factor.  With reaction -3 the
         # representative's solution misses the second step's 1e-12 residual
@@ -357,8 +430,8 @@ class TestStepClassCache:
         part = TimePartition(np.array([0.0, 1.0, 2.0 + 8e-13]))
         u0 = np.array([1.0])
         loads = [np.array([[0.3], [-0.7]]), np.array([[0.3], [-0.7]])]
-        cache = FactorCache()
-        traj = solve_window(_OdeAssembly(M, A, 1), {}, part, u0, loads, cache=cache)
-        assert len(cache.factors) == 1
+        asm = Operators(M, A, 1)
+        traj = solve_window(asm, {}, part, u0, loads)
+        assert len(asm.cache.factors) == 1
         ref = _march_reference(M, A, part, u0, loads)
         assert _relative_gap(traj.coeffs, ref) <= 1e-12

@@ -303,9 +303,7 @@ class TestTransmissionUpdate:
             sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0)
             for sid in md.assemblies
         }
-        trajs, fluxes, traces, hist = iterate(
-            md, (0.0, cfg.T), u_init, 300, 1e-13, guess="from_u0"
-        )
+        trajs, fluxes, traces, hist = iterate(md, (0.0, cfg.T), u_init, 300, 1e-13)
         assert hist.converged
         for (i, j) in md.pairs:
             new = transmission_update(
@@ -360,8 +358,7 @@ class TestIterate:
             sid: fes.nodal_interpolate(md2.assemblies[sid].mesh, cfg.u0)
             for sid in md2.assemblies
         }
-        trajs, _, _, _ = iterate(md2, (0.0, cfg.T), u_init,
-                                 cfg.max_iterations, cfg.tolerance, guess="from_u0")
+        trajs, _, _, _ = iterate(md2, (0.0, cfg.T), u_init, cfg.max_iterations, cfg.tolerance)
         for sid in trajs:
             assert np.array_equal(sol.trajectories[sid][0].coeffs, trajs[sid].coeffs)
 
@@ -480,7 +477,7 @@ def test_nonconforming_envelope_monitor(capsys):
             sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0)
             for sid in md.assemblies
         }
-        _, _, _, hist = iterate(md, (0.0, cfg.T), u_init, 60, 1e-9, guess="from_u0")
+        _, _, _, hist = iterate(md, (0.0, cfg.T), u_init, 60, 1e-9)
         return np.array(hist.residuals)
 
     conf = history(CFG_2D.replace("nt = 3", "nt = 4"))
