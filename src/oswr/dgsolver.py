@@ -116,7 +116,7 @@ class Operators:
     M_full: sp.csr_matrix
     A_full: sp.csr_matrix
     degree: int
-    cache: FactorCache = field(default_factory=FactorCache)
+    cache: FactorCache = field(default_factory=FactorCache, init=False)
 
     @property
     def n_dofs(self):

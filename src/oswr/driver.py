@@ -107,7 +107,7 @@ class SubdomainAssembly:
     M_full: sp.csr_matrix      # M_vol + conforming q-weighted interface mass
     A_full: sp.csr_matrix      # atilde + exterior Robin + interface blocks (_finalize_operators)
     iface: dict                # neighbor -> IfaceAssembly
-    cache: FactorCache = field(default_factory=FactorCache)
+    cache: FactorCache = field(default_factory=FactorCache, init=False)
     f: object = None
 
     @property

@@ -385,7 +385,7 @@ class TestStepClassCache:
     @settings(max_examples=10, deadline=None)
     @given(part=uniform_windows)
     def test_mortar_one_factorization_exact_steps(self, part):
-        asm = replace(_mortar_assembly(), cache=FactorCache())
+        asm = replace(_mortar_assembly())
         assert asm.mortar_neighbors == [2]
         ia = asm.iface[2]
         ndof, ni = asm.n_dofs, ia.nodes.size
@@ -421,6 +421,15 @@ class TestStepClassCache:
             ref = _march_reference(M, asm.A_full, part, u0, loads)
             assert _relative_gap(traj.coeffs, ref) <= 1e-12
         assert _relative_gap(trajs[0].coeffs, trajs[1].coeffs) > 1e-2
+
+    def test_cache_cannot_be_shared(self):
+        # No constructor takes a cache, and a copy starts with a fresh one.
+        with pytest.raises(TypeError):
+            Operators(ONE, ONE, 1, cache=FactorCache())
+        for asm in (Operators(ONE, ONE, 1), _mortar_assembly()):
+            assert replace(asm).cache is not asm.cache
+        with pytest.raises(ValueError):
+            replace(Operators(ONE, ONE, 1), cache=FactorCache())
 
     def test_merged_step_class_meets_residual_contract(self):
         # Lengths 1 and 1 + 8e-13 share one factor.  With reaction -3 the
