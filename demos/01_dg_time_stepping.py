@@ -24,7 +24,7 @@ from oswr.problem import parse_config
 from oswr.timebasis import TimePartition
 
 one = sp.csr_matrix(np.array([[1.0]]))
-decay = Operators(M_full=one, A_full=one, degree=1)  # u' + u = 0
+decay = Operators(M_vol=one, A_vol=one, degree=1)  # u' + u = 0
 
 
 def march(n):

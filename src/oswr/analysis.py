@@ -297,39 +297,40 @@ def error_norms(sol, reference):
     layout = reference.layout
     n_ref = reference.mesh.n_nodes
 
-    e_inf, e_l2, e_T_l2, e_T_h1 = {}, {}, {}, {}
+    parts = {}  # sid -> (its view, reference nodes, M, K, P1 interpolation)
     for s in cfg.subdomains:
-        sid = s.id
-        view = sol.view(sid)
+        view = sol.view(s.id)
         if view.mesh is None:
             raise ValueError("solution view must carry its mesh")
-        nodes, M, K = reference.norm_ops(sid)
-        P = reference.interpolation(sid, view.mesh)
-
         for w in view.windows:
             _check_nested(
                 w.partition.n_intervals * len(view.windows),
                 ref_part.n_intervals,
-                f"time grid of subdomain {sid}",
+                f"time grid of subdomain {s.id}",
             )
+        parts[s.id] = (view, *reference.norm_ops(s.id), reference.interpolation(s.id, view.mesh))
 
-        def diff_at(times, left):
-            return P.apply(view.values(times, left)) - ref_view.values(times, left)[:, nodes]
+    def diffs_at(times, left):
+        """(sid, M, K, the times x its reference nodes error) of every
+        subdomain; the reference is evaluated once for all of them."""
+        ref = ref_view.values(times, left)
+        for sid, (view, nodes, M, K, P) in parts.items():
+            yield sid, M, K, P.apply(view.values(times, left)) - ref[:, nodes]
 
-        sup2 = 0.0
-        for b in _blocks(layout.sup_times.size, n_ref):
-            D = diff_at(layout.sup_times[b], layout.sup_left[b])
-            sup2 = max(sup2, float(_sq_norms(D, M).max()))
-        e_inf[sid] = math.sqrt(sup2)
+    sup2 = dict.fromkeys(parts, 0.0)
+    for b in _blocks(layout.sup_times.size, n_ref):
+        for sid, M, _, D in diffs_at(layout.sup_times[b], layout.sup_left[b]):
+            sup2[sid] = max(sup2[sid], float(_sq_norms(D, M).max()))
+    acc = dict.fromkeys(parts, 0.0)
+    for b in _blocks(layout.gauss_times.size, n_ref):
+        for sid, M, _, D in diffs_at(layout.gauss_times[b], False):
+            acc[sid] += float(layout.gauss_weights[b] @ _sq_norms(D, M))
 
-        acc = 0.0
-        for b in _blocks(layout.gauss_times.size, n_ref):
-            D = diff_at(layout.gauss_times[b], False)
-            acc += float(layout.gauss_weights[b] @ _sq_norms(D, M))
-        e_l2[sid] = math.sqrt(acc)
-
-        dT = diff_at([ref_part.end], True)[0]
+    e_inf, e_l2, e_T_l2, e_T_h1 = {}, {}, {}, {}
+    for sid, M, K, (dT,) in diffs_at([ref_part.end], True):
         l2T = float(dT @ (M @ dT))
+        e_inf[sid] = math.sqrt(sup2[sid])
+        e_l2[sid] = math.sqrt(acc[sid])
         e_T_l2[sid] = math.sqrt(l2T)
         e_T_h1[sid] = math.sqrt(l2T + float(dT @ (K @ dT)))
     return ErrorReport(e_inf=e_inf, e_l2=e_l2, e_T_l2=e_T_l2, e_T_h1=e_T_h1)
@@ -354,6 +355,11 @@ def max_nodal_difference(solution, md, reference):
 # ---------------------------------------------------------------------------
 # Convergence studies
 # ---------------------------------------------------------------------------
+
+# Each study level refines the last by REFINE_RATIO along the study axis;
+# the reference is at least REF_FACTOR times finer than the finest level.
+REFINE_RATIO = 2
+REF_FACTOR = 4
 
 
 @dataclass
@@ -399,17 +405,17 @@ def _lcm_list(vals):
     return out
 
 
-def reference_grid(cfg, axis, levels, refine_ratio=2, min_factor=4):
-    """Reference grid obeying the nesting discipline: at least min_factor
+def reference_grid(cfg, axis, levels):
+    """Reference grid obeying the nesting discipline: at least REF_FACTOR
     finer than the finest level along the refined axis, an exact common
     refinement of every level's grids, and equal to the study grids along
     unrefined axes (so unrefined-axis discretization error cancels)."""
-    fine = refine_ratio ** (levels - 1)
+    fine = REFINE_RATIO ** (levels - 1)
     subs = cfg.subdomains
     if axis in ("time", "spacetime"):
         nts = [s.nt * fine for s in subs]
         lcm_nt = _lcm_list(nts)
-        mult = max(1, math.ceil(min_factor * max(nts) / lcm_nt))
+        mult = max(1, math.ceil(REF_FACTOR * max(nts) / lcm_nt))
         ref_nt = mult * lcm_nt * cfg.windows
     else:
         # time grids stay at base level; the reference only needs to nest them
@@ -417,7 +423,7 @@ def reference_grid(cfg, axis, levels, refine_ratio=2, min_factor=4):
 
     if cfg.dim == 1:
         if axis in ("space", "spacetime"):
-            nx = {s.id: s.nx * fine * min_factor for s in subs}
+            nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
         else:
             nx = {s.id: s.nx for s in subs}
         return RefGrid(nx=nx, ny=None, nt=ref_nt)
@@ -430,9 +436,9 @@ def reference_grid(cfg, axis, levels, refine_ratio=2, min_factor=4):
         return RefGrid(nx={s.id: s.nx for s in subs}, ny=subs[0].ny, nt=ref_nt)
     nys = [s.ny * fine for s in subs]
     lcm_ny = _lcm_list(nys)
-    mult = max(1, math.ceil(min_factor * max(nys) / lcm_ny))
+    mult = max(1, math.ceil(REF_FACTOR * max(nys) / lcm_ny))
     ref_ny = mult * lcm_ny
-    nx = {s.id: s.nx * fine * min_factor for s in subs}
+    nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
     return RefGrid(nx=nx, ny=ref_ny, nt=ref_nt)
 
 
@@ -451,8 +457,7 @@ def _warm_traces(md, traces, along):
     return out
 
 
-def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, reference=None,
-                      verbose=False):
+def convergence_study(cfg, axis, levels, tol=1e-10, reference=None):
     """Refine `levels` times along the given axis, run OSWR to a tight
     tolerance per level, and fit log-log slopes of the error norms.
 
@@ -465,12 +470,12 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, reference=No
     if axis not in ("time", "space", "spacetime"):
         raise ValueError(f"unknown study axis {axis!r}")
     if reference is None:
-        reference = solve_monodomain(cfg, reference_grid(cfg, axis, levels, refine_ratio))
+        reference = solve_monodomain(cfg, reference_grid(cfg, axis, levels))
     sids = [s.id for s in cfg.subdomains]
     rows, histories = [], []
     warm = None
     for lev in range(levels):
-        cl = _scaled_cfg(cfg, axis, refine_ratio**lev)
+        cl = _scaled_cfg(cfg, axis, REFINE_RATIO**lev)
         md = build_multidomain(cl)
         solution = run_windows(
             cl, md=md, tol=tol,
@@ -487,11 +492,6 @@ def convergence_study(cfg, axis, levels, refine_ratio=2, tol=1e-10, reference=No
             for name in StudyTable.NORMS:
                 row[(name, s.id)] = getattr(rep, name)[s.id]
         rows.append(row)
-        if verbose:
-            print(f"level {lev}: " + " ".join(
-                f"{name}[{sid}]={row[(name, sid)]:.3e}"
-                for name in StudyTable.NORMS for sid in sids
-            ))
     size_key = "k" if axis == "time" else "h"
     slopes = {}
     for name in StudyTable.NORMS:
@@ -519,7 +519,7 @@ def _error_mode_cfg(cfg):
 
 
 def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
-                     seed=0, budget=None, verbose=False):
+                     seed=0, budget=None):
     """Iteration counts to a target residual over a (p, q) grid.
 
     mode='error' runs the homogeneous problem (f = u0 = 0) with a seeded
@@ -562,8 +562,6 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                 "p": float(p), "q": float(q),
                 "iterations": hist.iterations, "converged": hist.converged,
             })
-            if verbose:
-                print(f"p={p} q={q}: {hist.iterations} iterations, converged={hist.converged}")
     conv = [i for i, r in enumerate(rows) if r["converged"]]
     pool = conv if conv else range(len(rows))
     best = min(pool, key=lambda i: rows[i]["iterations"]) if rows else None

@@ -85,11 +85,29 @@ def _write_manifest(outdir, command, cfg, outputs, wall, residuals, **flags):
     return path
 
 
+def _snapshot_times(text, T):
+    """The snapshot times of a --times list (T alone if empty); each must
+    be a finite time in [0, T]."""
+    if not text:
+        return [T]
+    try:
+        times = [float(t) for t in text.split(",")]
+    except ValueError:
+        raise prb.ConfigError(f"--times {text!r}: expected comma-separated reals") from None
+    bad = [t for t in times if not 0.0 <= t <= T]  # NaN fails too
+    if bad:
+        raise prb.ConfigError(
+            f"--times {', '.join(_fmt(t) for t in bad)} outside the horizon [0, {_fmt(T)}]"
+        )
+    return times
+
+
 def cmd_run(args):
     cfg, manifest = _read_config(args.config)
     force_mortar = args.force_mortar or manifest.get("force_mortar", False)
     times_arg = args.times or manifest.get("times", "")
     _validate_or_fail(cfg)
+    times = _snapshot_times(times_arg, cfg.T)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -97,7 +115,6 @@ def cmd_run(args):
     sol = run_windows(cfg, md=md)
     wall = time.perf_counter() - t0
 
-    times = [cfg.T] if not times_arg else [float(t) for t in times_arg.split(",")]
     outputs = []
     for sid in sorted(sol.trajectories):
         mesh = md.assemblies[sid].mesh

@@ -14,19 +14,19 @@ u(t_n^-) enters.  For d = 0 this is the modified backward Euler step
 (M + k A) U = M u(t_n^-) + F_0; for d = 1 the 2x2 block system
 [[M + k A, M], [-M, M + (k/3) A]] (U_0, U_1).
 
-One march serves every system.  A conforming interface adds no
-unknowns: its operators are folded into the volume operators M_full,
-A_full and its transmission data loads the volume rows at its nodes.  A
-mortar interface adds a block of discrete flux unknowns Q, loaded by
-its transmission data, which couples nonmatching spatial meshes (the
-space-time nonconforming decomposition of Hoang, Jaffre, Japhet, Kern &
-Roberts, SINUM 51 (2013)).  Without mortar interfaces MM = M_full and
-KK = A_full.
+One march serves every system, and `_step_operator` alone decides how
+an interface enters it.  A conforming interface adds no unknowns: its
+operators are folded into the volume blocks MM, KK and its transmission
+data loads the volume rows at its nodes.  A mortar interface adds a
+block of discrete flux unknowns Q, loaded by its transmission data,
+which couples nonmatching spatial meshes (the space-time nonconforming
+decomposition of Hoang, Jaffre, Japhet, Kern & Roberts, SINUM 51
+(2013)).
 
 S(k) = S_mass + k S_stiff is affine in k.  Every system owns a
-FactorCache that keeps its step operator (S_mass, S_stiff, P) and one
-sparse LU factor per step class, so a uniform grid factors once and no
-other system can be handed its operator.
+FactorCache that keeps its step operator (S_mass, S_stiff, P, rows)
+and one sparse LU factor per step class, so a uniform grid factors once
+and no other system can be handed its operator.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _factorize(matrix):
 @dataclass
 class FactorCache:
     """One system's LU factorizations keyed by (degree, step class), and
-    its step operator (S_mass, S_stiff, P) of each degree."""
+    its step operator (S_mass, S_stiff, P, rows) of each degree."""
 
     factors: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
@@ -110,21 +110,25 @@ def _check_residual(rel, where=""):
 
 @dataclass
 class Operators:
-    """A system without interfaces: mass-like M_full, stiffness-like
-    A_full, DG degree, and the factor cache of its step operator."""
+    """A system without interfaces: mass-like M_vol, stiffness-like
+    A_vol, DG degree, and the factor cache of its step operator."""
 
-    M_full: sp.csr_matrix
-    A_full: sp.csr_matrix
+    M_vol: sp.csr_matrix
+    A_vol: sp.csr_matrix
     degree: int
     cache: FactorCache = field(default_factory=FactorCache, init=False)
 
     @property
     def n_dofs(self):
-        return self.M_full.shape[0]
+        return self.M_vol.shape[0]
 
     @property
     def iface(self):
         return {}
+
+    @property
+    def mortar_neighbors(self):
+        return []
 
 
 @dataclass
@@ -227,35 +231,58 @@ def _step_parts(mass, stiff, d):
             sp.kron(np.diag(tab.gram), stiff, format="csr"))
 
 
-def _step_operator(assembly, mortar, d):
-    """Step operator (S_mass, S_stiff, P) of one system.
+def _step_operator(assembly, d):
+    """Step operator (S_mass, S_stiff, P) of one system, and the rows
+    that each interface's transmission data loads.
 
     Spatial blocks, volume U first, then the flux Q of each mortar
-    interface:
-    volume line:    M_full, A_full, coupled to each Q through
-                    -R^T M_Gamma;
-    interface line: q-weighted interface mass q M_Gamma R under the time
-                    tables, plus M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U.
+    interface, folded from M_vol, A_vol interface by interface in
+    neighbor order, R the restriction to the interface nodes:
+    conforming:     the volume line gains R^T ((p - b.n/2) mass + q B_r
+                    + K_s) R, and q R^T M_Gamma R under the time tables;
+                    the data loads the volume rows at the nodes;
+    mortar:         the volume line gains R^T (b.n/2) mass R and the
+                    coupling -R^T M_Gamma to Q; the interface line is
+                    q M_Gamma R under the time tables, plus
+                    M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U; the
+                    data loads the flux rows.
     A flux row has no mass of its own; its empty diagonal block fixes the
     block size.  P is the first block column of MM: P @ u(t_n^-) is what
     the previous endpoint contributes to every row of one mode.  It is
     stacked from the blocks, not sliced from MM, because slicing sorts
     the column indices of a row and so reorders the sums of P @ u.
     """
-    ifaces = [assembly.iface[nb] for nb in mortar]
-    nblk = 1 + len(ifaces)
+    ndof = assembly.n_dofs
+    M, A = assembly.M_vol.copy(), assembly.A_vol.copy()
+    rows, fluxes = {}, []
+    for nb, ia in sorted(assembly.iface.items()):
+        n = ia.nodes.size
+        R = sp.coo_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, ndof)).tocsr()
+        if nb in assembly.mortar_neighbors:
+            M_bn2 = (ia.p * ia.M_gamma - ia.M_pbn).tocsr()
+            A = A + R.T @ M_bn2 @ R
+            fluxes.append((nb, ia, R, (ia.M_pbn - M_bn2).tocsr()))
+        else:
+            A = A + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
+            if ia.q != 0.0:
+                M = M + ia.q * (R.T @ ia.M_gamma @ R)
+            rows[nb] = ia.nodes
+    nblk = 1 + len(fluxes)
     mass = [[None] * nblk for _ in range(nblk)]
     stiff = [[None] * nblk for _ in range(nblk)]
-    mass[0][0] = assembly.M_full
-    stiff[0][0] = assembly.A_full
-    for r, ia in enumerate(ifaces, start=1):
-        mass[r][0] = ia.q * (ia.M_gamma @ ia.restrict)
+    mass[0][0] = M.tocsr()
+    stiff[0][0] = A.tocsr()
+    offset = ndof
+    for r, (nb, ia, R, M_pbn_full) in enumerate(fluxes, start=1):
+        mass[r][0] = ia.q * (ia.M_gamma @ R)
         mass[r][r] = sp.csr_matrix(ia.M_gamma.shape)
-        stiff[0][r] = -(ia.restrict.T @ ia.M_gamma)
+        stiff[0][r] = -(R.T @ ia.M_gamma)
         stiff[r][r] = ia.M_gamma
-        stiff[r][0] = (ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict
+        stiff[r][0] = (M_pbn_full + ia.q * ia.B_r + ia.K_s) @ R
+        rows[nb] = np.arange(offset, offset + ia.nodes.size)
+        offset += ia.nodes.size
     P = sp.vstack([row[0] for row in mass], format="csr")
-    return (*_step_parts(sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), d), P)
+    return (*_step_parts(sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), d), P, rows)
 
 
 def _solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
@@ -284,46 +311,35 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
     """March one system (a SubdomainAssembly, or Operators) over a window.
 
     traces_in maps neighbor id -> InterfaceTrace on this subdomain's
-    partition: a conforming trace loads the volume rows at its interface
-    nodes, a mortar trace the flux rows of its interface.  loads[n] is
-    the (d+1, ndof) volume load of interval n.  Returns (DGTrajectory,
-    MortarFlux); the flux has one entry per mortar interface.  The step
-    operator and its factors live in assembly.cache.
+    partition; each trace loads the rows `_step_operator` gives its
+    interface.  loads[n] is the (d+1, ndof) volume load of interval n.
+    Returns (DGTrajectory, MortarFlux); the flux has one entry per mortar
+    interface.  The step operator and its factors live in assembly.cache.
     """
     d = assembly.degree
     ndof = assembly.n_dofs
     cache = assembly.cache
-    mortar = [nb for nb, ia in sorted(assembly.iface.items()) if ia.is_mortar]
-    S_mass, S_stiff, P = cache.operator(d, lambda: _step_operator(assembly, mortar, d))
-    offs = np.cumsum([ndof] + [assembly.iface[nb].nodes.size for nb in mortar])
-    rows = {nb: slice(offs[i], offs[i + 1]) for i, nb in enumerate(mortar)}
+    S_mass, S_stiff, P, rows = cache.operator(d, lambda: _step_operator(assembly, d))
 
-    # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once
+    # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
+    # X[n] holds step n's data until the step overwrites it with its
+    # solution; the traces are summed before the load is added, which fixes
+    # the rounding at a node on two interfaces.
     gram = partition.gram(d)
-    data = {nb: gram[:, :, None] * tr.coeffs for nb, tr in traces_in.items()}
-    conforming = [(assembly.iface[nb].nodes, g) for nb, g in data.items() if nb not in rows]
-    flux_data = [(rows[nb], g) for nb, g in data.items() if nb in rows]
+    X = np.zeros((partition.n_intervals, d + 1, P.shape[0]))
+    for nb, tr in traces_in.items():
+        X[:, :, rows[nb]] += gram[:, :, None] * tr.coeffs
     sign = ((-1.0) ** np.arange(d + 1))[:, None]
-
-    coeffs = np.zeros((partition.n_intervals, d + 1, ndof))
-    qmodes = {nb: np.zeros((partition.n_intervals, d + 1, r.stop - r.start))
-              for nb, r in rows.items()}
     u_prev = np.asarray(u_init, dtype=float)
     for n, k in enumerate(partition.lengths):
-        G = np.zeros((d + 1, ndof))
-        for nodes, g in conforming:
-            G[:, nodes] += g[n]
-        rhs = sign * (P @ u_prev)
-        rhs[:, :ndof] += loads[n] + G
-        for r, g in flux_data:
-            rhs[:, r] += g[n]
-        x = _solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n).reshape(d + 1, -1)
-        coeffs[n] = x[:, :ndof]
-        for nb, r in rows.items():
-            qmodes[nb][n] = x[:, r]
-        u_prev = coeffs[n].sum(axis=0)
-    traj = DGTrajectory(partition=partition, coeffs=coeffs, u_init=np.asarray(u_init, float).copy())
-    return traj, MortarFlux(partition=partition, coeffs=qmodes)
+        X[n, :, :ndof] += loads[n]
+        rhs = sign * (P @ u_prev) + X[n]
+        X[n] = _solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n).reshape(d + 1, -1)
+        u_prev = X[n, :, :ndof].sum(axis=0)
+    traj = DGTrajectory(partition=partition, coeffs=np.ascontiguousarray(X[:, :, :ndof]),
+                        u_init=np.asarray(u_init, float).copy())
+    flux = {nb: X[:, :, rows[nb]] for nb in assembly.mortar_neighbors}
+    return traj, MortarFlux(partition=partition, coeffs=flux)
 
 
 def trajectory_norm(traj, M):

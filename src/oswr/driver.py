@@ -2,8 +2,10 @@
 
 Builds the multidomain set-up in one pass: meshes and trace spaces
 first, then the decision of each interface between conforming and
-mortar, then every subdomain's operators once, with its interface
-blocks, and one exchange operator per directed pair.  It then exchanges
+mortar, then every subdomain's volume operators and one record of
+blocks per directed interface, once, and one exchange operator per
+directed pair.  How an interface enters a subdomain's step system is
+decided by `dgsolver._step_operator` alone.  The driver then exchanges
 transmission data between neighbors (Jacobi style: every subdomain
 solves against the previous iterate's traces), projects traces between
 nonconforming time grids, monitors interface residuals, and chains time
@@ -80,43 +82,21 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass
-class IfaceAssembly:
-    """One subdomain's view of one directed interface (self -> neighbor)."""
-
-    nodes: np.ndarray
-    along: np.ndarray | None
-    p: float
-    q: float
-    M_gamma: sp.csr_matrix
-    M_pbn: sp.csr_matrix       # (p - b.n/2) mass
-    M_pbn_full: sp.csr_matrix  # (p - b.n) mass (mortar interface line)
-    M_bn2: sp.csr_matrix       # (b.n/2) mass (mortar volume line)
-    B_r: sp.csr_matrix
-    K_s: sp.csr_matrix
-    restrict: sp.csr_matrix    # selection (n_iface x ndof)
-    is_mortar: bool
-
-
-@dataclass
 class SubdomainAssembly:
     spec: prb.SubdomainSpec
     mesh: fes.Mesh
     space: fes.FemSpace
     degree: int
-    M_vol: sp.csr_matrix
-    M_full: sp.csr_matrix      # M_vol + conforming q-weighted interface mass
-    A_full: sp.csr_matrix      # atilde + exterior Robin + interface blocks (_finalize_operators)
-    iface: dict                # neighbor -> IfaceAssembly
+    M_vol: sp.csr_matrix       # omega-weighted mass
+    A_vol: sp.csr_matrix       # atilde + exterior Robin closure
+    iface: dict                # neighbor -> femspace.InterfaceBlocks
+    mortar_neighbors: list     # sorted neighbors across a mortar interface
     cache: FactorCache = field(default_factory=FactorCache, init=False)
     f: object = None
 
     @property
     def n_dofs(self):
         return self.mesh.n_nodes
-
-    @property
-    def mortar_neighbors(self):
-        return [nb for nb, ia in sorted(self.iface.items()) if ia.is_mortar]
 
     def window_loads(self, partition):
         bp = partition.breakpoints
@@ -139,11 +119,6 @@ def _interface_side(spec, itf):
         if abs(itf.position - spec.box[2]) < tol:
             return "ymin"
     raise ValueError(f"interface at {itf.position} not on the boundary of subdomain {spec.id}")
-
-
-def _restriction(nodes, ndof):
-    n = nodes.size
-    return sp.coo_matrix((np.ones(n), (np.arange(n), nodes)), shape=(n, ndof)).tocsr()
 
 
 def _build_space(spec, interfaces):
@@ -181,52 +156,17 @@ def _volume_operators(spec, space):
 
 def build_subdomain_assembly(cfg, spec, space, mortar):
     """All time-independent operators of one subdomain; `mortar` holds
-    the neighbors across a mortar interface."""
-    mesh = space.mesh
+    the neighbors across a mortar interface.  How each interface enters
+    the step system is decided when the system first marches."""
     M_vol, A_vol = _volume_operators(spec, space)
-    iface = {}
-    for nb in sorted(space.traces):
-        params = cfg.transmission[(spec.id, nb)]
-        blocks = fes.assemble_interface_ops(space, nb, params, spec.b)
-        m_bn2 = (params.p * blocks.M_gamma - blocks.M_pbn).tocsr()
-        iface[nb] = IfaceAssembly(
-            nodes=blocks.nodes,
-            along=space.traces[nb].along,
-            p=params.p,
-            q=params.q,
-            M_gamma=blocks.M_gamma,
-            M_pbn=blocks.M_pbn,
-            M_pbn_full=(blocks.M_pbn - m_bn2).tocsr(),
-            M_bn2=m_bn2,
-            B_r=blocks.B_r,
-            K_s=blocks.K_s,
-            restrict=_restriction(blocks.nodes, mesh.n_nodes),
-            is_mortar=nb in mortar,
-        )
-    M_full, A_full = _finalize_operators(M_vol, A_vol, iface)
+    iface = {
+        nb: fes.assemble_interface_ops(space, nb, cfg.transmission[(spec.id, nb)], spec.b)
+        for nb in sorted(space.traces)
+    }
     return SubdomainAssembly(
-        spec=spec, mesh=mesh, space=space, degree=spec.degree, M_vol=M_vol,
-        M_full=M_full, A_full=A_full, iface=iface, f=cfg.f,
+        spec=spec, mesh=space.mesh, space=space, degree=spec.degree, M_vol=M_vol,
+        A_vol=A_vol, iface=iface, mortar_neighbors=sorted(mortar), f=cfg.f,
     )
-
-
-def _finalize_operators(M_vol, A_vol, iface):
-    """Fold the interface blocks into the volume operators: (M_full, A_full).
-
-    A conforming interface adds its whole transmission operator; a mortar
-    interface only the (b.n/2) interface mass of the volume line, the
-    rest lives in the flux rows of the step system."""
-    M_full = M_vol.copy()
-    A_full = A_vol.copy()
-    for nb, ia in sorted(iface.items()):
-        R = ia.restrict
-        if ia.is_mortar:
-            A_full = A_full + R.T @ ia.M_bn2 @ R
-        else:
-            A_full = A_full + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
-            if ia.q != 0.0:
-                M_full = M_full + ia.q * (R.T @ ia.M_gamma @ R)
-    return M_full.tocsr(), A_full.tocsr()
 
 
 @dataclass
@@ -436,14 +376,16 @@ def transfer_trace(trace, along, partition, along_new):
     return InterfaceTrace(partition=partition, coeffs=coeffs)
 
 
-def interface_residual(g_new, g_old):
-    """Relative discrete L2((0,T) x Gamma) change of transmission data."""
+def interface_residual(g_new, g_old, scale):
+    """Discrete L2((0,T) x Gamma) change of transmission data, relative to
+    the larger of the new data's norm and `scale` (`iterate` passes the
+    norm of the window's starting data, so data that decays towards zero
+    is not measured against its own vanishing size)."""
     if g_new.coeffs.shape != g_old.coeffs.shape:
         raise ValueError("trace dimension mismatch")
-    delta = InterfaceTrace(g_new.partition, g_new.coeffs - g_old.coeffs)
-    dn = delta.norm()
-    nn = g_new.norm()
-    return dn / nn if nn > 0 else dn
+    dn = InterfaceTrace(g_new.partition, g_new.coeffs - g_old.coeffs).norm()
+    den = max(g_new.norm(), scale)
+    return dn / den if den > 0 else dn
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +431,7 @@ def iterate(md, window, u_init, budget, tol, traces=None):
         for sid in sids:
             for nb, tr in initial_guess(md.cfg.initial_guess, md, sid, u_init[sid]).items():
                 traces[(sid, nb)] = tr
-    scale = {pair: max(traces[pair].norm(), 0.0) for pair in md.pairs}
+    scale = {pair: traces[pair].norm() for pair in md.pairs}
 
     history = IterationHistory(solution_norms={s: [] for s in sids})
     trajectories, fluxes = {}, {}
@@ -505,14 +447,10 @@ def iterate(md, window, u_init, budget, tol, traces=None):
             new_traces[(i, j)] = transmission_update(
                 md, i, j, trajectories[j], fluxes[j], traces[(j, i)], u_init[j]
             )
-        r_pair = {}
-        for pair in md.pairs:
-            delta = InterfaceTrace(
-                new_traces[pair].partition,
-                new_traces[pair].coeffs - traces[pair].coeffs,
-            ).norm()
-            den = max(new_traces[pair].norm(), scale[pair])
-            r_pair[pair] = delta / den if den > 0 else delta
+        r_pair = {
+            pair: interface_residual(new_traces[pair], traces[pair], scale[pair])
+            for pair in md.pairs
+        }
         r_k = float(np.max([*r_pair.values(), 0.0]))  # a NaN propagates
         history.residuals.append(r_k)
         history.pair_residuals.append(r_pair)
@@ -591,7 +529,7 @@ class MultidomainSolution:
         return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
 
 
-def run_windows(cfg, md=None, budget=None, tol=None, traces=None):
+def run_windows(cfg, md=None, tol=None, traces=None):
     """Sequential time windows; each window's endpoint seeds the next.
 
     traces, if given, holds one dict of starting transmission data per
@@ -599,7 +537,6 @@ def run_windows(cfg, md=None, budget=None, tol=None, traces=None):
     without it every window starts from the configured initial guess."""
     if md is None:
         md = build_multidomain(cfg)
-    budget = cfg.max_iterations if budget is None else budget
     tol = cfg.tolerance if tol is None else tol
     bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
     u_cur = {
@@ -610,7 +547,7 @@ def run_windows(cfg, md=None, budget=None, tol=None, traces=None):
     histories, final_traces = [], []
     for w in range(cfg.windows):
         trajectories, _, final, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, budget, tol,
+            md, (bounds[w], bounds[w + 1]), u_cur, cfg.max_iterations, tol,
             traces=None if traces is None else traces[w],
         )
         histories.append(hist)

@@ -370,7 +370,8 @@ def scatter_matrix(B, rows_gidx, cols_gidx, n_rows, n_cols):
 
 @dataclass(frozen=True)
 class InterfaceBlocks:
-    """Operator blocks on one interface, in interface-local numbering.
+    """One subdomain's record of one directed interface: operator blocks
+    in interface-local numbering, where they sit, and the parameters.
 
     M_gamma : interface mass
     M_pbn   : (p - b.n/2)-weighted interface mass
@@ -378,6 +379,8 @@ class InterfaceBlocks:
               (assembled by parts, endpoint terms dropped)
     K_s     : tangential stiffness, int q s dphi_l dpsi_k
     nodes   : global dof ids (the trace restriction map)
+    along   : running coordinate of the nodes (None in 1D)
+    p, q    : the Robin and Ventcell transmission coefficients
     """
 
     M_gamma: sp.csr_matrix
@@ -385,6 +388,9 @@ class InterfaceBlocks:
     B_r: sp.csr_matrix
     K_s: sp.csr_matrix
     nodes: np.ndarray
+    along: np.ndarray | None
+    p: float
+    q: float
 
 
 def _bn_along(trace, b):
@@ -450,7 +456,7 @@ def assemble_interface_ops(space, neighbor, params, b):
     tr = space.traces[neighbor]
     bn = _bn_along(tr, b)
     return InterfaceBlocks(*_face_blocks(tr, tr, lambda s: params.p - 0.5 * bn(s), params),
-                           tr.nodes)
+                           tr.nodes, tr.along, params.p, params.q)
 
 
 def assemble_exterior_robin(space, b):

@@ -668,6 +668,8 @@ def parse_config(text):
             by = const_expr(0.0)
         b = (bx,) if dim == 1 else (bx, by)
         ny = as_int(sec, "ny", None)
+        if dim == 1 and ny is not None:
+            raise ConfigError(f"subdomain {sid}: 'ny' given for a 1D problem", line=sec["ny"][1])
         if dim == 2 and ny is None:
             raise ConfigError(f"subdomain {sid}: missing 'ny'", line=sec["__line__"])
         subdomains.append(
@@ -694,6 +696,12 @@ def parse_config(text):
         j = as_int(sec, "to")
         if i is None or j is None:
             raise ConfigError("transmission section needs 'from' and 'to'", line=sec["__line__"])
+        for end in (i, j):
+            if end not in ids:
+                raise ConfigError(f"transmission ({i}, {j}): no subdomain {end}",
+                                  line=sec["__line__"])
+        if (i, j) in transmission:
+            raise ConfigError(f"duplicate transmission ({i}, {j})", line=sec["__line__"])
         tp = TransmissionParams(
             p=as_float(sec, "p", 0.0),
             q=as_float(sec, "q", 0.0),

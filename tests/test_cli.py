@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -140,6 +141,49 @@ class TestRun:
                      "--times", "0.125,0.25"]) == 0
         header = (out / "solution_1.csv").read_text().splitlines()[0]
         assert header.count("u_t") == 2
+
+
+class TestSnapshotTimes:
+    @pytest.mark.parametrize("times", ["-1,0.1,5,nan", "-1", "0.3", "nan", "inf", "0.1,x"])
+    def test_exit_2_before_writing(self, cfg_path, tmp_path, capsys, times):
+        out = tmp_path / "o"
+        assert main(["run", str(cfg_path), "--out", str(out), f"--times={times}"]) == 2
+        assert "--times" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_horizon_ends_accepted(self, cfg_path, tmp_path):
+        out = tmp_path / "t"
+        assert main(["run", str(cfg_path), "--out", str(out), "--times", "0,0.25"]) == 0
+        header = (out / "solution_1.csv").read_text().splitlines()[0]
+        assert header == "x,u_t0,u_t0.25"
+
+    def test_manifest_times_checked(self, cfg_path, tmp_path):
+        out1 = tmp_path / "a"
+        assert main(["run", str(cfg_path), "--out", str(out1), "--times", "0.25"]) == 0
+        manifest = out1 / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["times"] = "0.125,5"
+        manifest.write_text(json.dumps(doc))
+        out2 = tmp_path / "b"
+        assert main(["run", str(manifest), "--out", str(out2)]) == 2
+        assert not out2.exists()
+
+
+class TestDroppedConfigInput:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t + "\n[transmission]\nfrom = 1\nto = 2\np = 2.0\n",
+         r"duplicate transmission \(1, 2\) \(line 36\)"),
+        (lambda t: t.replace("to = 2", "to = 9"), r"transmission \(1, 9\): no subdomain 9"),
+        (lambda t: t.replace("nx = 8\nnt = 4", "nx = 8\nny = 3\nnt = 4", 1),
+         r"subdomain 1: 'ny' given for a 1D problem \(line 18\)"),
+    ], ids=["duplicate-pair", "unknown-subdomain", "ny-in-1d"])
+    def test_exit_2(self, cfg_path, tmp_path, capsys, edit, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(edit(CFG))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestStudy:

@@ -164,11 +164,10 @@ class TestKroneckerStepParts:
     @pytest.mark.parametrize("d", [0, 1])
     def test_mortar_step_operator_equals_block_loop(self, d):
         asm = _mortar_assembly()
-        ia = asm.iface[2]
-        mass = [[asm.M_full, None], [ia.q * (ia.M_gamma @ ia.restrict), None]]
-        stiff = [[asm.A_full, -(ia.restrict.T @ ia.M_gamma)],
-                 [(ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict, ia.M_gamma]]
-        S_mass, S_stiff, P = _step_operator(asm, [2], d)
+        mass, stiff = _mortar_blocks(asm)
+        S_mass, S_stiff, P, rows = _step_operator(asm, d)
+        assert list(rows) == [2]
+        assert np.array_equal(rows[2], asm.n_dofs + np.arange(asm.iface[2].nodes.size))
         O_mass, O_stiff = _step_parts_loop(mass, stiff, d)
         assert _same_csr(S_mass, O_mass)
         assert _same_csr(S_stiff, O_stiff)
@@ -363,6 +362,21 @@ def _mortar_assembly():
     return md.assemblies[1]
 
 
+def _mortar_blocks(asm):
+    """Spatial (mass, stiff) block grids of a subdomain whose one
+    interface, to neighbor 2, is a mortar interface: volume line
+    M_vol, A_vol + R^T (b.n/2) mass R; flux line q M_Gamma R, and
+    M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U."""
+    ia = asm.iface[2]
+    n = ia.nodes.size
+    R = sp.csr_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, asm.n_dofs))
+    M_bn2 = (ia.p * ia.M_gamma - ia.M_pbn).tocsr()
+    mass = [[asm.M_vol, None], [ia.q * (ia.M_gamma @ R), None]]
+    stiff = [[(asm.A_vol + R.T @ M_bn2 @ R).tocsr(), -(R.T @ ia.M_gamma)],
+             [((ia.M_pbn - M_bn2).tocsr() + ia.q * ia.B_r + ia.K_s) @ R, ia.M_gamma]]
+    return mass, stiff
+
+
 class TestStepClassCache:
     @settings(max_examples=25, deadline=None)
     @given(part=uniform_windows)
@@ -396,10 +410,9 @@ class TestStepClassCache:
         traj, flux = solve_window_mortar(asm, {2: InterfaceTrace(part, g)}, part, u0, loads)
         assert len(asm.cache.factors) == 1
 
-        Ms = sp.bmat([[asm.M_full, None],
-                      [ia.q * (ia.M_gamma @ ia.restrict), sp.csr_matrix((ni, ni))]])
-        As = sp.bmat([[asm.A_full, -(ia.restrict.T @ ia.M_gamma)],
-                      [(ia.M_pbn_full + ia.q * ia.B_r + ia.K_s) @ ia.restrict, ia.M_gamma]])
+        mass, stiff = _mortar_blocks(asm)
+        mass[1][1] = sp.csr_matrix((ni, ni))
+        Ms, As = sp.bmat(mass), sp.bmat(stiff)
         data = [
             [np.concatenate([loads[n][j], k / (2 * j + 1) * g[n, j]]) for j in range(2)]
             for n, k in enumerate(part.lengths)
@@ -418,7 +431,7 @@ class TestStepClassCache:
                    for a in ([[1.0, 0.2], [0.0, 2.0]], [[3.0, -1.0], [1.0, 0.5]])]
         trajs = [solve_window(asm, {}, part, u0, loads) for asm in systems]
         for asm, traj in zip(systems, trajs):
-            ref = _march_reference(M, asm.A_full, part, u0, loads)
+            ref = _march_reference(M, asm.A_vol, part, u0, loads)
             assert _relative_gap(traj.coeffs, ref) <= 1e-12
         assert _relative_gap(trajs[0].coeffs, trajs[1].coeffs) > 1e-2
 

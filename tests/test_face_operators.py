@@ -32,7 +32,7 @@ def oracle_interface_ops(space, neighbor, params, b):
         bn = float(_bn_along(tr, b)(np.zeros(1))[0])
         m_pbn = sp.csr_matrix(np.array([[params.p - 0.5 * bn]]))
         zero = sp.csr_matrix((1, 1))
-        return InterfaceBlocks(one, m_pbn, zero, zero.copy(), tr.nodes)
+        return InterfaceBlocks(one, m_pbn, zero, zero.copy(), tr.nodes, None, params.p, params.q)
     bn = _bn_along(tr, b)
     m_gamma = hat_cross_matrix(tr.along, tr.along, None, "mass")
     m_pbn = hat_cross_matrix(
@@ -50,7 +50,7 @@ def oracle_interface_ops(space, neighbor, params, b):
         k_s = sp.csr_matrix((tr.n, tr.n))
     else:
         k_s = hat_cross_matrix(tr.along, tr.along, lambda s: qs * np.ones_like(s), "grad_both")
-    return InterfaceBlocks(m_gamma, m_pbn, b_r, k_s, tr.nodes)
+    return InterfaceBlocks(m_gamma, m_pbn, b_r, k_s, tr.nodes, tr.along, params.p, params.q)
 
 
 def oracle_exterior_robin(space, b, p_ext=1.0):
@@ -136,6 +136,7 @@ def check_pair(md):
         for f in ("M_gamma", "M_pbn", "B_r", "K_s"):
             assert_identical(getattr(new, f), getattr(old, f))
         assert np.array_equal(new.nodes, old.nodes)
+        assert np.array_equal(new.along, old.along) and (new.p, new.q) == (old.p, old.q)
 
         assert_identical(fes.assemble_exterior_robin(ai.space, ai.spec.b),
                          oracle_exterior_robin(ai.space, ai.spec.b))

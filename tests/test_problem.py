@@ -231,6 +231,24 @@ nt = 2
         cfg = parse_config(text)
         assert cfg.transmission[(2, 1)].p == 0.7
 
+    def test_duplicate_transmission_rejected(self):
+        text = EXP1 + "\n[transmission]\nfrom = 1\nto = 2\np = 3.0\n"
+        with pytest.raises(ConfigError, match=r"duplicate transmission \(1, 2\)") as e:
+            parse_config(text)
+        assert e.value.line == text[:text.rindex("[transmission]")].count("\n") + 1
+
+    def test_transmission_to_unknown_subdomain_rejected(self):
+        text = EXP1.split("[transmission]")[0] + "[transmission]\nfrom = 1\nto = 9\np = 0.7\n"
+        with pytest.raises(ConfigError, match=r"transmission \(1, 9\): no subdomain 9") as e:
+            parse_config(text)
+        assert e.value.line == text[:text.rindex("[transmission]")].count("\n") + 1
+
+    def test_ny_in_1d_rejected(self):
+        text = "[domain]\nbox = 0 1\nT = 1\n[subdomain]\nid = 1\nbox = 0 1\nnx = 2\nny = 4\nnt = 2\n"
+        with pytest.raises(ConfigError, match="subdomain 1: 'ny' given for a 1D problem") as e:
+            parse_config(text)
+        assert e.value.line == 8
+
 
 _LEAVES = st.one_of(
     st.sampled_from(["x", "y", "t"]),
