@@ -87,7 +87,7 @@ def _write_manifest(outdir, command, cfg, outputs, wall, residuals, **flags):
 
 def _snapshot_times(text, T):
     """The snapshot times of a --times list (T alone if empty); each must
-    be a finite time in [0, T]."""
+    be a finite time in [0, T], given once."""
     if not text:
         return [T]
     try:
@@ -98,6 +98,11 @@ def _snapshot_times(text, T):
     if bad:
         raise prb.ConfigError(
             f"--times {', '.join(_fmt(t) for t in bad)} outside the horizon [0, {_fmt(T)}]"
+        )
+    repeated = sorted({t for t in times if times.count(t) > 1})
+    if repeated:
+        raise prb.ConfigError(
+            f"--times {', '.join(_fmt(t) for t in repeated)} given more than once"
         )
     return times
 

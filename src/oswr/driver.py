@@ -29,7 +29,6 @@ with the cross blocks coupling j's trace functions to i's.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -398,7 +397,6 @@ class IterationHistory:
     residuals: list = field(default_factory=list)
     pair_residuals: list = field(default_factory=list)  # per sweep: directed pair -> residual
     solution_norms: dict = field(default_factory=dict)  # sid -> list
-    wall_times: list = field(default_factory=list)
     converged: bool = False
 
     @property
@@ -437,7 +435,6 @@ def iterate(md, window, u_init, budget, tol, traces=None):
     trajectories, fluxes = {}, {}
     r0 = None
     for it in range(1, budget + 1):
-        tic = time.perf_counter()
         results = {sid: _solve_one(md, sid, traces, u_init[sid]) for sid in sids}
         trajectories = {sid: r[0] for sid, r in results.items()}
         fluxes = {sid: r[1] for sid, r in results.items()}
@@ -454,7 +451,6 @@ def iterate(md, window, u_init, budget, tol, traces=None):
         r_k = float(np.max([*r_pair.values(), 0.0]))  # a NaN propagates
         history.residuals.append(r_k)
         history.pair_residuals.append(r_pair)
-        history.wall_times.append(time.perf_counter() - tic)
         for sid in sids:
             history.solution_norms[sid].append(
                 trajectory_norm(trajectories[sid], md.assemblies[sid].M_vol)

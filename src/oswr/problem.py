@@ -9,7 +9,10 @@ domain; interfaces between neighbors are flat (axis-aligned) faces.
 
 from __future__ import annotations
 
+import ast
+import bisect
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +39,8 @@ class ConfigError(Exception):
     def __init__(self, message, line=None, col=None):
         self.line = line
         self.col = col
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
+        loc = ", ".join(f"{k} {v}" for k, v in (("line", line), ("col", col)) if v is not None)
+        super().__init__(message + (f" ({loc})" if loc else ""))
 
 
 class EvalError(Exception):
@@ -47,8 +48,9 @@ class EvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Expression language: variables {x, y, t}, literals, + - * / ^, unary -,
-# functions {sin, cos, sqrt, exp, abs}.
+# Expression language: variables {x, y, t}, decimal literals, pi,
+# + - * / ^, unary - and +, functions {sin, cos, sqrt, exp, abs}; read
+# with Python's own parser once ^ is written as **.
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = {
@@ -61,150 +63,10 @@ _FUNCTIONS = {
     "sign": np.sign,
 }
 
-_VARS = ("x", "y", "t")
-
-
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg):
-        raise ConfigError(msg, col=self.pos + 1)
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def next_token(self):
-        ch = self.peek()
-        if ch is None:
-            return None
-        start = self.pos
-        if ch in "+-*/^()":
-            self.pos += 1
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            seen_e = False
-            while j < len(self.text):
-                c = self.text[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_e and j + 1 < len(self.text) and (
-                    self.text[j + 1].isdigit() or self.text[j + 1] in "+-"
-                ):
-                    seen_e = True
-                    j += 2 if self.text[j + 1] in "+-" else 1
-                else:
-                    break
-            tok = self.text[self.pos : j]
-            try:
-                val = float(tok)
-            except ValueError:
-                self.error(f"bad number {tok!r}")
-            self.pos = j
-            return ("num", val, start)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            name = self.text[self.pos : j]
-            self.pos = j
-            return ("name", name, start)
-        self.error(f"unexpected character {ch!r}")
-
-
-class _Parser:
-    """Recursive descent; ^ binds tightest (right assoc.), then unary -,
-    then * /, then + -."""
-
-    def __init__(self, text):
-        self.tz = _Tokenizer(text)
-        self.tok = self.tz.next_token()
-
-    def advance(self):
-        self.tok = self.tz.next_token()
-
-    def expect_op(self, op):
-        if self.tok is None or self.tok[0] != "op" or self.tok[1] != op:
-            self.error(f"expected {op!r}")
-        self.advance()
-
-    def error(self, msg):
-        col = self.tok[2] + 1 if self.tok is not None else self.tz.pos + 1
-        raise ConfigError(msg, col=col)
-
-    def parse(self):
-        node = self.expr()
-        if self.tok is not None:
-            self.error(f"trailing input at {self.tok[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "+-":
-            op = self.tok[1]
-            self.advance()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "*/":
-            op = self.tok[1]
-            self.advance()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def factor(self):
-        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "-":
-            self.advance()
-            return ("neg", self.factor())
-        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "^":
-            self.advance()
-            expo = self.factor()  # right associative, allows 2^-x
-            return ("pow", base, expo)
-        return base
-
-    def atom(self):
-        tok = self.tok
-        if tok is None:
-            self.error("unexpected end of expression")
-        kind, val, _ = tok
-        if kind == "num":
-            self.advance()
-            return ("num", val)
-        if kind == "name":
-            self.advance()
-            if val in _VARS:
-                return ("var", val)
-            if val in ("pi",):
-                return ("num", math.pi)
-            if val in _FUNCTIONS and val != "sign":
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            self.error(f"unknown name {val!r}")
-        if kind == "op" and val == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.error(f"unexpected token {val!r}")
+_NAMES = {"x": ("var", "x"), "y": ("var", "y"), "t": ("var", "t"), "pi": ("num", math.pi)}
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+# the only literals: unsigned decimals, no underscores, prefixes or suffixes
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 def _eval_node(node, x, y, t):
@@ -324,37 +186,6 @@ def _simplify(node):
     return (tag, a, b)
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-
-
-def _to_string(node, parent_prec=0):
-    tag = node[0]
-    if tag == "num":
-        v = node[1]
-        if v == int(v) and abs(v) < 1e16:
-            return repr(int(v))
-        return repr(v)
-    if tag == "var":
-        return node[1]
-    if tag == "call":
-        return f"{node[1]}({_to_string(node[2])})"
-    if tag == "neg":
-        s = "-" + _to_string(node[1], _PREC["neg"])
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    op = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[tag]
-    prec = _PREC[tag]
-    left = _to_string(node[1], prec)
-    # the parser nests + - * / to the left and ^ to the right; a right
-    # operand of equal precedence keeps its parentheses even for + and *,
-    # whose rounding depends on the grouping
-    right = _to_string(node[2], prec + 1)
-    if tag == "pow":
-        left = _to_string(node[1], prec + 1)
-        right = _to_string(node[2], prec)
-    s = f"{left}{op}{right}"
-    return f"({s})" if parent_prec > prec else s
-
-
 @dataclass(frozen=True)
 class CoefficientExpression:
     """A closed-form scalar field over (x, y, t)."""
@@ -390,17 +221,63 @@ class CoefficientExpression:
         return _simplify(self.ast) == ("num", 0.0)
 
     def __str__(self):
-        return _to_string(self.ast)
+        """The text the expression was written as ("" for a derivative)."""
+        return self.source
 
 
 def parse_expression(text):
-    """Parse an expression string into a CoefficientExpression."""
-    node = _Parser(text).parse()
-    return CoefficientExpression(node, source=text)
+    """Parse an expression string into a CoefficientExpression.
+
+    ``^`` is right associative and binds tighter than unary minus, so
+    ``-x^2`` is -(x^2).  A ConfigError carries the column in `text`.
+    """
+    flat = re.sub(r"\s", " ", text)  # one line: ast columns are columns of text
+    body = flat.lstrip()  # ast rejects a leading indent
+    lead = len(flat) - len(body)
+    # ast counts columns in bytes and reads '#' as a comment; '**' is no operator here
+    bad = re.search(r"[^ -~]|#|\*\*", body)
+    if bad:
+        raise ConfigError(f"unexpected {bad.group()!r}", col=lead + bad.start() + 1)
+    # each '^' becomes two characters; carets[k] is where the k-th starts
+    carets = [m.start() + k for k, m in enumerate(re.finditer(r"\^", body))]
+    src = body.replace("^", "**")
+
+    def at(offset):
+        """The offset into `body` of an offset into `src`."""
+        return offset - bisect.bisect_left(carets, offset)
+
+    def walk(node):
+        segment = src[node.col_offset : node.end_col_offset]
+        match node:
+            case ast.BinOp(op=op) if type(op) in _BINARY:
+                return (_BINARY[type(op)], walk(node.left), walk(node.right))
+            case ast.UnaryOp(op=ast.USub()):
+                return ("neg", walk(node.operand))
+            case ast.UnaryOp(op=ast.UAdd()):
+                return walk(node.operand)
+            case ast.Constant() if _NUMBER.fullmatch(segment):
+                return ("num", float(segment))
+            case ast.Name(id=name) if name in _NAMES:
+                return _NAMES[name]
+            case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if (
+                name in _FUNCTIONS and name != "sign"
+                and "," not in src[arg.end_col_offset : node.end_col_offset]  # sin(x,)
+            ):
+                return ("call", name, walk(arg))
+        start = at(node.col_offset)
+        segment = body[start : at(node.end_col_offset)]
+        raise ConfigError(f"unsupported {segment!r}", col=lead + start + 1)
+
+    try:
+        tree = ast.parse(src, mode="eval").body
+    except SyntaxError as e:
+        col = lead + at((e.offset or 1) - 1) + 1
+        raise ConfigError(e.msg, col=max(1, min(col, len(text)))) from None
+    return CoefficientExpression(walk(tree), source=text)
 
 
 def const_expr(v):
-    return CoefficientExpression(("num", float(v)))
+    return CoefficientExpression(("num", float(v)), source=repr(float(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +605,8 @@ def parse_config(text):
 
 
 def serialize_config(cfg):
-    """Canonical text form; parse_config(serialize_config(c)) == c up to
-    expression formatting."""
+    """Canonical text form, each expression as it was written;
+    parse_config(serialize_config(c)) == c."""
     out = []
     out.append("[domain]")
     out.append("box = " + " ".join(repr(v) for v in cfg.domain_box))
@@ -876,6 +753,9 @@ def validate_problem(cfg):
     interfaces = cfg.interfaces()
     if len(cfg.subdomains) > 1 and not interfaces:
         err("no interfaces found between subdomains")
+    touching = {(itf.i, itf.j) for itf in interfaces} | {(itf.j, itf.i) for itf in interfaces}
+    for (i, j) in sorted(set(cfg.transmission) - touching):
+        err(f"transmission ({i}, {j}): subdomains {i} and {j} share no interface")
     for itf in interfaces:
         for (i, j) in ((itf.i, itf.j), (itf.j, itf.i)):
             if (i, j) not in cfg.transmission:

@@ -87,6 +87,16 @@ class TestRun:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "subdomain 1: coefficient nu depends on t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu,col", [("0.1*x^^2", 7), ("0.1+1_0*x", 5), ("x**2", 2)])
+    def test_bad_expression_exit_2_with_column(self, cfg_path, tmp_path, capsys, nu, col):
+        p = tmp_path / "expr.cfg"
+        p.write_text(cfg_path.read_text().replace('nu = "0.1"', f'nu = "{nu}"'))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "in expression for 'nu'" in err and f"(col {col}) (line 14)" in err, err
+        assert not out.exists()
+
     def test_solver_failure_exit_3(self, cfg_path, tmp_path, monkeypatch):
         # valid configs yield SPD-mass direct-LU step systems that do not
         # break organically; the failure path is exercised by injection
@@ -144,7 +154,7 @@ class TestRun:
 
 
 class TestSnapshotTimes:
-    @pytest.mark.parametrize("times", ["-1,0.1,5,nan", "-1", "0.3", "nan", "inf", "0.1,x"])
+    @pytest.mark.parametrize("times", ["-1,0.1,5,nan", "-1", "0.3", "nan", "inf", "0.1,x", "0.1,0.1"])
     def test_exit_2_before_writing(self, cfg_path, tmp_path, capsys, times):
         out = tmp_path / "o"
         assert main(["run", str(cfg_path), "--out", str(out), f"--times={times}"]) == 2

@@ -29,7 +29,8 @@ from oswr.driver import (
     transfer_trace,
     transmission_update,
 )
-from oswr.problem import parse_config
+from oswr.cli import main
+from oswr.problem import parse_config, validate_problem
 from oswr.timebasis import TimePartition, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
 
@@ -585,6 +586,30 @@ def test_nonconforming_envelope_monitor(capsys):
     ratio = np.max(nonc[:n] / np.maximum(conf[:n], 1e-300))
     print(f"nonconforming/conforming residual envelope ratio: {ratio:.2f}")
     assert np.isfinite(ratio)
+
+
+class TestTransmissionWithoutInterface:
+    # subdomains 1 and 3 of CFG_MIXED do not touch
+    TEXT = CFG_MIXED + "\n[transmission]\nfrom = 1\nto = 3\np = 5.0\n"
+
+    @staticmethod
+    def errors(text):
+        return [d.message for d in validate_problem(parse_config(text)) if d.severity == "error"]
+
+    def test_rejected_by_name(self):
+        message = "transmission (1, 3): subdomains 1 and 3 share no interface"
+        assert message in self.errors(self.TEXT)
+        # the layouts that list only neighbouring pairs stay valid
+        assert self.errors(CFG_MIXED) == self.errors(CFG_2X2) == []
+
+    def test_run_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "far.cfg"
+        p.write_text(self.TEXT)
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "transmission (1, 3): subdomains 1 and 3 share no interface" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oswr.problem import (
+    _FUNCTIONS,
     CoefficientExpression,
     ConfigError,
     EvalError,
@@ -385,3 +389,235 @@ class TestValidation:
             'u0 = "0.25*', 'u0 = "(1+t)*0.25*')
         diags = validate_problem(parse_config(text))
         assert not [d for d in diags if d.severity == "error"]
+
+
+# ---------------------------------------------------------------------------
+# The hand-written tokenizer and recursive-descent parser that read the
+# expression language before it moved onto Python's ast, kept verbatim as
+# the reference the ast reading must agree with.
+# ---------------------------------------------------------------------------
+
+_VARS = ("x", "y", "t")
+
+
+class _Tokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg):
+        raise ConfigError(msg, col=self.pos + 1)
+
+    def peek(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos >= len(self.text):
+            return None
+        return self.text[self.pos]
+
+    def next_token(self):
+        ch = self.peek()
+        if ch is None:
+            return None
+        start = self.pos
+        if ch in "+-*/^()":
+            self.pos += 1
+            return ("op", ch, start)
+        if ch.isdigit() or ch == ".":
+            j = self.pos
+            seen_e = False
+            while j < len(self.text):
+                c = self.text[j]
+                if c.isdigit() or c == ".":
+                    j += 1
+                elif c in "eE" and not seen_e and j + 1 < len(self.text) and (
+                    self.text[j + 1].isdigit() or self.text[j + 1] in "+-"
+                ):
+                    seen_e = True
+                    j += 2 if self.text[j + 1] in "+-" else 1
+                else:
+                    break
+            tok = self.text[self.pos : j]
+            try:
+                val = float(tok)
+            except ValueError:
+                self.error(f"bad number {tok!r}")
+            self.pos = j
+            return ("num", val, start)
+        if ch.isalpha() or ch == "_":
+            j = self.pos
+            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
+                j += 1
+            name = self.text[self.pos : j]
+            self.pos = j
+            return ("name", name, start)
+        self.error(f"unexpected character {ch!r}")
+
+
+class _Parser:
+    """Recursive descent; ^ binds tightest (right assoc.), then unary -,
+    then * /, then + -."""
+
+    def __init__(self, text):
+        self.tz = _Tokenizer(text)
+        self.tok = self.tz.next_token()
+
+    def advance(self):
+        self.tok = self.tz.next_token()
+
+    def expect_op(self, op):
+        if self.tok is None or self.tok[0] != "op" or self.tok[1] != op:
+            self.error(f"expected {op!r}")
+        self.advance()
+
+    def error(self, msg):
+        col = self.tok[2] + 1 if self.tok is not None else self.tz.pos + 1
+        raise ConfigError(msg, col=col)
+
+    def parse(self):
+        node = self.expr()
+        if self.tok is not None:
+            self.error(f"trailing input at {self.tok[1]!r}")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "+-":
+            op = self.tok[1]
+            self.advance()
+            rhs = self.term()
+            node = ("add" if op == "+" else "sub", node, rhs)
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "*/":
+            op = self.tok[1]
+            self.advance()
+            rhs = self.factor()
+            node = ("mul" if op == "*" else "div", node, rhs)
+        return node
+
+    def factor(self):
+        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "-":
+            self.advance()
+            return ("neg", self.factor())
+        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "+":
+            self.advance()
+            return self.factor()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.tok is not None and self.tok[0] == "op" and self.tok[1] == "^":
+            self.advance()
+            expo = self.factor()  # right associative, allows 2^-x
+            return ("pow", base, expo)
+        return base
+
+    def atom(self):
+        tok = self.tok
+        if tok is None:
+            self.error("unexpected end of expression")
+        kind, val, _ = tok
+        if kind == "num":
+            self.advance()
+            return ("num", val)
+        if kind == "name":
+            self.advance()
+            if val in _VARS:
+                return ("var", val)
+            if val in ("pi",):
+                return ("num", math.pi)
+            if val in _FUNCTIONS and val != "sign":
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return ("call", val, arg)
+            self.error(f"unknown name {val!r}")
+        if kind == "op" and val == "(":
+            self.advance()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        self.error(f"unexpected token {val!r}")
+
+
+_SIGNS = st.sampled_from(["", "-", "+", "--", "-+"])
+_GAPS = st.sampled_from(["", " "])
+
+
+def _chains(operand):
+    """Unparenthesised chains of + - * / ^ between signed operands."""
+    term = st.tuples(_SIGNS, operand).map("".join)
+    link = st.tuples(_GAPS, st.sampled_from("+-*/^"), _GAPS, term).map("".join)
+    return st.tuples(term, st.lists(link, max_size=5)).map(lambda a: a[0] + "".join(a[1]))
+
+
+CHAINS = st.recursive(
+    st.one_of(_LEAVES, st.just("pi")),
+    lambda inner: st.one_of(
+        _chains(inner),
+        _chains(inner).map(lambda a: f"({a})"),
+        st.tuples(st.sampled_from(["sin", "cos", "sqrt", "exp", "abs"]), _chains(inner))
+        .map(lambda a: f"{a[0]}({a[1]})"),
+    ),
+    max_leaves=12,
+)
+_REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _written_expressions():
+    """Every expression the repository writes for a config key or passes
+    to parse_expression as a literal."""
+    pattern = re.compile(r'\b(?:u0|f|nu|bx|by|c|omega|r) = "([^"]*)"|parse_expression\("([^"]*)"\)')
+    found = set()
+    for folder in ("tests", "demos", "bench", "src"):
+        for path in sorted((_REPO / folder).rglob("*")):
+            if path.suffix in (".py", ".cfg"):
+                found |= {a or b for a, b in pattern.findall(path.read_text())}
+    return sorted(found)
+
+
+class TestReferenceParser:
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.one_of(EXPRESSIONS, st.tuples(_GAPS, CHAINS, _GAPS).map("".join)))
+    def test_trees_match_reference(self, text):
+        assert parse_expression(text).ast == _Parser(text).parse()
+
+    @pytest.mark.parametrize("text", [
+        "-2^2", "2^3^2", "2^-x", "--x", "+x", "-x*y", "x/y*t", "-x^-2", " x ", ".5E+2*x",
+        "x^-y^2*t", "1.e5-5.", "sin((x))", "2^ 3 ^-+t",
+    ])
+    def test_edge_cases_match_reference(self, text):
+        assert parse_expression(text).ast == _Parser(text).parse()
+
+    def test_repository_expressions_match_reference(self):
+        # what the reference rejects (such as "x +" or an f-string's
+        # "{cfg.f}") must be rejected too
+        def tree(parse, text):
+            try:
+                return parse(text)
+            except ConfigError:
+                return None
+
+        trees = {t: tree(lambda s: _Parser(s).parse(), t) for t in _written_expressions()}
+        assert sum(t is not None for t in trees.values()) > 40
+        for text, reference in trees.items():
+            assert tree(lambda s: parse_expression(s).ast, text) == reference, text
+
+    @pytest.mark.parametrize("trap,where", [
+        ("x**2", "**"), ("1_0", "1_0"), ("0x1", "0x1"), ("0o7", "0o7"), ("0b1", "0b1"),
+        ("True", "True"), ("None", "None"), ("1j", "1j"), ("...", "..."), ("'a'", "'a'"),
+        ("sign(x)", "sign"), ("pi(x)", "pi"), ("sin(x, y)", "sin"), ("sin(x,)", "sin"),
+        ("sin(x=1)", "sin"), ("sin(*x)", "*x"), ("2^x.real", "x.real"), ("x[1]", "x[1]"),
+        ("x<y", "x<y"), ("x^2%2", "x^2%2"), ("x//2", "x//2"), ("~x", "~x"), ("not x", "not"),
+        ("x if y else t", "x if"), ("foo", "foo"), ("x # y", "#"), ("01", "01"),
+    ])
+    @pytest.mark.parametrize("before", ["", "  y^2 + ("])
+    def test_python_only_syntax_rejected_at_its_column(self, trap, where, before):
+        text = before + trap + (")" if before else "")
+        with pytest.raises(ConfigError) as e:
+            parse_expression(text)
+        assert 1 <= e.value.col <= len(text)
+        assert text[e.value.col - 1 :].startswith(where), (e.value, text)
