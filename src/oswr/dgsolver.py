@@ -14,6 +14,21 @@ u(t_n^-) enters.  For d = 0 this is the modified backward Euler step
 (M + k A) U = M u(t_n^-) + F_0; for d = 1 the 2x2 block system
 [[M + k A, M], [-M, M + (k/3) A]] (U_0, U_1).
 
+The step is never formed.  Scaling row j by 1/gram_j turns S(k) into
+B (x) MM + I (x) k KK with B = diag(gram)^-1 A^T = V Lambda V^-1, so
+one eigenvalue lam of B decouples the modes (Richter, Springer &
+Vexler, Numer. Math. 124 (2013); Smears, IMA J. Numer. Anal. 37 (2017)):
+
+    w = (V^-1 diag(gram)^-1)_0 rhs,   (lam MM + k KK) y = w,
+    x = c Re(V[:, 0] (x) y).
+
+For d = 0, B = [[1]]: lam = 1, c = 1, and the factor is the real
+MM + k KK.  For d = 1 the eigenvalues of B are 2 +- i sqrt(2); the
+second eigenpair is the conjugate of the first, so c = 2 and one
+complex n x n solve replaces the real 2n x 2n one.  The 1e-12 residual
+contract is checked against the real S(k), formed blockwise from MM,
+KK and the tables.
+
 One march serves every system, and `_step_operator` alone decides how
 an interface enters it.  A conforming interface adds no unknowns: its
 operators are folded into the volume blocks MM, KK and its transmission
@@ -21,16 +36,18 @@ data loads the volume rows at its nodes.  A mortar interface adds a
 block of discrete flux unknowns Q, loaded by its transmission data,
 which couples nonmatching spatial meshes (the space-time nonconforming
 decomposition of Hoang, Jaffre, Japhet, Kern & Roberts, SINUM 51
-(2013)).
+(2013)).  A flux row has no mass, yet lam MM + k KK keeps its k M_Gamma
+diagonal block.
 
-S(k) = S_mass + k S_stiff is affine in k.  Every system owns a
-FactorCache that keeps its step operator (S_mass, S_stiff, P, rows)
-and one sparse LU factor per step class, so a uniform grid factors once
-and no other system can be handed its operator.
+Every system owns a FactorCache that keeps its step operator
+(MM, KK, P, rows) and one sparse LU factor of lam MM + k KK per step
+class, so a uniform grid factors once and no other system can be handed
+its operator.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +90,16 @@ def _factorize(matrix):
 
 @dataclass
 class FactorCache:
-    """One system's LU factorizations keyed by (degree, step class), and
-    its step operator (S_mass, S_stiff, P, rows) of each degree."""
+    """One system's LU factorizations keyed by (degree, step class), its
+    step operator (MM, KK, P, rows) of each degree, and how often `get`
+    factored (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a
+    factor (`hits`)."""
 
     factors: dict = field(default_factory=dict)
     operators: dict = field(default_factory=dict)
+    factorizations: int = 0
+    hits: int = 0
+    nnz_lu: int = 0
 
     def key(self, d, k):
         """Key of k's step class: the cached (d, k_rep) with k within
@@ -88,9 +110,14 @@ class FactorCache:
         return (d, k)
 
     def get(self, key, build):
-        if key not in self.factors:
-            self.factors[key] = _factorize(build())
-        return self.factors[key]
+        factor = self.factors.get(key)
+        if factor is None:
+            factor = self.factors[key] = _factorize(build())
+            self.factorizations += 1
+            self.nnz_lu += factor.L.nnz + factor.U.nnz
+        else:
+            self.hits += 1
+        return factor
 
     def operator(self, d, build):
         if d not in self.operators:
@@ -221,19 +248,36 @@ class MortarFlux:
     coeffs: dict  # neighbor id -> (N, d+1, n_iface)
 
 
-def _step_parts(mass, stiff, d):
-    """The k-independent parts of one DG(d) step system,
-    S(k) = S_mass + k S_stiff, from the spatial block matrices MM (mass)
-    and KK (stiff): S_mass = A^T (x) MM, S_stiff = diag(gram) (x) KK.
-    tab.gram[j] = k/(2j+1), so the table of k = 1 gives both parts."""
+@dataclass(frozen=True)
+class _StepTables:
+    """The DG(d) time tables at k = 1 (A^T, gram) and one eigenpair of
+    B = diag(gram)^-1 A^T: eigenvalue lam, w = (V^-1 diag(gram)^-1)_0,
+    and v = c V[:, 0], with c = 2 when the other eigenpair is the
+    conjugate of this one."""
+
+    AT: np.ndarray
+    gram: np.ndarray
+    lam: complex
+    w: np.ndarray
+    v: np.ndarray
+
+
+@functools.cache
+def _step_tables(d):
+    """The _StepTables of DG(d), from the tables of `build_interval_basis`."""
     tab = build_interval_basis(d, 1.0)
-    return (sp.kron(tab.A.T, mass, format="csr"),
-            sp.kron(np.diag(tab.gram), stiff, format="csr"))
+    lam, V = np.linalg.eig(tab.A.T / tab.gram[:, None])
+    i = int(np.argmax(lam.imag))
+    w = np.linalg.inv(V)[i] / tab.gram
+    if lam[i].imag == 0.0:  # d = 0: B = [[1]], a real step
+        return _StepTables(tab.A.T, tab.gram, lam[i].real, w.real, V[:, i].real)
+    return _StepTables(tab.A.T, tab.gram, lam[i], w, 2.0 * V[:, i])
 
 
 def _step_operator(assembly, d):
-    """Step operator (S_mass, S_stiff, P) of one system, and the rows
-    that each interface's transmission data loads.
+    """Step operator (MM, KK, P) of one system for the DG(d) march, and
+    the rows that each interface's transmission data loads.  The blocks
+    are the same for every degree; the time tables carry d.
 
     Spatial blocks, volume U first, then the flux Q of each mortar
     interface, folded from M_vol, A_vol interface by interface in
@@ -282,22 +326,32 @@ def _step_operator(assembly, d):
         rows[nb] = np.arange(offset, offset + ia.nodes.size)
         offset += ia.nodes.size
     P = sp.vstack([row[0] for row in mass], format="csr")
-    return (*_step_parts(sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), d), P, rows)
+    return sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), P, rows
 
 
-def _solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
-    """Solve S(k) x = rhs for step n with the factor of k's step class.
+def _solve_step(cache, d, mass, stiff, k, rhs, n):
+    """Solve S(k) x = rhs for step n, rhs and x of shape (d+1, size),
+    with the factor of lam MM + k KK of k's step class.
 
-    The 1e-12 residual contract is checked against the step's own S(k),
-    never against the class representative the factor was built from."""
-    factor = cache.get(cache.key(d, k), lambda: S_mass + k * S_stiff)
-    x = factor.solve(rhs)
-    r = S_mass @ x + k * (S_stiff @ x) - rhs
+    The 1e-12 residual contract is checked against the step's own real
+    S(k), never against the class representative the factor was built
+    from."""
+    tab = _step_tables(d)
+    factor = cache.get(cache.key(d, k), lambda: tab.lam * mass + k * stiff)
+
+    def solve(b):
+        return (tab.v[:, None] * factor.solve(tab.w @ b)).real
+
+    def residual(x):
+        return tab.AT @ (mass @ x.T).T + (k * tab.gram)[:, None] * (stiff @ x.T).T - rhs
+
+    x = solve(rhs)
+    r = residual(x)
     if _relative_residual(r, rhs) > RESIDUAL_TOL:
         # k may differ from the representative in its last digits, which
         # one refinement step with the same factor corrects.
-        x = x - factor.solve(r)
-        r = S_mass @ x + k * (S_stiff @ x) - rhs
+        x = x - solve(r)
+        r = residual(x)
     _check_residual(_relative_residual(r, rhs), f"interval {n}: ")
     return x
 
@@ -319,7 +373,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
     d = assembly.degree
     ndof = assembly.n_dofs
     cache = assembly.cache
-    S_mass, S_stiff, P, rows = cache.operator(d, lambda: _step_operator(assembly, d))
+    mass, stiff, P, rows = cache.operator(d, lambda: _step_operator(assembly, d))
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
     # X[n] holds step n's data until the step overwrites it with its
@@ -334,7 +388,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
     for n, k in enumerate(partition.lengths):
         X[n, :, :ndof] += loads[n]
         rhs = sign * (P @ u_prev) + X[n]
-        X[n] = _solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n).reshape(d + 1, -1)
+        X[n] = _solve_step(cache, d, mass, stiff, float(k), rhs, n)
         u_prev = X[n, :, :ndof].sum(axis=0)
     traj = DGTrajectory(partition=partition, coeffs=np.ascontiguousarray(X[:, :, :ndof]),
                         u_init=np.asarray(u_init, float).copy())

@@ -482,9 +482,12 @@ def parse_config(text):
             return default
         v, ln = sec[key]
         try:
-            return float(v)
+            x = float(v)
         except ValueError:
             raise ConfigError(f"bad number for {key!r}: {v!r}", line=ln) from None
+        if not math.isfinite(x):
+            raise ConfigError(f"non-finite number for {key!r}: {v!r}", line=ln)
+        return x
 
     def as_int(sec, key, default=None):
         if key not in sec:
@@ -504,11 +507,17 @@ def parse_config(text):
         except ConfigError as e:
             raise ConfigError(f"in expression for {key!r}: {e}", line=ln) from None
 
-    box_text, box_line = need(dom, "box", "domain")
-    try:
-        box = tuple(float(v) for v in box_text.split())
-    except ValueError:
-        raise ConfigError("bad box coordinates", line=box_line) from None
+    def as_box(sec, what):
+        text, ln = need(sec, "box", what)
+        try:
+            box = tuple(float(v) for v in text.split())
+        except ValueError:
+            raise ConfigError("bad box coordinates", line=ln) from None
+        if not all(math.isfinite(v) for v in box):
+            raise ConfigError(f"non-finite number for 'box': {text!r}", line=ln)
+        return box, ln
+
+    box, box_line = as_box(dom, "domain")
     if len(box) not in (2, 4):
         raise ConfigError("domain box needs 2 (1D) or 4 (2D) coordinates", line=box_line)
     dim = 1 if len(box) == 2 else 2
@@ -527,11 +536,7 @@ def parse_config(text):
         sid = as_int(sec, "id")
         if sid is None:
             raise ConfigError("missing 'id' in [subdomain]", line=sec["__line__"])
-        sbox_text, sbox_line = need(sec, "box", "subdomain")
-        try:
-            sbox = tuple(float(v) for v in sbox_text.split())
-        except ValueError:
-            raise ConfigError("bad box coordinates", line=sbox_line) from None
+        sbox, sbox_line = as_box(sec, "subdomain")
         if len(sbox) != len(box):
             raise ConfigError(
                 f"subdomain {sid}: box dimension does not match domain", line=sbox_line

@@ -133,6 +133,31 @@ def test_tracer_sees_the_reference_solve(monkeypatch):
     assert tracer.counts["femspace.assemble"] > 0
 
 
+def test_tracer_factor_metrics_equal_cache_statistics(monkeypatch):
+    # the tracer's factor counts come from wrapping FactorCache.get, the
+    # cache's own from inside it; each DG(1) step is one complex solve
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    cfg = parse_config(MORTAR)
+    md = oswr.driver.build_multidomain(cfg)
+    assert any(asm.mortar_neighbors for asm in md.assemblies.values())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        oswr.driver.run_windows(cfg, md=md)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    caches = [asm.cache for asm in md.assemblies.values()]
+    assert metrics["dgsolver.nnz_lu"][0] == sum(c.nnz_lu for c in caches) > 0
+    assert metrics["dgsolver.factorizations"][0] == sum(c.factorizations for c in caches)
+    assert tracer.counts["dgsolver.factor_hits"] == sum(c.hits for c in caches)
+    assert all(f.L.dtype == complex for c in caches for f in c.factors.values())
+    solves = sum(1 for span in tracer.spans if span[2] == "dgsolver.lu_solve")
+    assert solves >= tracer.counts["dgsolver.steps"] > 0
+
+
 def test_factor_exposes_solve_and_triangles():
     # the tracer times `solve` and counts nnz(L+U) of each new factor
     factor = FactorCache().get((1, 0.5), lambda: 2.0 * sp.identity(3, format="csc"))

@@ -195,6 +195,25 @@ class TestDroppedConfigInput:
         assert re.search(message, capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("tolerance = 1e-9", "tolerance = nan", "'tolerance': 'nan'"),
+        ("box = 0 1", "box = 0 nan", "'box': '0 nan'"),
+        ("T = 0.25", "T = inf", "'t': 'inf'"),
+        ("p = 1.0", "p = nan", "'p': 'nan'"),
+        ("p = 1.0", "p = inf", "'p': 'inf'"),
+        ("p = 1.0", "p = 1.0\ns = nan", "'s': 'nan'"),
+    ], ids=["tolerance-nan", "box-nan", "T-inf", "p-nan", "p-inf", "s-nan"])
+    def test_non_finite_number_exit_2(self, cfg_path, tmp_path, capsys, old, new, key):
+        text = CFG.replace(old, new, 1)
+        line = text[:text.index(new.splitlines()[-1])].count("\n") + 1
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite number for {key} (line {line})" in err, err
+        assert not out.exists()
+
 
 class TestStudy:
     def test_levels_requires_three(self, cfg_path, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oswr.dgsolver import (
@@ -15,12 +15,12 @@ from oswr.dgsolver import (
     InterfaceTrace,
     Operators,
     SolverError,
+    _solve_step,
     _step_operator,
-    _step_parts,
     solve_window,
     solve_window_mortar,
 )
-from oswr.driver import build_multidomain
+from oswr.driver import build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, build_interval_basis
 
@@ -99,6 +99,15 @@ class TestLinearSolve:
             solve_window(asm, {}, part, np.zeros(2), [np.array([[1.0, 0.0]])] * 2)
 
 
+def _step_parts(mass, stiff, d):
+    """Oracle: the real Kronecker step system S(k) = S_mass + k S_stiff
+    from the spatial block matrices MM, KK, with S_mass = A^T (x) MM and
+    S_stiff = diag(gram) (x) KK, the time tables of k = 1."""
+    tab = build_interval_basis(d, 1.0)
+    return (sp.kron(tab.A.T, mass, format="csr"),
+            sp.kron(np.diag(tab.gram), stiff, format="csr"))
+
+
 def _step_parts_loop(mass, stiff, d):
     """Oracle: the step parts placed block by block from square grids of
     spatial blocks (None where zero; every diagonal stiffness block is
@@ -163,15 +172,40 @@ class TestKroneckerStepParts:
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_mortar_step_operator_equals_block_loop(self, d):
+        # the spatial blocks are the block loop of the DG(0) table [[1]];
+        # their Kronecker system is the block loop of degree d
         asm = _mortar_assembly()
         mass, stiff = _mortar_blocks(asm)
-        S_mass, S_stiff, P, rows = _step_operator(asm, d)
+        MM, KK, P, rows = _step_operator(asm, d)
         assert list(rows) == [2]
         assert np.array_equal(rows[2], asm.n_dofs + np.arange(asm.iface[2].nodes.size))
-        O_mass, O_stiff = _step_parts_loop(mass, stiff, d)
-        assert _same_csr(S_mass, O_mass)
-        assert _same_csr(S_stiff, O_stiff)
+        O_mass, O_stiff = _step_parts_loop(mass, stiff, 0)
+        assert _same_csr(MM, O_mass)
+        assert _same_csr(KK, O_stiff)
         assert _same_csr(P, sp.vstack([row[0] for row in mass], format="csr"))
+        for a, b in zip(_step_parts(MM, KK, d), _step_parts_loop(mass, stiff, d)):
+            assert _same_csr(a, b)
+
+
+class TestComplexStep:
+    @settings(max_examples=80, deadline=None)
+    @given(grids=block_grids(), k=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_real_kronecker_solve(self, grids, k, seed):
+        # one complex solve with lam MM + k KK against a dense solve of the
+        # real A^T (x) MM + k diag(gram) (x) KK, flux rows without mass too
+        mass, stiff = grids
+        full = [[sp.csr_matrix(stiff[r][r].shape) if b is None and r == c else b
+                 for c, b in enumerate(row)] for r, row in enumerate(mass)]
+        MM, KK = sp.bmat(full, format="csr"), sp.bmat(stiff, format="csr")
+        S_mass, S_stiff = _step_parts(MM, KK, 1)
+        S = (S_mass + k * S_stiff).toarray()
+        # two solves agree to about cond(S) eps, so draws near a singular
+        # S(k) compare nothing
+        assume(np.linalg.cond(S) < 1e3)
+        rhs = np.random.default_rng(seed).standard_normal((2, MM.shape[0]))
+        x = _solve_step(FactorCache(), 1, MM, KK, k, rhs, 0)
+        ref = np.linalg.solve(S, rhs.ravel())
+        assert np.linalg.norm(x.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _window_loads(M, A, w, partition, degree):
@@ -434,6 +468,27 @@ class TestStepClassCache:
             ref = _march_reference(M, asm.A_vol, part, u0, loads)
             assert _relative_gap(traj.coeffs, ref) <= 1e-12
         assert _relative_gap(trajs[0].coeffs, trajs[1].coeffs) > 1e-2
+
+    @pytest.mark.parametrize("force_mortar", [False, True], ids=["conforming", "mortar"])
+    def test_statistics_one_factor_per_system(self, force_mortar):
+        # equal windows and steps: each system factors once and finds that
+        # factor at every later step, and the complex n x n factor of
+        # lam MM + k KK fills less than the real Kronecker one
+        cfg = replace(parse_config(MORTAR_CFG), windows=2)
+        md = build_multidomain(cfg, force_mortar=force_mortar)
+        sol = run_windows(cfg, md=md)
+        sweeps = sum(h.iterations for h in sol.histories)
+        for sid, asm in md.assemblies.items():
+            cache = asm.cache
+            assert (cache.factorizations, cache.hits) == (1, sweeps * cfg.subdomain(sid).nt - 1)
+            (factor,) = cache.factors.values()
+            assert factor.L.dtype == complex
+            assert cache.nnz_lu == factor.L.nnz + factor.U.nnz
+            MM, KK, _, _ = _step_operator(asm, 1)
+            S_mass, S_stiff = _step_parts(MM, KK, 1)
+            (_, k), = cache.factors
+            real = spla.splu(sp.csc_matrix(S_mass + k * S_stiff), permc_spec="MMD_AT_PLUS_A")
+            assert cache.nnz_lu < real.L.nnz + real.U.nnz
 
     def test_cache_cannot_be_shared(self):
         # No constructor takes a cache, and a copy starts with a fresh one.

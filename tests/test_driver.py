@@ -14,9 +14,8 @@ from oswr.dgsolver import (
     DGTrajectory,
     InterfaceTrace,
     MortarFlux,
+    RESIDUAL_TOL,
     SolverError,
-    _solve_step,
-    _step_parts,
     solve_window_mortar,
 )
 from oswr.driver import (
@@ -31,7 +30,7 @@ from oswr.driver import (
 )
 from oswr.cli import main
 from oswr.problem import parse_config, validate_problem
-from oswr.timebasis import TimePartition, legendre_eval
+from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
 
 CFG_1D = """
@@ -643,8 +642,9 @@ def test_each_subdomain_assembled_once(monkeypatch, text, force_mortar):
 
 # Oracles: the interface fold and the window march as they were when the
 # driver folded conforming interfaces into (M_full, A_full) at set-up, the
-# mortar rows were built from derived interface blocks, and each step
-# scattered the conforming and the mortar traces separately.
+# mortar rows were built from derived interface blocks, each step
+# scattered the conforming and the mortar traces separately, and each
+# step solved the real (d+1)n x (d+1)n Kronecker system.
 
 
 def _restrict(asm, ia):
@@ -665,7 +665,8 @@ def _old_finalize(asm):
     return M_full.tocsr(), A_full.tocsr()
 
 
-def _old_step_operator(asm, d):
+def _old_blocks(asm):
+    """Spatial blocks (MM, KK, P) of one system."""
     M_full, A_full = _old_finalize(asm)
     ifaces = [asm.iface[nb] for nb in asm.mortar_neighbors]
     nblk = 1 + len(ifaces)
@@ -682,7 +683,28 @@ def _old_step_operator(asm, d):
         stiff[r][r] = ia.M_gamma
         stiff[r][0] = (M_pbn_full + ia.q * ia.B_r + ia.K_s) @ R
     P = sp.vstack([row[0] for row in mass], format="csr")
-    return (*_step_parts(sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), d), P)
+    return sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), P
+
+
+def _step_parts(mass, stiff, d):
+    """S(k) = S_mass + k S_stiff with S_mass = A^T (x) MM and
+    S_stiff = diag(gram) (x) KK, the time tables of k = 1."""
+    tab = build_interval_basis(d, 1.0)
+    return (sp.kron(tab.A.T, mass, format="csr"),
+            sp.kron(np.diag(tab.gram), stiff, format="csr"))
+
+
+def _old_solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
+    """Real LU of S(k) per step class, one refinement step, and the
+    1e-12 residual contract on the step's own S(k)."""
+    factor = cache.get(cache.key(d, k), lambda: S_mass + k * S_stiff)
+    x = factor.solve(rhs)
+    r = S_mass @ x + k * (S_stiff @ x) - rhs
+    if dg._relative_residual(r, rhs) > RESIDUAL_TOL:
+        x = x - factor.solve(r)
+        r = S_mass @ x + k * (S_stiff @ x) - rhs
+    dg._check_residual(dg._relative_residual(r, rhs), f"interval {n}: ")
+    return x
 
 
 def _old_march(asm, traces_in, partition, u_init, loads):
@@ -690,7 +712,8 @@ def _old_march(asm, traces_in, partition, u_init, loads):
     ndof = asm.n_dofs
     cache = asm.cache  # the factors, as the march keeps them across sweeps
     mortar = asm.mortar_neighbors
-    S_mass, S_stiff, P = _old_step_operator(asm, d)
+    M_full, A_full, P = _old_blocks(asm)
+    S_mass, S_stiff = _step_parts(M_full, A_full, d)
     offs = np.cumsum([ndof] + [asm.iface[nb].nodes.size for nb in mortar])
     rows = {nb: slice(offs[i], offs[i + 1]) for i, nb in enumerate(mortar)}
     gram = partition.gram(d)
@@ -710,7 +733,8 @@ def _old_march(asm, traces_in, partition, u_init, loads):
         rhs[:, :ndof] += loads[n] + G
         for r, g in flux_data:
             rhs[:, r] += g[n]
-        x = _solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n).reshape(d + 1, -1)
+        x = _old_solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n)
+        x = x.reshape(d + 1, -1)
         coeffs[n] = x[:, :ndof]
         for nb, r in rows.items():
             qmodes[nb][n] = x[:, r]
@@ -725,6 +749,15 @@ def _same_csr(a, b):
     )
 
 
+def _assert_matches(new, old, degree):
+    """DG(0) bit for bit; DG(1), one complex solve per step against the
+    real Kronecker solve, to 1e-12 relative."""
+    if degree == 0:
+        assert new.tobytes() == old.tobytes()
+    else:
+        assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
+
+
 FOLD_CASES = pytest.mark.parametrize(
     "text,force_mortar",
     [(CFG_1D, False), (CFG_2D, False), (CFG_2D, True), (CFG_MIXED, False), (CFG_2X2, False)],
@@ -733,8 +766,8 @@ FOLD_CASES = pytest.mark.parametrize(
 
 
 class TestOneInterfaceFold:
-    """The step operator folds every interface, and one scatter per
-    window loads every trace, bit for bit as the oracles above."""
+    """The step operator folds every interface bit for bit as the
+    oracles above, and one scatter per window loads every trace."""
 
     @FOLD_CASES
     @pytest.mark.parametrize("degree", [0, 1])
@@ -745,7 +778,7 @@ class TestOneInterfaceFold:
         rng = np.random.default_rng(17)
         for sid, asm in md.assemblies.items():
             new = dg._step_operator(asm, degree)
-            for a, b in zip(new[:3], _old_step_operator(asm, degree)):
+            for a, b in zip(new[:3], _old_blocks(asm)):
                 assert _same_csr(a, b)
             part = md.partitions[sid]
             traces = {nb: InterfaceTrace(part, rng.standard_normal(
@@ -754,23 +787,31 @@ class TestOneInterfaceFold:
             u0 = rng.standard_normal(asm.n_dofs)
             traj, flux = solve_window_mortar(replace(asm), traces, part, u0, md.loads[sid])
             old_traj, old_flux = _old_march(replace(asm), traces, part, u0, md.loads[sid])
-            assert traj.coeffs.tobytes() == old_traj.coeffs.tobytes()
+            _assert_matches(traj.coeffs, old_traj.coeffs, degree)
             assert list(flux.coeffs) == list(old_flux.coeffs) == asm.mortar_neighbors
             for nb in asm.mortar_neighbors:
-                assert flux.coeffs[nb].tobytes() == old_flux.coeffs[nb].tobytes()
+                _assert_matches(flux.coeffs[nb], old_flux.coeffs[nb], degree)
 
     @FOLD_CASES
     def test_windows_match_oracle(self, monkeypatch, text, force_mortar):
-        cfg = replace(parse_config(text), windows=2, max_iterations=4)
+        for degree in (0, 1):
+            cfg = replace(parse_config(text.replace("degree = 1", f"degree = {degree}")),
+                          windows=2, max_iterations=4)
 
-        def run():
-            sol = run_windows(cfg, md=build_multidomain(cfg, force_mortar=force_mortar))
-            return ([h.residuals for h in sol.histories],
-                    {sid: [w.coeffs.tobytes() for w in ws] for sid, ws in sol.trajectories.items()})
+            def run():
+                sol = run_windows(cfg, md=build_multidomain(cfg, force_mortar=force_mortar))
+                return (np.array([h.residuals for h in sol.histories]),
+                        {sid: np.array([w.coeffs for w in ws])
+                         for sid, ws in sol.trajectories.items()})
 
-        new = run()
-        monkeypatch.setattr(drv, "solve_window_mortar", _old_march)
-        assert run() == new
+            with monkeypatch.context() as m:
+                m.setattr(drv, "solve_window_mortar", _old_march)
+                old = run()
+            new = run()
+            _assert_matches(new[0], old[0], degree)
+            assert list(new[1]) == list(old[1])
+            for sid in old[1]:
+                _assert_matches(new[1][sid], old[1][sid], degree)
 
 
 class TestMortarEquivalence:
@@ -841,7 +882,7 @@ class TestFailureReporting:
         asm = md.assemblies[1]
         k = float(md.partitions[1].lengths[0])
         # the class factor of a different matrix: every step misses the residual
-        wrong = spla.splu(sp.identity(2 * asm.n_dofs, format="csc"))
+        wrong = spla.splu(sp.identity(asm.n_dofs, dtype=complex, format="csc"))
         asm.cache.factors[asm.cache.key(1, k)] = wrong
         with pytest.raises(SolverError,
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "

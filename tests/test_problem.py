@@ -253,6 +253,23 @@ nt = 2
             parse_config(text)
         assert e.value.line == 8
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("tolerance = 1e-8", "tolerance = nan", "'tolerance': 'nan'"),
+        ("box = 0 1 0 2", "box = 0 1 0 nan", "'box': '0 1 0 nan'"),
+        ("box = 0.5 1 0 2", "box = 0.5 1 0 inf", "'box': '0.5 1 0 inf'"),
+        ("T = 1.0", "T = inf", "'t': 'inf'"),
+        ("p = 0.5", "p = nan", "'p': 'nan'"),
+        ("p = 0.5", "p = -inf", "'p': '-inf'"),
+        ("s = 0.046", "s = NaN", "'s': 'NaN'"),
+    ], ids=["tolerance-nan", "box-nan", "subdomain-box-inf", "T-inf", "p-nan", "p-minus-inf",
+            "s-nan"])
+    def test_non_finite_number_rejected(self, old, new, key):
+        # nan passes every comparison check and inf reaches the factorization
+        text = EXP1.replace(old, new, 1)
+        with pytest.raises(ConfigError, match="^non-finite number for " + re.escape(key)) as e:
+            parse_config(text)
+        assert e.value.line == text[:text.index(new)].count("\n") + 1
+
 
 _LEAVES = st.one_of(
     st.sampled_from(["x", "y", "t"]),
