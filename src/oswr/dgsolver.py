@@ -90,24 +90,24 @@ def _factorize(matrix):
 
 @dataclass
 class FactorCache:
-    """One system's LU factorizations keyed by (degree, step class), its
-    step operator (MM, KK, P, rows) of each degree, and how often `get`
-    factored (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a
-    factor (`hits`)."""
+    """One system's LU factorizations keyed by step class, its step
+    operator (MM, KK, P, rows), and how often `get` factored
+    (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a factor
+    (`hits`)."""
 
     factors: dict = field(default_factory=dict)
-    operators: dict = field(default_factory=dict)
+    step: tuple | None = None
     factorizations: int = 0
     hits: int = 0
     nnz_lu: int = 0
 
-    def key(self, d, k):
-        """Key of k's step class: the cached (d, k_rep) with k within
-        STEP_CLASS_RTOL of k_rep, else (d, k)."""
+    def key(self, k):
+        """Key of k's step class: the cached k_rep with k within
+        STEP_CLASS_RTOL of k_rep, else k."""
         for key in self.factors:
-            if key[0] == d and abs(key[1] - k) <= STEP_CLASS_RTOL * key[1]:
+            if abs(key - k) <= STEP_CLASS_RTOL * key:
                 return key
-        return (d, k)
+        return k
 
     def get(self, key, build):
         factor = self.factors.get(key)
@@ -119,10 +119,10 @@ class FactorCache:
             self.hits += 1
         return factor
 
-    def operator(self, d, build):
-        if d not in self.operators:
-            self.operators[d] = build()
-        return self.operators[d]
+    def operator(self, build):
+        if self.step is None:
+            self.step = build()
+        return self.step
 
 
 def _relative_residual(r, rhs):
@@ -274,7 +274,7 @@ def _step_tables(d):
     return _StepTables(tab.A.T, tab.gram, lam[i], w, 2.0 * V[:, i])
 
 
-def _step_operator(assembly, d):
+def _step_operator(assembly):
     """Step operator (MM, KK, P) of one system for the DG(d) march, and
     the rows that each interface's transmission data loads.  The blocks
     are the same for every degree; the time tables carry d.
@@ -337,7 +337,7 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
     S(k), never against the class representative the factor was built
     from."""
     tab = _step_tables(d)
-    factor = cache.get(cache.key(d, k), lambda: tab.lam * mass + k * stiff)
+    factor = cache.get(cache.key(k), lambda: tab.lam * mass + k * stiff)
 
     def solve(b):
         return (tab.v[:, None] * factor.solve(tab.w @ b)).real
@@ -373,7 +373,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
     d = assembly.degree
     ndof = assembly.n_dofs
     cache = assembly.cache
-    mass, stiff, P, rows = cache.operator(d, lambda: _step_operator(assembly, d))
+    mass, stiff, P, rows = cache.operator(lambda: _step_operator(assembly))
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
     # X[n] holds step n's data until the step overwrites it with its

@@ -674,6 +674,15 @@ def _sample_lattice(box, n=16):
     return X.ravel(), Y.ravel()
 
 
+def _interface_samples(itf, n=16):
+    """Cell-center points along a flat interface; in 1D, the point."""
+    if itf.span is None:
+        return np.array([itf.position]), np.zeros(1)
+    s = itf.span[0] + (np.arange(n) + 0.5) / n * (itf.span[1] - itf.span[0])
+    fixed = np.full(n, itf.position)
+    return (fixed, s) if itf.axis == 0 else (s, fixed)
+
+
 def _box_measure(box):
     if len(box) == 2:
         return box[1] - box[0]
@@ -734,19 +743,23 @@ def validate_problem(cfg):
             if expr.depends_on("t"):
                 err(f"subdomain {s.id}: coefficient {name} depends on t; "
                     "only f and u0 may be time-dependent")
+        # every coefficient the set-up evaluates must be finite; the sign
+        # checks need the values
         x, y = _sample_lattice(s.box)
-        try:
-            nu = s.nu(x, y, 0.0)
-            om = s.omega(x, y, 0.0)
-        except EvalError as e:
-            err(f"subdomain {s.id}: coefficient evaluation failed: {e}")
-            continue
-        if np.any(nu <= 0):
+        vals = {}
+        for name, expr in (*operator_coeffs, ("f", cfg.f), ("u0", cfg.u0)):
+            try:
+                vals[name] = expr(x, y, 0.0)
+            except EvalError as e:
+                err(f"subdomain {s.id}: coefficient {name} evaluation failed: {e}")
+        if "nu" in vals and np.any(vals["nu"] <= 0):
             err(f"subdomain {s.id}: diffusion nu <= 0 on the sample lattice")
-        if np.any(om <= 0):
+        if "omega" in vals and np.any(vals["omega"] <= 0):
             err(f"subdomain {s.id}: porosity omega <= 0 on the sample lattice")
+        if "c" not in vals:
+            continue
         try:
-            shift = s.c(x, y, 0.0) + 0.5 * s.div_b()(x, y, 0.0)
+            shift = vals["c"] + 0.5 * s.div_b()(x, y, 0.0)
             if np.any(shift <= 0):
                 warn(
                     f"subdomain {s.id}: c + div(b)/2 <= 0 somewhere; "
@@ -754,6 +767,8 @@ def validate_problem(cfg):
                 )
         except ValueError:
             warn(f"subdomain {s.id}: could not differentiate b; skipping reaction-shift check")
+        except EvalError as e:
+            err(f"subdomain {s.id}: coefficient div(b) evaluation failed: {e}")
 
     interfaces = cfg.interfaces()
     if len(cfg.subdomains) > 1 and not interfaces:
@@ -778,4 +793,8 @@ def validate_problem(cfg):
                 if tp.r.depends_on("t"):
                     err(f"interface {lab}: coefficient r depends on t; "
                         "only f and u0 may be time-dependent")
+                try:
+                    tp.r(*_interface_samples(itf), 0.0)
+                except EvalError as e:
+                    err(f"interface {lab}: coefficient r evaluation failed: {e}")
     return diags

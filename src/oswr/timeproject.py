@@ -8,9 +8,10 @@ Serves two purposes:
 * transfer between nonmatching piecewise-linear meshes of a flat 1D
   interface (mortar coupling), through hat-function overlap integrals.
 
-Both are built by a single merge sweep over the union of breakpoints,
-O(N_src + N_tgt) overlaps, no merged grid stored.  Overlap integrands
-are low-degree polynomials and are integrated exactly by Gauss rules.
+Both are integrated over the merged grid, the union of the two meshes'
+breakpoints: each of its O(N_src + N_tgt) segments is the overlap of one
+interval of each mesh, and all segments are integrated at once, exactly,
+by Gauss rules (the integrands are low-degree polynomials).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "build_projection_matrices",
     "apply_projection",
     "hat_cross_matrix",
-    "sweep_overlaps",
 ]
 
 # relative overlap threshold: guards against floating-point slivers when
@@ -39,21 +39,21 @@ _G3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _G3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
-def sweep_overlaps(a_pts, b_pts, min_len):
-    """Yield (ia, ib, lo, hi) for every positive-measure intersection of
-    intervals [a_pts[ia], a_pts[ia+1]] and [b_pts[ib], b_pts[ib+1]]."""
-    ia = ib = 0
-    na, nb = len(a_pts) - 1, len(b_pts) - 1
-    while ia < na and ib < nb:
-        lo = max(a_pts[ia], b_pts[ib])
-        hi = min(a_pts[ia + 1], b_pts[ib + 1])
-        if hi - lo > min_len:
-            yield ia, ib, lo, hi
-        # advance the cursor whose interval ends first
-        if a_pts[ia + 1] <= b_pts[ib + 1]:
-            ia += 1
-        else:
-            ib += 1
+def _overlaps(a_pts, b_pts, min_len):
+    """(ia, ib, lo, hi) arrays, one entry per segment [lo, hi] of the
+    merged grid of two sorted meshes that is longer than min_len and lies
+    inside both spans, in increasing order: [lo, hi] is the overlap of
+    [a_pts[ia], a_pts[ia+1]] and [b_pts[ib], b_pts[ib+1]]."""
+    pts = np.union1d(a_pts, b_pts)
+    lo, hi = pts[:-1], pts[1:]
+    keep = ((hi - lo > min_len) & (lo >= max(a_pts[0], b_pts[0]))
+            & (hi <= min(a_pts[-1], b_pts[-1])))
+    lo, hi = lo[keep], hi[keep]
+    # no breakpoint lies inside a segment, so each mesh's interval is the
+    # last one starting at or before lo (a midpoint may round onto hi)
+    ia = np.searchsorted(a_pts, lo, side="right") - 1
+    ib = np.searchsorted(b_pts, lo, side="right") - 1
+    return ia, ib, lo, hi
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,22 @@ def build_projection_matrices(source, target, d):
         raise ValueError("partitions do not cover the same window")
 
     src_bp, tgt_bp = source.breakpoints, target.breakpoints
-    src_mid = 0.5 * (src_bp[:-1] + src_bp[1:])
-    tgt_mid = 0.5 * (tgt_bp[:-1] + tgt_bp[1:])
-    src_k, tgt_k = source.lengths, target.lengths
+    m, n, lo, hi = _overlaps(src_bp, tgt_bp, SLIVER_REL * span)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = mid[:, None] + half[:, None] * _G2  # 2-point Gauss, exact for the quadratic integrand
 
-    rows, cols = [], []
-    vals = [[[] for _ in range(d + 1)] for _ in range(d + 1)]
-    for m, n, lo, hi in sweep_overlaps(src_bp, tgt_bp, SLIVER_REL * span):
-        rows.append(n)
-        cols.append(m)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s = mid + half * _G2  # 2-point Gauss, exact for the quadratic integrand
-        w = half  # equal weights (hi-lo)/2
-        phi_src = [np.ones(2), 2.0 * (s - src_mid[m]) / src_k[m]]
-        phi_tgt = [np.ones(2), 2.0 * (s - tgt_mid[n]) / tgt_k[n]]
-        for al in range(d + 1):
-            for be in range(d + 1):
-                vals[al][be].append(w * np.sum(phi_src[al] * phi_tgt[be]))
+    def legendre(bp, k, i):
+        """The Legendre modes 0 and 1 of intervals i at the points s."""
+        return [np.ones_like(s), 2.0 * (s - 0.5 * (bp[i] + bp[i + 1])[:, None]) / k[i][:, None]]
 
+    phi_src = legendre(src_bp, source.lengths, m)
+    phi_tgt = legendre(tgt_bp, target.lengths, n)
     shape = (target.n_intervals, source.n_intervals)
+    # equal Gauss weights (hi-lo)/2
     blocks = tuple(
         tuple(
-            sp.coo_matrix((np.array(vals[al][be]), (rows, cols)), shape=shape).tocsr()
+            sp.coo_matrix((half * np.sum(phi_src[al] * phi_tgt[be], axis=1), (n, m)),
+                          shape=shape).tocsr()
             for be in range(d + 1)
         )
         for al in range(d + 1)
@@ -142,33 +136,35 @@ def hat_cross_matrix(target_nodes, source_nodes, weight=None, kind="mass"):
         kind = "dtarget":    T = d/dx, S = identity
 
     weight is a vectorized callable of the interface coordinate (or None
-    for 1).  3-point Gauss per overlap segment.
+    for 1), called once on the flat array of all quadrature points.
+    3-point Gauss per overlap segment.
     """
     xt = np.asarray(target_nodes, dtype=float)
     xs = np.asarray(source_nodes, dtype=float)
     if xt.size < 2 or xs.size < 2:
         raise ValueError("need at least two nodes per mesh")
     span = min(xt[-1], xs[-1]) - max(xt[0], xs[0])
-    rows, cols, vals = [], [], []
-    for f, e, lo, hi in sweep_overlaps(xt, xs, SLIVER_REL * max(span, 1e-300)):
-        ht, hs = xt[f + 1] - xt[f], xs[e + 1] - xs[e]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xq = mid + half * _G3_NODES
-        wq = half * _G3_WEIGHTS
-        if weight is not None:
-            wq = wq * np.asarray(weight(xq), dtype=float)
-        # local values/derivatives of the two active hats on each mesh
-        t_val = np.stack([(xt[f + 1] - xq) / ht, (xq - xt[f]) / ht])
-        t_der = np.stack([np.full(3, -1.0 / ht), np.full(3, 1.0 / ht)])
-        s_val = np.stack([(xs[e + 1] - xq) / hs, (xq - xs[e]) / hs])
-        s_der = np.stack([np.full(3, -1.0 / hs), np.full(3, 1.0 / hs)])
-        tloc = t_der if kind in ("grad_both", "dtarget") else t_val
-        sloc = s_der if kind == "grad_both" else s_val
-        for a in range(2):
-            for b in range(2):
-                rows.append(f + a)
-                cols.append(e + b)
-                vals.append(np.sum(wq * tloc[a] * sloc[b]))
+    f, e, lo, hi = _overlaps(xt, xs, SLIVER_REL * max(span, 1e-300))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    xq = mid[:, None] + half[:, None] * _G3_NODES
+    wq = half[:, None] * _G3_WEIGHTS
+    if weight is not None:
+        wq = wq * np.asarray(weight(xq.ravel()), dtype=float).reshape(xq.shape)
+
+    def local(x, i, derivative):
+        """Values or derivatives of the two hats active on intervals i,
+        shape (overlaps, 2, points)."""
+        h = (x[i + 1] - x[i])[:, None, None]
+        if derivative:
+            return np.array([-1.0, 1.0])[:, None] / h
+        return np.stack([x[i + 1][:, None] - xq, xq - x[i][:, None]], axis=1) / h
+
+    tloc = local(xt, f, kind in ("grad_both", "dtarget"))
+    sloc = local(xs, e, kind == "grad_both")
+    # entries (overlap, a, b) for target hat f + a and source hat e + b
+    vals = np.sum(wq[:, None, None] * tloc[:, :, None] * sloc[:, None, :], axis=-1)
+    rows = np.broadcast_to((f[:, None] + np.arange(2))[:, :, None], vals.shape)
+    cols = np.broadcast_to((e[:, None] + np.arange(2))[:, None, :], vals.shape)
     return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(xt.size, xs.size)
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(xt.size, xs.size)
     ).tocsr()

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,23 @@ class TestRun:
         assert main(["run", str(p), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "in expression for 'nu'" in err and f"(col {col}) (line 14)" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old,new,where", [
+        ('nu = "0.1*sin(x*y)"', 'nu = "1e999"', "subdomain 2: coefficient nu"),
+        ('c = "0"', 'c = "1e999"', "subdomain 1: coefficient c"),
+        ('f = "0"', 'f = "1e999*x"', "subdomain 1: coefficient f"),
+        ('bx = "0"', 'bx = "1e999"', "subdomain 1: coefficient bx"),
+        ('r = "-1"', 'r = "1e999"', "interface (1, 2): coefficient r"),
+    ], ids=["nu", "c", "f", "bx", "r"])
+    def test_non_finite_coefficient_exit_2(self, tmp_path, capsys, old, new, where):
+        demo = Path(__file__).resolve().parent.parent / "demos" / "heterogeneous.cfg"
+        p = tmp_path / "inf.cfg"
+        p.write_text(demo.read_text().replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {where} evaluation failed: non-finite value at point" in err, err
         assert not out.exists()
 
     def test_solver_failure_exit_3(self, cfg_path, tmp_path, monkeypatch):

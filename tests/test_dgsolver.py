@@ -176,7 +176,7 @@ class TestKroneckerStepParts:
         # their Kronecker system is the block loop of degree d
         asm = _mortar_assembly()
         mass, stiff = _mortar_blocks(asm)
-        MM, KK, P, rows = _step_operator(asm, d)
+        MM, KK, P, rows = _step_operator(asm)
         assert list(rows) == [2]
         assert np.array_equal(rows[2], asm.n_dofs + np.arange(asm.iface[2].nodes.size))
         O_mass, O_stiff = _step_parts_loop(mass, stiff, 0)
@@ -484,9 +484,9 @@ class TestStepClassCache:
             (factor,) = cache.factors.values()
             assert factor.L.dtype == complex
             assert cache.nnz_lu == factor.L.nnz + factor.U.nnz
-            MM, KK, _, _ = _step_operator(asm, 1)
+            MM, KK, _, _ = _step_operator(asm)
             S_mass, S_stiff = _step_parts(MM, KK, 1)
-            (_, k), = cache.factors
+            (k,) = cache.factors
             real = spla.splu(sp.csc_matrix(S_mass + k * S_stiff), permc_spec="MMD_AT_PLUS_A")
             assert cache.nnz_lu < real.L.nnz + real.U.nnz
 

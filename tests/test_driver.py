@@ -694,10 +694,10 @@ def _step_parts(mass, stiff, d):
             sp.kron(np.diag(tab.gram), stiff, format="csr"))
 
 
-def _old_solve_step(cache, d, S_mass, S_stiff, k, rhs, n):
+def _old_solve_step(cache, S_mass, S_stiff, k, rhs, n):
     """Real LU of S(k) per step class, one refinement step, and the
     1e-12 residual contract on the step's own S(k)."""
-    factor = cache.get(cache.key(d, k), lambda: S_mass + k * S_stiff)
+    factor = cache.get(cache.key(k), lambda: S_mass + k * S_stiff)
     x = factor.solve(rhs)
     r = S_mass @ x + k * (S_stiff @ x) - rhs
     if dg._relative_residual(r, rhs) > RESIDUAL_TOL:
@@ -733,7 +733,7 @@ def _old_march(asm, traces_in, partition, u_init, loads):
         rhs[:, :ndof] += loads[n] + G
         for r, g in flux_data:
             rhs[:, r] += g[n]
-        x = _old_solve_step(cache, d, S_mass, S_stiff, float(k), rhs.ravel(), n)
+        x = _old_solve_step(cache, S_mass, S_stiff, float(k), rhs.ravel(), n)
         x = x.reshape(d + 1, -1)
         coeffs[n] = x[:, :ndof]
         for nb, r in rows.items():
@@ -777,7 +777,7 @@ class TestOneInterfaceFold:
         md.set_window(0.0, cfg.T)
         rng = np.random.default_rng(17)
         for sid, asm in md.assemblies.items():
-            new = dg._step_operator(asm, degree)
+            new = dg._step_operator(asm)
             for a, b in zip(new[:3], _old_blocks(asm)):
                 assert _same_csr(a, b)
             part = md.partitions[sid]
@@ -883,7 +883,7 @@ class TestFailureReporting:
         k = float(md.partitions[1].lengths[0])
         # the class factor of a different matrix: every step misses the residual
         wrong = spla.splu(sp.identity(asm.n_dofs, dtype=complex, format="csc"))
-        asm.cache.factors[asm.cache.key(1, k)] = wrong
+        asm.cache.factors[asm.cache.key(k)] = wrong
         with pytest.raises(SolverError,
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
                                  r"linear solve residual .* exceeds 1e-12$"):

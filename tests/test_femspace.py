@@ -26,7 +26,7 @@ def _folded_mass(asm):
     folded in: S_mass of the DG(0) step (whose time table is [[1]])."""
     from oswr.dgsolver import _step_operator
 
-    return _step_operator(asm, 0)[0]
+    return _step_operator(asm)[0]
 
 
 class TestMesh:

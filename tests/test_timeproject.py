@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oswr.timebasis import TimePartition, legendre_eval, project_interval
-from oswr.timeproject import apply_projection, build_projection_matrices, hat_cross_matrix
+from oswr.timeproject import (
+    SLIVER_REL,
+    apply_projection,
+    build_projection_matrices,
+    hat_cross_matrix,
+)
 
 
 def random_partition(rng, t0, t1, n):
@@ -34,6 +40,93 @@ def brute_force_blocks(source, target, d):
             for be in range(d + 1):
                 blocks[al][be][n, m] += w * np.sum(phi_s[al] * phi_t[be])
     return blocks
+
+
+# Reference builders: the cursor sweep over the two meshes and the
+# per-overlap integration, as written before the merged-grid arrays.
+# The builders must match them byte for byte.
+
+_G2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+_G3_NODES = np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+_G3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
+
+def sweep_overlaps(a_pts, b_pts, min_len):
+    """Yield (ia, ib, lo, hi) for every positive-measure intersection of
+    intervals [a_pts[ia], a_pts[ia+1]] and [b_pts[ib], b_pts[ib+1]]."""
+    ia = ib = 0
+    na, nb = len(a_pts) - 1, len(b_pts) - 1
+    while ia < na and ib < nb:
+        lo = max(a_pts[ia], b_pts[ib])
+        hi = min(a_pts[ia + 1], b_pts[ib + 1])
+        if hi - lo > min_len:
+            yield ia, ib, lo, hi
+        # advance the cursor whose interval ends first
+        if a_pts[ia + 1] <= b_pts[ib + 1]:
+            ia += 1
+        else:
+            ib += 1
+
+
+def reference_projection_blocks(source, target, d):
+    span = source.end - source.start
+    src_bp, tgt_bp = source.breakpoints, target.breakpoints
+    src_mid = 0.5 * (src_bp[:-1] + src_bp[1:])
+    tgt_mid = 0.5 * (tgt_bp[:-1] + tgt_bp[1:])
+    src_k, tgt_k = source.lengths, target.lengths
+    rows, cols = [], []
+    vals = [[[] for _ in range(d + 1)] for _ in range(d + 1)]
+    for m, n, lo, hi in sweep_overlaps(src_bp, tgt_bp, SLIVER_REL * span):
+        rows.append(n)
+        cols.append(m)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        s = mid + half * _G2
+        w = half
+        phi_src = [np.ones(2), 2.0 * (s - src_mid[m]) / src_k[m]]
+        phi_tgt = [np.ones(2), 2.0 * (s - tgt_mid[n]) / tgt_k[n]]
+        for al in range(d + 1):
+            for be in range(d + 1):
+                vals[al][be].append(w * np.sum(phi_src[al] * phi_tgt[be]))
+    shape = (target.n_intervals, source.n_intervals)
+    return [
+        [sp.coo_matrix((np.array(vals[al][be]), (rows, cols)), shape=shape).tocsr()
+         for be in range(d + 1)]
+        for al in range(d + 1)
+    ]
+
+
+def reference_hat_cross(target_nodes, source_nodes, weight=None, kind="mass"):
+    xt = np.asarray(target_nodes, dtype=float)
+    xs = np.asarray(source_nodes, dtype=float)
+    span = min(xt[-1], xs[-1]) - max(xt[0], xs[0])
+    rows, cols, vals = [], [], []
+    for f, e, lo, hi in sweep_overlaps(xt, xs, SLIVER_REL * max(span, 1e-300)):
+        ht, hs = xt[f + 1] - xt[f], xs[e + 1] - xs[e]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xq = mid + half * _G3_NODES
+        wq = half * _G3_WEIGHTS
+        if weight is not None:
+            wq = wq * np.asarray(weight(xq), dtype=float)
+        t_val = np.stack([(xt[f + 1] - xq) / ht, (xq - xt[f]) / ht])
+        t_der = np.stack([np.full(3, -1.0 / ht), np.full(3, 1.0 / ht)])
+        s_val = np.stack([(xs[e + 1] - xq) / hs, (xq - xs[e]) / hs])
+        s_der = np.stack([np.full(3, -1.0 / hs), np.full(3, 1.0 / hs)])
+        tloc = t_der if kind in ("grad_both", "dtarget") else t_val
+        sloc = s_der if kind == "grad_both" else s_val
+        for a in range(2):
+            for b in range(2):
+                rows.append(f + a)
+                cols.append(e + b)
+                vals.append(np.sum(wq * tloc[a] * sloc[b]))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(xt.size, xs.size)).tocsr()
+
+
+def same_bytes(a, b):
+    """Equal csr arrays, dtypes and bytes."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    )
 
 
 def coeff_norm(partition, coeffs):
@@ -243,3 +336,61 @@ class TestHatCross:
         M = hat_cross_matrix(x, x, lambda s: 2.0 * np.ones_like(s), "mass").toarray()
         M1 = hat_cross_matrix(x, x, None, "mass").toarray()
         assert M == pytest.approx(2.0 * M1)
+
+
+# Offsets from a breakpoint of the other mesh: exact, well under, near and
+# above the sliver threshold SLIVER_REL * span.
+NEAR = [0.0, 1e-16, -1e-15, 3e-15, 5e-14, -1e-13, 2e-13, 1e-12]
+
+
+@st.composite
+def mesh_pair(draw, lo=0.0, hi=1.0):
+    """Breakpoints a of [0, 1] and b whose points are fresh ones in
+    [lo, hi] or points of a moved by an offset from NEAR."""
+    a = _partition(draw(cell_lengths)).breakpoints
+    picks = draw(st.lists(st.one_of(
+        st.floats(lo, hi),
+        st.tuples(st.integers(0, a.size - 1), st.sampled_from(NEAR)),
+    ), min_size=1, max_size=10))
+    b = np.unique([p if isinstance(p, float) else a[p[0]] + p[1] for p in picks])
+    return a, b
+
+
+class TestMergedGridOracle:
+    """The merged-grid builders against the cursor-sweep references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=mesh_pair(), d=st.sampled_from([0, 1]), end=st.sampled_from([0.0, 1e-13]),
+           swap=st.booleans())
+    def test_projection_blocks(self, pair, d, end, swap):
+        a, b = pair
+        b = np.concatenate([[0.0], b[(b > 0.0) & (b < 1.0)], [1.0 + end]])
+        src, tgt = TimePartition(a), TimePartition(b)
+        if swap:
+            src, tgt = tgt, src
+        blocks = build_projection_matrices(src, tgt, d).blocks
+        ref = reference_projection_blocks(src, tgt, d)
+        for al in range(d + 1):
+            for be in range(d + 1):
+                assert same_bytes(blocks[al][be], ref[al][be])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=mesh_pair(-0.5, 1.5), kind=st.sampled_from(["mass", "grad_both", "dtarget"]),
+           weighted=st.booleans(), swap=st.booleans())
+    def test_hat_cross(self, pair, kind, weighted, swap):
+        # the two spans may overlap in part, or not at all
+        xt, xs = pair if not swap else pair[::-1]
+        assume(xt.size >= 2 and xs.size >= 2)
+        calls = []
+
+        def weight(s):
+            return 1.0 + 0.5 * np.sin(3.0 * s) + s * s
+
+        def counted(s):
+            calls.append(s.size)
+            return weight(s)
+
+        B = hat_cross_matrix(xt, xs, counted if weighted else None, kind)
+        assert len(calls) == int(weighted)  # all quadrature points at once
+        ref = reference_hat_cross(xt, xs, weight if weighted else None, kind)
+        assert same_bytes(B, ref)
