@@ -1,9 +1,8 @@
-"""Nonmatching spatial meshes on the interface: the mortar flux path.
+"""Nonmatching spatial meshes on the interface.
 
-When the interface traces of the two meshes differ, each subdomain
-carries an extra unknown Q approximating the diffusive flux nu du/dn on
-the interface, determined by an interface equation tested against the
-subdomain's own trace space.  Transmission data is then assembled from
+Every interface carries an extra unknown Q approximating the diffusive
+flux nu du/dn on the interface, determined by an interface equation
+tested against the subdomain's own trace space.  Transmission data is then assembled from
 (U, Q) with hat-function overlap integrals between the two interface
 meshes, so no common refinement is ever built.
 
@@ -70,8 +69,9 @@ s = 0.05
 """)
 
 md = build_multidomain(cfg)
-print("mortar interfaces per subdomain:",
-      {sid: asm.mortar_neighbors for sid, asm in md.assemblies.items()})
+print("interface nodes per subdomain:",
+      {sid: {nb: ia.nodes.size for nb, ia in asm.iface.items()}
+       for sid, asm in md.assemblies.items()})
 sol = run_windows(cfg, md=md)
 print(f"converged in {sol.histories[0].iterations} iterations")
 

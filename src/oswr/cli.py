@@ -2,11 +2,12 @@
 
 Subcommands:
 
-* ``oswr run <config> [--out DIR] [--times LIST] [--force-mortar]``
+* ``oswr run <config> [--out DIR] [--times LIST]``
   runs the windowed OSWR solver; writes per-subdomain solution
   snapshots, the residual history and a run manifest.  Given a
-  manifest, it re-runs with the manifest's --times and --force-mortar
-  unless the command line gives them.
+  manifest, it re-runs with the manifest's --times unless the command
+  line gives them.  Keys of older manifests that this version no
+  longer reads, such as the interface-formulation flag, are ignored.
 * ``oswr study <config> --axis time|space|spacetime --levels N``
   convergence-order study; writes a study table CSV with a slopes
   footer row and optionally a gnuplot script.
@@ -109,14 +110,13 @@ def _snapshot_times(text, T):
 
 def cmd_run(args):
     cfg, manifest = _read_config(args.config)
-    force_mortar = args.force_mortar or manifest.get("force_mortar", False)
     times_arg = args.times or manifest.get("times", "")
     _validate_or_fail(cfg)
     times = _snapshot_times(times_arg, cfg.T)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    md = build_multidomain(cfg, force_mortar=force_mortar)
+    md = build_multidomain(cfg)
     sol = run_windows(cfg, md=md)
     wall = time.perf_counter() - t0
 
@@ -147,8 +147,7 @@ def cmd_run(args):
     rpath = outdir / "residuals.csv"
     rpath.write_text("\n".join(res_rows) + "\n")
     outputs.append(rpath.name)
-    _write_manifest(outdir, "run", cfg, outputs, wall, residuals,
-                    force_mortar=force_mortar, times=times_arg)
+    _write_manifest(outdir, "run", cfg, outputs, wall, residuals, times=times_arg)
     return EXIT_OK
 
 
@@ -289,7 +288,6 @@ def build_parser():
     p_run.add_argument("config")
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--times", default="", help="comma-separated snapshot times")
-    p_run.add_argument("--force-mortar", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_st = sub.add_parser("study", help="convergence-order study")

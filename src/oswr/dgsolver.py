@@ -29,15 +29,12 @@ complex n x n solve replaces the real 2n x 2n one.  The 1e-12 residual
 contract is checked against the real S(k), formed blockwise from MM,
 KK and the tables.
 
-One march serves every system, and `_step_operator` alone decides how
-an interface enters it.  A conforming interface adds no unknowns: its
-operators are folded into the volume blocks MM, KK and its transmission
-data loads the volume rows at its nodes.  A mortar interface adds a
-block of discrete flux unknowns Q, loaded by its transmission data,
-which couples nonmatching spatial meshes (the space-time nonconforming
-decomposition of Hoang, Jaffre, Japhet, Kern & Roberts, SINUM 51
-(2013)).  A flux row has no mass, yet lam MM + k KK keeps its k M_Gamma
-diagonal block.
+One march serves every system.  Every interface is a mortar
+interface: it adds a block of discrete flux unknowns Q, loaded by its
+transmission data, which couples matching and nonmatching spatial
+meshes alike (the space-time nonconforming decomposition of Hoang,
+Jaffre, Japhet, Kern & Roberts, SINUM 51 (2013)).  A flux row has no
+mass, yet lam MM + k KK keeps its k M_Gamma diagonal block.
 
 Every system owns a FactorCache that keeps its step operator
 (MM, KK, P, rows) and one sparse LU factor of lam MM + k KK per step
@@ -153,10 +150,6 @@ class Operators:
     def iface(self):
         return {}
 
-    @property
-    def mortar_neighbors(self):
-        return []
-
 
 @dataclass
 class DGTrajectory:
@@ -242,7 +235,7 @@ class InterfaceTrace:
 
 @dataclass
 class MortarFlux:
-    """Discrete interface flux modes, one entry per mortar interface."""
+    """Discrete interface flux modes, one entry per interface."""
 
     partition: TimePartition
     coeffs: dict  # neighbor id -> (N, d+1, n_iface)
@@ -279,17 +272,12 @@ def _step_operator(assembly):
     the rows that each interface's transmission data loads.  The blocks
     are the same for every degree; the time tables carry d.
 
-    Spatial blocks, volume U first, then the flux Q of each mortar
-    interface, folded from M_vol, A_vol interface by interface in
-    neighbor order, R the restriction to the interface nodes:
-    conforming:     the volume line gains R^T ((p - b.n/2) mass + q B_r
-                    + K_s) R, and q R^T M_Gamma R under the time tables;
-                    the data loads the volume rows at the nodes;
-    mortar:         the volume line gains R^T (b.n/2) mass R and the
-                    coupling -R^T M_Gamma to Q; the interface line is
-                    q M_Gamma R under the time tables, plus
-                    M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U; the
-                    data loads the flux rows.
+    Spatial blocks, volume U first, then the flux Q of each interface in
+    neighbor order, R the restriction to the interface nodes: the volume
+    line is M_vol, A_vol plus R^T (b.n/2) mass R and the coupling
+    -R^T M_Gamma to Q; the interface line is q M_Gamma R under the time
+    tables, plus M_Gamma Q + ((p - b.n) mass + q B_r + K_s) R U; the
+    data loads the flux rows.
     A flux row has no mass of its own; its empty diagonal block fixes the
     block size.  P is the first block column of MM: P @ u(t_n^-) is what
     the previous endpoint contributes to every row of one mode.  It is
@@ -297,34 +285,25 @@ def _step_operator(assembly):
     the column indices of a row and so reorders the sums of P @ u.
     """
     ndof = assembly.n_dofs
-    M, A = assembly.M_vol.copy(), assembly.A_vol.copy()
-    rows, fluxes = {}, []
-    for nb, ia in sorted(assembly.iface.items()):
-        n = ia.nodes.size
-        R = sp.coo_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, ndof)).tocsr()
-        if nb in assembly.mortar_neighbors:
-            M_bn2 = (ia.p * ia.M_gamma - ia.M_pbn).tocsr()
-            A = A + R.T @ M_bn2 @ R
-            fluxes.append((nb, ia, R, (ia.M_pbn - M_bn2).tocsr()))
-        else:
-            A = A + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
-            if ia.q != 0.0:
-                M = M + ia.q * (R.T @ ia.M_gamma @ R)
-            rows[nb] = ia.nodes
-    nblk = 1 + len(fluxes)
+    ifaces = sorted(assembly.iface.items())
+    nblk = 1 + len(ifaces)
     mass = [[None] * nblk for _ in range(nblk)]
     stiff = [[None] * nblk for _ in range(nblk)]
-    mass[0][0] = M.tocsr()
-    stiff[0][0] = A.tocsr()
-    offset = ndof
-    for r, (nb, ia, R, M_pbn_full) in enumerate(fluxes, start=1):
+    A, rows, offset = assembly.A_vol, {}, ndof
+    for r, (nb, ia) in enumerate(ifaces, start=1):
+        n = ia.nodes.size
+        R = sp.coo_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, ndof)).tocsr()
+        M_bn2 = (ia.p * ia.M_gamma - ia.M_pbn).tocsr()
+        A = A + R.T @ M_bn2 @ R
         mass[r][0] = ia.q * (ia.M_gamma @ R)
         mass[r][r] = sp.csr_matrix(ia.M_gamma.shape)
         stiff[0][r] = -(R.T @ ia.M_gamma)
         stiff[r][r] = ia.M_gamma
-        stiff[r][0] = (M_pbn_full + ia.q * ia.B_r + ia.K_s) @ R
-        rows[nb] = np.arange(offset, offset + ia.nodes.size)
-        offset += ia.nodes.size
+        stiff[r][0] = ((ia.M_pbn - M_bn2).tocsr() + ia.q * ia.B_r + ia.K_s) @ R
+        rows[nb] = slice(offset, offset + n)
+        offset += n
+    mass[0][0] = assembly.M_vol.tocsr()
+    stiff[0][0] = A.tocsr()
     P = sp.vstack([row[0] for row in mass], format="csr")
     return sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), P, rows
 
@@ -365,10 +344,12 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
     """March one system (a SubdomainAssembly, or Operators) over a window.
 
     traces_in maps neighbor id -> InterfaceTrace on this subdomain's
-    partition; each trace loads the rows `_step_operator` gives its
+    partition; each trace loads the flux rows `_step_operator` gives its
     interface.  loads[n] is the (d+1, ndof) volume load of interval n.
-    Returns (DGTrajectory, MortarFlux); the flux has one entry per mortar
-    interface.  The step operator and its factors live in assembly.cache.
+    Returns (DGTrajectory, MortarFlux); the flux has one entry per
+    interface.  Both are views of one window array, so the flux columns
+    are not copied.  The step operator and its factors live in
+    assembly.cache.
     """
     d = assembly.degree
     ndof = assembly.n_dofs
@@ -377,8 +358,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
     # X[n] holds step n's data until the step overwrites it with its
-    # solution; the traces are summed before the load is added, which fixes
-    # the rounding at a node on two interfaces.
+    # solution.
     gram = partition.gram(d)
     X = np.zeros((partition.n_intervals, d + 1, P.shape[0]))
     for nb, tr in traces_in.items():
@@ -390,9 +370,9 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
         rhs = sign * (P @ u_prev) + X[n]
         X[n] = _solve_step(cache, d, mass, stiff, float(k), rhs, n)
         u_prev = X[n, :, :ndof].sum(axis=0)
-    traj = DGTrajectory(partition=partition, coeffs=np.ascontiguousarray(X[:, :, :ndof]),
+    traj = DGTrajectory(partition=partition, coeffs=X[:, :, :ndof],
                         u_init=np.asarray(u_init, float).copy())
-    flux = {nb: X[:, :, rows[nb]] for nb in assembly.mortar_neighbors}
+    flux = {nb: X[:, :, r] for nb, r in rows.items()}
     return traj, MortarFlux(partition=partition, coeffs=flux)
 
 

@@ -1,30 +1,25 @@
 """Waveform-relaxation driver.
 
 Builds the multidomain set-up in one pass: meshes and trace spaces
-first, then the decision of each interface between conforming and
-mortar, then every subdomain's volume operators and one record of
+first, then every subdomain's volume operators and one record of
 blocks per directed interface, once, and one exchange operator per
 directed pair.  How an interface enters a subdomain's step system is
-decided by `dgsolver._step_operator` alone.  The driver then exchanges
-transmission data between neighbors (Jacobi style: every subdomain
-solves against the previous iterate's traces), projects traces between
-nonconforming time grids, monitors interface residuals, and chains time
-windows.
+decided by `dgsolver._step_operator` alone: every interface carries a
+discrete flux unknown, on matching and nonmatching meshes alike.  The
+driver then exchanges transmission data between neighbors (Jacobi
+style: every subdomain solves against the previous iterate's traces),
+projects traces between nonconforming time grids, monitors interface
+residuals, and chains time windows.
 
-The conforming-trace exchange never extracts a normal derivative from
-the solution: the new data is the algebraic combination
-
-    g_new(i<-j) = P_i [ -g_old(j<-i) + (p_ij + p_ji) M_G u_j
-                         + (q_ij + q_ji) d/dt(I_j M_G u_j)
-                         + (tangential advection + diffusion) u_j ],
-
-all in weak (functional) form against the interface test functions; the
-mortar exchange carries the discrete flux unknown instead:
+The exchange never extracts a normal derivative from the solution: the
+new data is the algebraic combination
 
     g_new(i<-j) = P_i [ -M_x Q_j + (M_bx + q_ij B_rx + K_sx) u_j
                          + q_ij d/dt(I_j M_x u_j) ],
 
-with the cross blocks coupling j's trace functions to i's.
+all in weak (functional) form against the interface test functions,
+with Q_j the flux unknown of j and the cross blocks coupling j's trace
+functions to i's.
 """
 
 from __future__ import annotations
@@ -89,7 +84,6 @@ class SubdomainAssembly:
     M_vol: sp.csr_matrix       # omega-weighted mass
     A_vol: sp.csr_matrix       # atilde + exterior Robin closure
     iface: dict                # neighbor -> femspace.InterfaceBlocks
-    mortar_neighbors: list     # sorted neighbors across a mortar interface
     cache: FactorCache = field(default_factory=FactorCache, init=False)
     f: object = None
 
@@ -153,10 +147,9 @@ def _volume_operators(spec, space):
     return fes.assemble_mass(mesh, spec.omega), (atilde + ext).tocsr()
 
 
-def build_subdomain_assembly(cfg, spec, space, mortar):
-    """All time-independent operators of one subdomain; `mortar` holds
-    the neighbors across a mortar interface.  How each interface enters
-    the step system is decided when the system first marches."""
+def build_subdomain_assembly(cfg, spec, space):
+    """All time-independent operators of one subdomain.  The step
+    system is folded from them when the system first marches."""
     M_vol, A_vol = _volume_operators(spec, space)
     iface = {
         nb: fes.assemble_interface_ops(space, nb, cfg.transmission[(spec.id, nb)], spec.b)
@@ -164,7 +157,7 @@ def build_subdomain_assembly(cfg, spec, space, mortar):
     }
     return SubdomainAssembly(
         spec=spec, mesh=space.mesh, space=space, degree=spec.degree, M_vol=M_vol,
-        A_vol=A_vol, iface=iface, mortar_neighbors=sorted(mortar), f=cfg.f,
+        A_vol=A_vol, iface=iface, f=cfg.f,
     )
 
 
@@ -172,34 +165,26 @@ def build_subdomain_assembly(cfg, spec, space, mortar):
 class Exchange:
     """What the directed exchange i <- j applies to j's interface data.
 
-    Rows are i's trace test functions, columns j's trace functions.
-    Conforming: mass = j's M_Gamma, op = the tangential operator of the
-    interface (shared by both directions), p = p_ij + p_ji,
-    q = q_ij + q_ji.  Mortar: mass = M_x = int psi_i chi_j (also applied
-    to the flux Q_j), op = M_bx + q_ij B_rx + K_sx with
+    Rows are i's trace test functions, columns j's trace functions:
+    mass = M_x = int psi_i chi_j, applied to the trace of u_j and to the
+    flux Q_j; op = M_bx + q_ij B_rx + K_sx with
     M_bx = int (b_j.n_j + p_ij) psi_i chi_j, B_rx and K_sx the tangential
-    blocks across the two traces, p = None (the flux Q_j takes the place
-    of the old data and its p-term), q = q_ij.
+    blocks across the two traces; q = q_ij.
     """
 
     mass: sp.csr_matrix
     op: sp.csr_matrix
-    p: float | None
     q: float
 
-    @property
-    def mortar(self):
-        return self.p is None
 
-
-def _mortar_exchange(cfg, ai, aj):
-    """The directed mortar exchange i <- j."""
+def _exchange(cfg, ai, aj):
+    """The directed exchange i <- j."""
     i, j = ai.spec.id, aj.spec.id
     ti, tj = ai.space.traces[j], aj.space.traces[i]
     params = cfg.transmission[(i, j)]
     bnj = fes._bn_along(tj, aj.spec.b)
     M_x, M_bx, B_rx, K_sx = fes._face_blocks(ti, tj, lambda s: bnj(s) + params.p, params)
-    return Exchange(mass=M_x, op=M_bx + params.q * B_rx + K_sx, p=None, q=params.q)
+    return Exchange(mass=M_x, op=M_bx + params.q * B_rx + K_sx, q=params.q)
 
 
 @dataclass
@@ -241,44 +226,13 @@ def _check_problem(cfg):
         raise ValueError("invalid problem: " + "; ".join(d.message for d in errors))
 
 
-def build_multidomain(cfg, force_mortar=False):
+def build_multidomain(cfg):
     _check_problem(cfg)
     interfaces = cfg.interfaces()
     spaces = {s.id: _build_space(s, interfaces) for s in cfg.subdomains}
-    pairs = []
-    mortar = set()  # directed pairs across a mortar interface
-    for itf in interfaces:
-        pairs.append((itf.i, itf.j))
-        pairs.append((itf.j, itf.i))
-        al_i = spaces[itf.i].traces[itf.j].along
-        al_j = spaces[itf.j].traces[itf.i].along
-        if al_i is None:  # 1D: the interface is a point
-            conforming = True
-        else:
-            conforming = al_i.size == al_j.size and np.allclose(al_i, al_j, atol=1e-12)
-        if force_mortar or not conforming:
-            mortar |= {(itf.i, itf.j), (itf.j, itf.i)}
-    pairs.sort()
-    assemblies = {
-        s.id: build_subdomain_assembly(
-            cfg, s, spaces[s.id], {nb for (i, nb) in mortar if i == s.id}
-        )
-        for s in cfg.subdomains
-    }
-
-    exchange = {}
-    for itf in interfaces:
-        i, j = itf.i, itf.j
-        ai, aj = assemblies[i], assemblies[j]
-        if (i, j) in mortar:
-            exchange[(i, j)] = _mortar_exchange(cfg, ai, aj)
-            exchange[(j, i)] = _mortar_exchange(cfg, aj, ai)
-        else:
-            ia, ja = ai.iface[j], aj.iface[i]
-            tang = (ia.q * ia.B_r + ja.q * ja.B_r + ia.K_s + ja.K_s).tocsr()
-            p, q = ia.p + ja.p, ia.q + ja.q
-            exchange[(i, j)] = Exchange(mass=ja.M_gamma, op=tang, p=p, q=q)
-            exchange[(j, i)] = Exchange(mass=ia.M_gamma, op=tang, p=p, q=q)
+    assemblies = {s.id: build_subdomain_assembly(cfg, s, spaces[s.id]) for s in cfg.subdomains}
+    pairs = sorted([(itf.i, itf.j) for itf in interfaces] + [(itf.j, itf.i) for itf in interfaces])
+    exchange = {(i, j): _exchange(cfg, assemblies[i], assemblies[j]) for (i, j) in pairs}
     return Multidomain(cfg=cfg, assemblies=assemblies, pairs=pairs, exchange=exchange)
 
 
@@ -315,23 +269,18 @@ def _apply_rows(B, arr):
     return out.reshape(shp[:-1] + (B.shape[0],))
 
 
-def transmission_update(md, i, j, traj_j, flux_j, g_old, u_init_j):
+def transmission_update(md, i, j, traj_j, flux_j, u_init_j):
     """New data g_{i,j} from neighbor j's iterate (directed i <- j).
 
-    traj_j lives on T_j; g_old is g_{j,i} (the data j received, also on
-    T_j); the result is projected onto T_i.
+    traj_j and flux_j live on T_j; the result is projected onto T_i.
     """
     ex = md.exchange[(i, j)]
     nodes = md.assemblies[j].iface[i].nodes
     RU = traj_j.coeffs[:, :, nodes]
-    W = _apply_rows(ex.mass, RU)
-    w_init = ex.mass @ np.asarray(u_init_j, dtype=float)[nodes]
-    if ex.mortar:
-        gtil = -_apply_rows(ex.mass, flux_j.coeffs[i])
-    else:
-        gtil = -g_old.coeffs + ex.p * W
-    gtil += _apply_rows(ex.op, RU)
+    gtil = _apply_rows(ex.op, RU) - _apply_rows(ex.mass, flux_j.coeffs[i])
     if ex.q != 0.0:
+        W = _apply_rows(ex.mass, RU)
+        w_init = ex.mass @ np.asarray(u_init_j, dtype=float)[nodes]
         gtil += ex.q * _lift_rate_window(W, w_init, md.partitions[j].lengths)
 
     new = apply_projection(md.projections[(i, j)], gtil)
@@ -442,7 +391,7 @@ def iterate(md, window, u_init, budget, tol, traces=None):
         new_traces = {}
         for (i, j) in md.pairs:
             new_traces[(i, j)] = transmission_update(
-                md, i, j, trajectories[j], fluxes[j], traces[(j, i)], u_init[j]
+                md, i, j, trajectories[j], fluxes[j], u_init[j]
             )
         r_pair = {
             pair: interface_residual(new_traces[pair], traces[pair], scale[pair])

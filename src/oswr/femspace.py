@@ -468,11 +468,17 @@ def assemble_exterior_robin(space, b):
     mass to the spatial operator.
     """
     n = space.n_dofs
-    out = sp.csr_matrix((n, n))
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for tr in space.exterior:
         bn = _bn_along(tr, b)
-        B = _face_blocks(tr, tr, lambda s: P_EXT - 0.5 * bn(s))
-        out = out + scatter_matrix(B, tr.nodes, tr.nodes, n, n)
+        B = sp.coo_matrix(_face_blocks(tr, tr, lambda s: P_EXT - 0.5 * bn(s)))
+        rows.append(tr.nodes[B.row])
+        cols.append(tr.nodes[B.col])
+        vals.append(B.data)
+    out = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    out.eliminate_zeros()
     return out
 
 

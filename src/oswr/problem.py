@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from oswr.timebasis import GAUSS4_NODES
+
 __all__ = [
     "ConfigError",
     "EvalError",
@@ -674,6 +676,27 @@ def _sample_lattice(box, n=16):
     return X.ravel(), Y.ravel()
 
 
+def _mesh_nodes(spec):
+    """The (x, y) nodes of a subdomain's mesh, as `femspace.build_mesh`
+    places them (at least one cell per direction)."""
+    xs = np.linspace(spec.box[0], spec.box[1], max(spec.nx, 1) + 1)
+    if spec.dim == 1:
+        return xs, np.zeros_like(xs)
+    X, Y = np.meshgrid(xs, np.linspace(spec.box[2], spec.box[3], max(spec.ny, 1) + 1))
+    return X.ravel(), Y.ravel()
+
+
+def _load_times(cfg, spec):
+    """The 4-point Gauss times of every interval of a subdomain's time
+    grid over all windows, where `femspace.assemble_load` evaluates f."""
+    bounds = np.linspace(0.0, cfg.T, max(cfg.windows, 1) + 1)
+    times = []
+    for t_a, t_b in zip(bounds[:-1], bounds[1:]):
+        bp = np.linspace(t_a, t_b, max(spec.nt, 1) + 1)
+        times.append((bp[:-1, None] + np.diff(bp)[:, None] * GAUSS4_NODES).ravel())
+    return np.concatenate(times)
+
+
 def _interface_samples(itf, n=16):
     """Cell-center points along a flat interface; in 1D, the point."""
     if itf.span is None:
@@ -744,12 +767,17 @@ def validate_problem(cfg):
                 err(f"subdomain {s.id}: coefficient {name} depends on t; "
                     "only f and u0 may be time-dependent")
         # every coefficient the set-up evaluates must be finite; the sign
-        # checks need the values
+        # checks need the values.  A time-dependent f is sampled at every
+        # time the interval loads evaluate it, and u0 at the mesh nodes it
+        # is interpolated at, boundary included.
         x, y = _sample_lattice(s.box)
+        points = {name: (x, y, 0.0) for name, _ in operator_coeffs}
+        points["f"] = (x, y, _load_times(cfg, s)[:, None] if cfg.f.depends_on("t") else 0.0)
+        points["u0"] = (*_mesh_nodes(s), 0.0)
         vals = {}
         for name, expr in (*operator_coeffs, ("f", cfg.f), ("u0", cfg.u0)):
             try:
-                vals[name] = expr(x, y, 0.0)
+                vals[name] = expr(*points[name])
             except EvalError as e:
                 err(f"subdomain {s.id}: coefficient {name} evaluation failed: {e}")
         if "nu" in vals and np.any(vals["nu"] <= 0):

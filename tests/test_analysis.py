@@ -696,7 +696,4 @@ class TestWarmStartedStudy:
         assert all(w < c for w, c in zip(warm[1:], cold[1:])), (warm, cold)
 
     def test_spacetime_mortar_study(self):
-        cfg = parse_config(CFG_2D)
-        md = build_multidomain(cfg)
-        assert all(asm.mortar_neighbors for asm in md.assemblies.values())
         self._compare(CFG_2D, "spacetime")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oswr import problem as prb
 from oswr.cli import main
 
 CFG = """
@@ -115,6 +116,39 @@ class TestRun:
         assert f"error: {where} evaluation failed: non-finite value at point" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edits,where", [
+        ({'f = "0"': 'f = "sqrt(0.1-t)"'}, "subdomain 1: coefficient f"),
+        ({'f = "0"': 'f = "sqrt(0.3-t)"', "windows = 1": "windows = 2"},
+         "subdomain 1: coefficient f"),
+        ({'u0 = "0.25*exp(-15*((x-0.55)^2+(y-1.3)^2))"': 'u0 = "1/x"'},
+         "subdomain 1: coefficient u0"),
+    ], ids=["f-after-t0", "f-second-window", "u0-boundary"])
+    def test_coefficient_failing_where_the_solver_evaluates_exit_2(
+            self, tmp_path, capsys, edits, where):
+        # f is sampled at the time Gauss points of every interval of every
+        # window, u0 at the mesh nodes, boundary included
+        demo = Path(__file__).resolve().parent.parent / "demos" / "heterogeneous.cfg"
+        text = demo.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new, 1)
+        p = tmp_path / "fails.cfg"
+        p.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {where} evaluation failed" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_time_dependent_f_defined_up_to_T_is_valid(self):
+        # the Gauss times lie inside each interval, so f = sqrt(T - t)
+        # is never sampled at T itself
+        demo = Path(__file__).resolve().parent.parent / "demos" / "heterogeneous.cfg"
+        cfg = prb.parse_config(demo.read_text().replace('f = "0"', 'f = "sqrt(0.5-t)"'))
+        assert cfg.T == 0.5
+        assert [d for d in prb.validate_problem(cfg) if d.severity == "error"] == []
+
     def test_solver_failure_exit_3(self, cfg_path, tmp_path, monkeypatch):
         # valid configs yield SPD-mass direct-LU step systems that do not
         # break organically; the failure path is exercised by injection
@@ -154,14 +188,27 @@ class TestRun:
 
     def test_manifest_rerun_keeps_flags(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", str(cfg_path), "--out", str(out1),
-                     "--force-mortar", "--times", "0.125,0.25"]) == 0
+        assert main(["run", str(cfg_path), "--out", str(out1), "--times", "0.125,0.25"]) == 0
         assert main(["run", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         for name in ("solution_1.csv", "solution_2.csv", "residuals.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         doc = json.loads((out2 / "manifest.json").read_text())
-        assert doc["force_mortar"] is True
+        assert "force_mortar" not in doc
         assert doc["times"] == "0.125,0.25"
+
+    @pytest.mark.parametrize("force_mortar", [True, False])
+    def test_old_manifest_with_force_mortar_reruns(self, cfg_path, tmp_path, force_mortar):
+        # manifests written while --force-mortar existed carry the key;
+        # every interface now carries the flux, so the key changes nothing
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        assert main(["run", str(cfg_path), "--out", str(fresh)]) == 0
+        manifest = fresh / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["force_mortar"] = force_mortar
+        manifest.write_text(json.dumps(doc))
+        assert main(["run", str(manifest), "--out", str(old)]) == 0
+        for name in ("solution_1.csv", "solution_2.csv", "residuals.csv"):
+            assert (fresh / name).read_bytes() == (old / name).read_bytes()
 
     def test_snapshot_times_flag(self, cfg_path, tmp_path):
         out = tmp_path / "t"

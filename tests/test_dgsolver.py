@@ -177,8 +177,7 @@ class TestKroneckerStepParts:
         asm = _mortar_assembly()
         mass, stiff = _mortar_blocks(asm)
         MM, KK, P, rows = _step_operator(asm)
-        assert list(rows) == [2]
-        assert np.array_equal(rows[2], asm.n_dofs + np.arange(asm.iface[2].nodes.size))
+        assert rows == {2: slice(asm.n_dofs, asm.n_dofs + asm.iface[2].nodes.size)}
         O_mass, O_stiff = _step_parts_loop(mass, stiff, 0)
         assert _same_csr(MM, O_mass)
         assert _same_csr(KK, O_stiff)
@@ -390,9 +389,15 @@ s = 0.1
 """
 
 
+# subdomain 2 with 5 cells along the interface against subdomain 1's 3
+NONMATCHING_CFG = MORTAR_CFG.replace('by = "0"\nc = "0.5"\nnx = 2\nny = 3',
+                                     'by = "0"\nc = "0.5"\nnx = 2\nny = 5')
+assert NONMATCHING_CFG != MORTAR_CFG
+
+
 @lru_cache(maxsize=None)
 def _mortar_assembly():
-    md = build_multidomain(parse_config(MORTAR_CFG), force_mortar=True)
+    md = build_multidomain(parse_config(MORTAR_CFG))
     return md.assemblies[1]
 
 
@@ -434,7 +439,6 @@ class TestStepClassCache:
     @given(part=uniform_windows)
     def test_mortar_one_factorization_exact_steps(self, part):
         asm = replace(_mortar_assembly())
-        assert asm.mortar_neighbors == [2]
         ia = asm.iface[2]
         ndof, ni = asm.n_dofs, ia.nodes.size
         rng = np.random.default_rng(12)
@@ -469,13 +473,14 @@ class TestStepClassCache:
             assert _relative_gap(traj.coeffs, ref) <= 1e-12
         assert _relative_gap(trajs[0].coeffs, trajs[1].coeffs) > 1e-2
 
-    @pytest.mark.parametrize("force_mortar", [False, True], ids=["conforming", "mortar"])
-    def test_statistics_one_factor_per_system(self, force_mortar):
-        # equal windows and steps: each system factors once and finds that
-        # factor at every later step, and the complex n x n factor of
-        # lam MM + k KK fills less than the real Kronecker one
-        cfg = replace(parse_config(MORTAR_CFG), windows=2)
-        md = build_multidomain(cfg, force_mortar=force_mortar)
+    @pytest.mark.parametrize("text", [MORTAR_CFG, NONMATCHING_CFG], ids=["conforming", "mortar"])
+    def test_statistics_one_factor_per_system(self, text):
+        # equal windows and steps, on matching and nonmatching interface
+        # meshes: each system factors once and finds that factor at every
+        # later step, and the complex n x n factor of lam MM + k KK fills
+        # less than the real Kronecker one
+        cfg = replace(parse_config(text), windows=2)
+        md = build_multidomain(cfg)
         sol = run_windows(cfg, md=md)
         sweeps = sum(h.iterations for h in sol.histories)
         for sid, asm in md.assemblies.items():

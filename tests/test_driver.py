@@ -119,8 +119,8 @@ s = 0.1
 """
 
 
-# A band of three: subdomain 2 meets 1 on matching interface meshes
-# (conforming) and 3 on nonmatching ones (mortar).
+# A band of three: subdomain 2 meets 1 on matching interface meshes and
+# 3 on nonmatching ones.
 CFG_MIXED = """
 [domain]
 box = 0 0.75 0 1
@@ -183,9 +183,8 @@ s = 0.1
 """
 
 # Four subdomains around a cross point: the corner node of each lies on
-# two of its interfaces, so its transmission data sums two traces.  The
-# cross point slows the Jacobi sweep; the cases that use it need only a
-# few sweeps.
+# two of its interfaces.  The cross point slows the Jacobi sweep; the
+# cases that use it need only a few sweeps.
 CFG_2X2 = """
 [domain]
 box = 0 1 0 1
@@ -355,7 +354,8 @@ class TestResidual:
 
 class TestTransmissionUpdate:
     def test_constant_robin_update(self):
-        # conforming grids, constants: g_new = -g_old + (p_ij + p_ji) M_G mu
+        # constants u = mu, Q = gamma: g_new = M_x (-gamma + (b.n + p) mu),
+        # with b.n = -0.3 on subdomain 2's xmin side and p = 1
         cfg = parse_config(CFG_2D.replace("q = 0.05", "q = 0.0"))
         md = build_multidomain(cfg)
         md.set_window(0.0, cfg.T)
@@ -364,15 +364,13 @@ class TestTransmissionUpdate:
         mu, gamma = 0.7, -0.3
         coeffs = np.zeros((part.n_intervals, 2, asm.n_dofs))
         coeffs[:, 0, :] = mu
-        from oswr.dgsolver import DGTrajectory
-
         traj = DGTrajectory(part, coeffs, mu * np.ones(asm.n_dofs))
         nI = asm.iface[1].nodes.size
-        g_old = InterfaceTrace(part, np.full((part.n_intervals, 2, nI), 0.0))
-        g_old.coeffs[:, 0, :] = gamma
-        out = transmission_update(md, 1, 2, traj, None, g_old, traj.u_init)
-        mg = md.assemblies[2].iface[1].M_gamma
-        expect = -gamma + 2.0 * np.asarray(mg.sum(axis=1)).ravel() * mu  # p sum = 2
+        Q = np.zeros((part.n_intervals, 2, nI))
+        Q[:, 0, :] = gamma
+        out = transmission_update(md, 1, 2, traj, MortarFlux(part, {1: Q}), traj.u_init)
+        mx = md.exchange[(1, 2)].mass
+        expect = (-gamma + 0.7 * mu) * np.asarray(mx.sum(axis=1)).ravel()
         for n in range(out.coeffs.shape[0]):
             assert out.coeffs[n, 0] == pytest.approx(expect, abs=1e-12)
             assert np.abs(out.coeffs[n, 1]).max() < 1e-12
@@ -383,13 +381,11 @@ class TestTransmissionUpdate:
         md.set_window(0.0, cfg.T)
         asm = md.assemblies[2]
         part = md.partitions[2]
-        from oswr.dgsolver import DGTrajectory
-
         traj = DGTrajectory(part, np.zeros((part.n_intervals, 2, asm.n_dofs)),
                             np.zeros(asm.n_dofs))
         nI = asm.iface[1].nodes.size
-        g_old = InterfaceTrace(part, np.zeros((part.n_intervals, 2, nI)))
-        out = transmission_update(md, 1, 2, traj, None, g_old, traj.u_init)
+        flux = MortarFlux(part, {1: np.zeros((part.n_intervals, 2, nI))})
+        out = transmission_update(md, 1, 2, traj, flux, traj.u_init)
         assert np.all(out.coeffs == 0)
 
     def test_converged_traces_are_fixed_point(self):
@@ -405,9 +401,7 @@ class TestTransmissionUpdate:
         trajs, fluxes, traces, hist = iterate(md, (0.0, cfg.T), u_init, 300, 1e-13)
         assert hist.converged
         for (i, j) in md.pairs:
-            new = transmission_update(
-                md, i, j, trajs[j], fluxes[j], traces[(j, i)], u_init[j]
-            )
+            new = transmission_update(md, i, j, trajs[j], fluxes[j], u_init[j])
             rel = interface_residual(new, traces[(i, j)], 0.0)
             assert rel < 1e-10
 
@@ -611,15 +605,11 @@ class TestTransmissionWithoutInterface:
         assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "text,force_mortar",
-    [(CFG_MIXED, False), (CFG_2D, True), (CFG_1D, False)],
-    ids=["mixed", "mortar-2d", "1d"],
-)
-def test_each_subdomain_assembled_once(monkeypatch, text, force_mortar):
-    # the conforming/mortar decision comes before assembly, so the volume
-    # operators are built once per subdomain, and each system folds its
-    # interfaces into its step operator once, across windows and sweeps
+@pytest.mark.parametrize("text", [CFG_MIXED, CFG_2D, CFG_1D], ids=["mixed", "mortar-2d", "1d"])
+def test_each_subdomain_assembled_once(monkeypatch, text):
+    # the volume operators are built once per subdomain, and each system
+    # folds its interfaces into its step operator once, across windows
+    # and sweeps
     calls = {"atilde": 0, "step_operator": 0}
     atilde, step_operator = fes.assemble_atilde, dg._step_operator
 
@@ -632,7 +622,7 @@ def test_each_subdomain_assembled_once(monkeypatch, text, force_mortar):
     monkeypatch.setattr(fes, "assemble_atilde", count("atilde", atilde))
     monkeypatch.setattr(dg, "_step_operator", count("step_operator", step_operator))
     cfg = replace(parse_config(text), windows=2, max_iterations=3, tolerance=1e-30)
-    md = build_multidomain(cfg, force_mortar=force_mortar)
+    md = build_multidomain(cfg)
     n = len(cfg.subdomains)
     assert calls == {"atilde": n, "step_operator": 0}
     sol = run_windows(cfg, md=md)
@@ -644,7 +634,9 @@ def test_each_subdomain_assembled_once(monkeypatch, text, force_mortar):
 # driver folded conforming interfaces into (M_full, A_full) at set-up, the
 # mortar rows were built from derived interface blocks, each step
 # scattered the conforming and the mortar traces separately, and each
-# step solved the real (d+1)n x (d+1)n Kronecker system.
+# step solved the real (d+1)n x (d+1)n Kronecker system.  `mortar` lists
+# the neighbors across a mortar interface, all of them by default; the
+# others are folded as conforming interfaces.
 
 
 def _restrict(asm, ia):
@@ -652,11 +644,11 @@ def _restrict(asm, ia):
     return sp.coo_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, asm.n_dofs)).tocsr()
 
 
-def _old_finalize(asm):
+def _old_finalize(asm, mortar):
     M_full, A_full = asm.M_vol.copy(), asm.A_vol.copy()
     for nb, ia in sorted(asm.iface.items()):
         R = _restrict(asm, ia)
-        if nb in asm.mortar_neighbors:
+        if nb in mortar:
             A_full = A_full + R.T @ (ia.p * ia.M_gamma - ia.M_pbn).tocsr() @ R
         else:
             A_full = A_full + R.T @ (ia.M_pbn + ia.q * ia.B_r + ia.K_s) @ R
@@ -665,10 +657,10 @@ def _old_finalize(asm):
     return M_full.tocsr(), A_full.tocsr()
 
 
-def _old_blocks(asm):
+def _old_blocks(asm, mortar):
     """Spatial blocks (MM, KK, P) of one system."""
-    M_full, A_full = _old_finalize(asm)
-    ifaces = [asm.iface[nb] for nb in asm.mortar_neighbors]
+    M_full, A_full = _old_finalize(asm, mortar)
+    ifaces = [asm.iface[nb] for nb in mortar]
     nblk = 1 + len(ifaces)
     mass = [[None] * nblk for _ in range(nblk)]
     stiff = [[None] * nblk for _ in range(nblk)]
@@ -707,12 +699,12 @@ def _old_solve_step(cache, S_mass, S_stiff, k, rhs, n):
     return x
 
 
-def _old_march(asm, traces_in, partition, u_init, loads):
+def _old_march(asm, traces_in, partition, u_init, loads, mortar=None):
     d = asm.degree
     ndof = asm.n_dofs
     cache = asm.cache  # the factors, as the march keeps them across sweeps
-    mortar = asm.mortar_neighbors
-    M_full, A_full, P = _old_blocks(asm)
+    mortar = sorted(asm.iface) if mortar is None else mortar
+    M_full, A_full, P = _old_blocks(asm, mortar)
     S_mass, S_stiff = _step_parts(M_full, A_full, d)
     offs = np.cumsum([ndof] + [asm.iface[nb].nodes.size for nb in mortar])
     rows = {nb: slice(offs[i], offs[i + 1]) for i, nb in enumerate(mortar)}
@@ -758,9 +750,12 @@ def _assert_matches(new, old, degree):
         assert np.linalg.norm(new - old) <= 1e-12 * np.linalg.norm(old)
 
 
+# CFG_2D with 6 cells on subdomain 2's side of the interface against 8
+CFG_2D_NONMATCHING = CFG_2D.replace("ny = 8\nnt = 3", "ny = 6\nnt = 3")
+
 FOLD_CASES = pytest.mark.parametrize(
-    "text,force_mortar",
-    [(CFG_1D, False), (CFG_2D, False), (CFG_2D, True), (CFG_MIXED, False), (CFG_2X2, False)],
+    "text",
+    [CFG_1D, CFG_2D, CFG_2D_NONMATCHING, CFG_MIXED, CFG_2X2],
     ids=["1d", "2d", "mortar-2d", "mixed", "2x2"],
 )
 
@@ -771,14 +766,14 @@ class TestOneInterfaceFold:
 
     @FOLD_CASES
     @pytest.mark.parametrize("degree", [0, 1])
-    def test_step_operator_and_march_match_oracle(self, text, force_mortar, degree):
+    def test_step_operator_and_march_match_oracle(self, text, degree):
         cfg = parse_config(text.replace("degree = 1", f"degree = {degree}"))
-        md = build_multidomain(cfg, force_mortar=force_mortar)
+        md = build_multidomain(cfg)
         md.set_window(0.0, cfg.T)
         rng = np.random.default_rng(17)
         for sid, asm in md.assemblies.items():
             new = dg._step_operator(asm)
-            for a, b in zip(new[:3], _old_blocks(asm)):
+            for a, b in zip(new[:3], _old_blocks(asm, sorted(asm.iface))):
                 assert _same_csr(a, b)
             part = md.partitions[sid]
             traces = {nb: InterfaceTrace(part, rng.standard_normal(
@@ -788,18 +783,18 @@ class TestOneInterfaceFold:
             traj, flux = solve_window_mortar(replace(asm), traces, part, u0, md.loads[sid])
             old_traj, old_flux = _old_march(replace(asm), traces, part, u0, md.loads[sid])
             _assert_matches(traj.coeffs, old_traj.coeffs, degree)
-            assert list(flux.coeffs) == list(old_flux.coeffs) == asm.mortar_neighbors
-            for nb in asm.mortar_neighbors:
+            assert list(flux.coeffs) == list(old_flux.coeffs) == sorted(asm.iface)
+            for nb in asm.iface:
                 _assert_matches(flux.coeffs[nb], old_flux.coeffs[nb], degree)
 
     @FOLD_CASES
-    def test_windows_match_oracle(self, monkeypatch, text, force_mortar):
+    def test_windows_match_oracle(self, monkeypatch, text):
         for degree in (0, 1):
             cfg = replace(parse_config(text.replace("degree = 1", f"degree = {degree}")),
                           windows=2, max_iterations=4)
 
             def run():
-                sol = run_windows(cfg, md=build_multidomain(cfg, force_mortar=force_mortar))
+                sol = run_windows(cfg, md=build_multidomain(cfg))
                 return (np.array([h.residuals for h in sol.histories]),
                         {sid: np.array([w.coeffs for w in ws])
                          for sid, ws in sol.trajectories.items()})
@@ -814,21 +809,80 @@ class TestOneInterfaceFold:
                 _assert_matches(new[1][sid], old[1][sid], degree)
 
 
+def _matching(md, i, j):
+    """Whether the interface of i and j has matching meshes on its two
+    sides (a 1D point always has)."""
+    al_i, al_j = md.assemblies[i].iface[j].along, md.assemblies[j].iface[i].along
+    return al_i is None or (al_i.size == al_j.size and np.allclose(al_i, al_j, atol=1e-12))
+
+
+def _conforming_update(md, i, j, traj_j, g_old, u_init_j):
+    """The exchange i <- j across a conforming interface, from the data
+    g_old = g_{j,i} that j received:
+
+        g_new = P_i [ -g_old + (p_ij + p_ji) M_G u_j
+                      + (q_ij + q_ji) d/dt(I_j M_G u_j)
+                      + (tangential advection + diffusion) u_j ]."""
+    ia, ja = md.assemblies[i].iface[j], md.assemblies[j].iface[i]
+    tang = (ia.q * ia.B_r + ja.q * ja.B_r + ia.K_s + ja.K_s).tocsr()
+    RU = traj_j.coeffs[:, :, ja.nodes]
+    W = drv._apply_rows(ja.M_gamma, RU)
+    gtil = -g_old.coeffs + (ia.p + ja.p) * W + drv._apply_rows(tang, RU)
+    q = ia.q + ja.q
+    if q != 0.0:
+        w_init = ja.M_gamma @ np.asarray(u_init_j, dtype=float)[ja.nodes]
+        gtil += q * drv._lift_rate_window(W, w_init, md.partitions[j].lengths)
+    return InterfaceTrace(md.partitions[i], apply_projection(md.projections[(i, j)], gtil))
+
+
+def _conforming_iterate(cfg):
+    """One window of Jacobi sweeps of the conforming formulation, to the
+    configured tolerance: interfaces with matching meshes folded into the
+    volume blocks and exchanged by `_conforming_update`, the others
+    carrying the flux.  Returns the last trajectories."""
+    md = build_multidomain(cfg)
+    md.set_window(0.0, cfg.T)
+    u_init = _u_init(md, cfg)
+    conforming = {pair for pair in md.pairs if _matching(md, *pair)}
+    traces = {(sid, nb): tr for sid in md.assemblies
+              for nb, tr in initial_guess(cfg.initial_guess, md, sid, u_init[sid]).items()}
+    scale = {pair: traces[pair].norm() for pair in md.pairs}
+    for _ in range(cfg.max_iterations):
+        results = {
+            sid: _old_march(asm, {nb: traces[(sid, nb)] for nb in asm.iface}, md.partitions[sid],
+                            u_init[sid], md.loads[sid],
+                            mortar=[nb for nb in sorted(asm.iface) if (sid, nb) not in conforming])
+            for sid, asm in md.assemblies.items()
+        }
+        new = {
+            (i, j): _conforming_update(md, i, j, results[j][0], traces[(j, i)], u_init[j])
+            if (i, j) in conforming else
+            transmission_update(md, i, j, *results[j], u_init[j])
+            for (i, j) in md.pairs
+        }
+        r = max(interface_residual(new[pair], traces[pair], scale[pair]) for pair in md.pairs)
+        traces = new
+        if r <= cfg.tolerance:
+            return {sid: res[0] for sid, res in results.items()}
+    raise AssertionError("the conforming oracle did not converge")
+
+
 class TestMortarEquivalence:
-    def test_matching_meshes_match_conforming(self):
-        cfg = parse_config(CFG_2D)
-        md_c = build_multidomain(cfg)
-        sol_c = run_windows(cfg, md=md_c)
-        md_m = build_multidomain(cfg, force_mortar=True)
-        sol_m = run_windows(cfg, md=md_m)
-        for sid in sol_c.trajectories:
-            a = sol_c.trajectories[sid][0].coeffs
-            b = sol_m.trajectories[sid][0].coeffs
-            assert np.allclose(a, b, atol=5e-8)
+    @pytest.mark.parametrize("text", [CFG_1D, CFG_2D, CFG_MIXED], ids=["1d", "2d", "mixed"])
+    def test_flux_iterate_matches_conforming_oracle(self, text):
+        # every interface carrying the flux converges to the iterate of the
+        # conforming formulation, on matching meshes (all of 1d and 2d,
+        # interface 1-2 of mixed) and beside a nonmatching interface
+        cfg = parse_config(text)
+        sol = run_windows(cfg)
+        assert sol.histories[0].converged
+        oracle = _conforming_iterate(cfg)
+        for sid, traj in oracle.items():
+            assert np.allclose(sol.trajectories[sid][0].coeffs, traj.coeffs, atol=5e-8)
 
     def test_mortar_large_p_smoke(self):
         cfg = parse_config(CFG_2D.replace("p = 1.0", "p = 1e6"))
-        md = build_multidomain(cfg, force_mortar=True)
+        md = build_multidomain(cfg)
         import oswr.femspace as fes
 
         u_init = {
@@ -849,25 +903,9 @@ class TestMortarEquivalence:
         assert np.all(np.isfinite(flux.coeffs[2]))
 
     def test_nonmatching_interface_runs(self):
-        cfg = parse_config(CFG_2D.replace("ny = 8\nnt = 3", "ny = 6\nnt = 3"))
-        md = build_multidomain(cfg)
-        assert md.assemblies[1].mortar_neighbors == [2]
-        sol = run_windows(cfg, md=md)
+        cfg = parse_config(CFG_2D_NONMATCHING)
+        sol = run_windows(cfg)
         assert sol.histories[0].converged
-
-    def test_mixed_subdomain_matches_all_mortar(self):
-        cfg = parse_config(CFG_MIXED)
-        md = build_multidomain(cfg)
-        mixed = md.assemblies[2]
-        assert mixed.mortar_neighbors == [3]
-        assert [nb for nb in sorted(mixed.iface) if nb not in mixed.mortar_neighbors] == [1]
-        sol = run_windows(cfg, md=md)
-        assert sol.histories[0].converged
-        sol_m = run_windows(cfg, md=build_multidomain(cfg, force_mortar=True))
-        for sid in sol.trajectories:
-            a = sol.trajectories[sid][0].coeffs
-            b = sol_m.trajectories[sid][0].coeffs
-            assert np.allclose(a, b, atol=5e-8)
 
 
 def _u_init(md, cfg):
@@ -882,7 +920,8 @@ class TestFailureReporting:
         asm = md.assemblies[1]
         k = float(md.partitions[1].lengths[0])
         # the class factor of a different matrix: every step misses the residual
-        wrong = spla.splu(sp.identity(asm.n_dofs, dtype=complex, format="csc"))
+        size = dg._step_operator(asm)[0].shape[0]
+        wrong = spla.splu(sp.identity(size, dtype=complex, format="csc"))
         asm.cache.factors[asm.cache.key(k)] = wrong
         with pytest.raises(SolverError,
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "

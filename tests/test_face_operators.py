@@ -141,11 +141,11 @@ def check_pair(md):
         assert_identical(fes.assemble_exterior_robin(ai.space, ai.spec.b),
                          oracle_exterior_robin(ai.space, ai.spec.b))
 
-        ex = drv._mortar_exchange(md.cfg, ai, aj)
+        ex = drv._exchange(md.cfg, ai, aj)
         M_x, M_bx, B_rx, K_sx = oracle_cross(md, i, j)
         assert_identical(ex.mass, M_x)
         assert_identical(ex.op, M_bx + params.q * B_rx + K_sx)
-        assert ex.mortar and ex.q == params.q
+        assert ex.q == params.q
 
 
 B1 = (parse_expression("0.3*sin(3*y)+x"), parse_expression("-1+0.2*x*y"))

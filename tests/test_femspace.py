@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +23,18 @@ from oswr.problem import TransmissionParams, const_expr, parse_expression
 
 
 def _folded_mass(asm):
-    """The volume mass block of a subdomain's step system, interfaces
-    folded in: S_mass of the DG(0) step (whose time table is [[1]])."""
+    """The mass of a subdomain's step system against the volume
+    unknowns, each interface's flux rows added onto the rows of its
+    nodes: M_vol plus R^T q M_Gamma R per interface."""
     from oswr.dgsolver import _step_operator
 
-    return _step_operator(asm)[0]
+    MM, _, _, rows = _step_operator(asm)
+    n = asm.n_dofs
+    ids = np.arange(n)
+    for nb in rows:  # in flux-row order
+        ids = np.concatenate([ids, asm.iface[nb].nodes])
+    lift = sp.csr_matrix((np.ones(ids.size), (ids, np.arange(ids.size))), shape=(n, ids.size))
+    return lift @ MM[:, :n]
 
 
 class TestMesh:
