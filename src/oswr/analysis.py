@@ -248,13 +248,6 @@ class ErrorReport:
     e_T_l2: dict
     e_T_h1: dict
 
-    def row(self, sids):
-        out = []
-        for name in ("e_inf", "e_l2", "e_T_l2", "e_T_h1"):
-            for sid in sids:
-                out.append(getattr(self, name)[sid])
-        return out
-
 
 def _check_nested(coarse_n, fine_n, what):
     if fine_n % coarse_n != 0:

@@ -99,42 +99,20 @@ class SubdomainAssembly:
         ]
 
 
-def _interface_side(spec, itf):
-    tol = 1e-12
-    if itf.axis == 0:
-        if abs(itf.position - spec.box[1]) < tol:
-            return "xmax"
-        if abs(itf.position - spec.box[0]) < tol:
-            return "xmin"
-    else:
-        if abs(itf.position - spec.box[3]) < tol:
-            return "ymax"
-        if abs(itf.position - spec.box[2]) < tol:
-            return "ymin"
-    raise ValueError(f"interface at {itf.position} not on the boundary of subdomain {spec.id}")
-
-
 def _build_space(spec, interfaces):
-    """Mesh and trace spaces of one subdomain; each interface must cover
-    a whole face."""
-    counts = (spec.nx,) if spec.dim == 1 else (spec.nx, spec.ny)
-    mesh = fes.build_mesh(spec.box, counts)
+    """Mesh and trace spaces of one subdomain of a validated problem.
+
+    Each interface of the subdomain is a whole face of its box (the band
+    rule of `validate_problem`), at the high end of `itf.axis` exactly
+    when `normal_i` points out of this subdomain.
+    """
+    mesh = fes.build_mesh(spec.box, (spec.nx, spec.ny)[: spec.dim])
     sides = {}
     for itf in interfaces:
-        if spec.id not in (itf.i, itf.j):
-            continue
-        nb = itf.j if itf.i == spec.id else itf.i
-        side = _interface_side(spec, itf)
-        if spec.dim == 2:
-            lo, hi = itf.span
-            ax = 1 - itf.axis
-            sext = (spec.box[2], spec.box[3]) if ax == 1 else (spec.box[0], spec.box[1])
-            if abs(lo - sext[0]) > 1e-12 or abs(hi - sext[1]) > 1e-12:
-                raise ValueError(
-                    f"interface ({itf.i},{itf.j}) covers only part of a face of "
-                    f"subdomain {spec.id}; only full-face (band) decompositions are supported"
-                )
-        sides[nb] = side
+        if spec.id in (itf.i, itf.j):
+            mine = spec.id == itf.i
+            high = (itf.normal_i[itf.axis] > 0) == mine  # n_i points out of i, into j
+            sides[itf.j if mine else itf.i] = fes.SIDES[2 * itf.axis + high]
     return fes.build_space(mesh, sides)
 
 

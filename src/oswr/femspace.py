@@ -20,6 +20,9 @@ points, weights, basis values and constant basis gradients of each
 element (2-point Gauss per segment, the edge-midpoint rule per
 triangle, both exact for P2 integrands), and the mass, the volume form
 and the load are the same einsums over them in either dimension.
+A face of a box is stated once, as (axis, end of that axis), through the
+side names of `SIDES`; its node ids, outward normal, position and the
+exterior faces of a space follow from it by one path in 1D and 2D.
 Operator coefficients are evaluated at t = 0: `validate_problem`
 rejects any that depend on t.
 Assembly is deterministic: identical inputs produce identical entries.
@@ -59,6 +62,18 @@ P_EXT = 1.0
 
 _G2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
+# The faces of a box in the order of its coordinates: SIDES[2 * axis + end]
+# lies at the low (end 0) or high (end 1) end of that axis, at coordinate
+# box[2 * axis + end].  A 1D box has the first two.
+SIDES = ("xmin", "xmax", "ymin", "ymax")
+
+
+def _face(side):
+    """(axis, end) of a side name."""
+    if side not in SIDES:
+        raise KeyError(side)
+    return divmod(SIDES.index(side), 2)
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -82,20 +97,17 @@ class Mesh:
     def n_nodes(self):
         return self.coords.shape[0]
 
+    @property
+    def lines(self):
+        """The grid lines of each axis: (xs,) in 1D, (xs, ys) in 2D."""
+        return (self.xs, self.ys)[: self.dim]
+
     def side_nodes(self, side):
         """Node ids on a box side, sorted along the side."""
-        if self.dim == 1:
-            return np.array([0 if side == "xmin" else self.nx])
-        nx, ny = self.nx, self.ny
-        if side == "xmin":
-            return np.arange(ny + 1) * (nx + 1)
-        if side == "xmax":
-            return np.arange(ny + 1) * (nx + 1) + nx
-        if side == "ymin":
-            return np.arange(nx + 1)
-        if side == "ymax":
-            return ny * (nx + 1) + np.arange(nx + 1)
-        raise KeyError(side)
+        axis, end = _face(side)
+        # node j * (nx + 1) + i is ids[j, i] in 2D, node i is ids[i] in 1D
+        ids = np.arange(self.n_nodes).reshape([x.size for x in reversed(self.lines)])
+        return np.take(ids, end * (self.lines[axis].size - 1), axis=self.dim - 1 - axis).ravel()
 
     def _locate(self, axis_nodes, v):
         i = np.searchsorted(axis_nodes, v, side="right") - 1
@@ -182,17 +194,10 @@ def build_tensor_mesh(xs, ys=None):
 
 def build_mesh(box, counts):
     """Uniform mesh; counts is (nx,) in 1D or (nx, ny) in 2D."""
-    if len(box) == 2:
-        (nx,) = counts
-        if nx < 1 or box[1] <= box[0]:
-            raise ValueError("degenerate box or counts")
-        return build_tensor_mesh(np.linspace(box[0], box[1], nx + 1))
-    nx, ny = counts
-    if nx < 1 or ny < 1 or box[1] <= box[0] or box[3] <= box[2]:
+    lo, hi = box[0::2], box[1::2]
+    if len(box) != 2 * len(counts) or min(counts) < 1 or any(a >= b for a, b in zip(lo, hi)):
         raise ValueError("degenerate box or counts")
-    return build_tensor_mesh(
-        np.linspace(box[0], box[1], nx + 1), np.linspace(box[2], box[3], ny + 1)
-    )
+    return build_tensor_mesh(*(np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +336,16 @@ class FemSpace:
         return self.mesh.n_nodes
 
 
-_SIDE_NORMALS_2D = {
-    "xmin": (-1.0, 0.0), "xmax": (1.0, 0.0),
-    "ymin": (0.0, -1.0), "ymax": (0.0, 1.0),
-}
-
-
 EXTERIOR = -1  # the neighbor id of an exterior face
 
 
 def _side_trace(mesh, side, neighbor):
-    nodes = mesh.side_nodes(side)
-    if mesh.dim == 1:
-        normal = (-1.0,) if side == "xmin" else (1.0,)
-        return TraceSpace(neighbor, side, nodes, None, normal, float(mesh.coords[nodes[0]]), 0)
-    axis = 0 if side in ("xmin", "xmax") else 1
-    return TraceSpace(neighbor, side, nodes, mesh.coords[nodes, 1 - axis],
-                      _SIDE_NORMALS_2D[side], float(mesh.coords[nodes[0], axis]), axis)
+    axis, end = _face(side)
+    normal = tuple(2.0 * end - 1.0 if k == axis else 0.0 for k in range(mesh.dim))
+    tangent = [x for k, x in enumerate(mesh.lines) if k != axis]  # none: a 1D face is a point
+    along = tangent[0] if tangent else None
+    return TraceSpace(neighbor, side, mesh.side_nodes(side), along, normal,
+                      mesh.box[2 * axis + end], axis)
 
 
 def build_space(mesh, interface_sides):
@@ -355,8 +353,8 @@ def build_space(mesh, interface_sides):
     other side of the box is an exterior face."""
     traces = {nb: _side_trace(mesh, side, nb) for nb, side in interface_sides.items()}
     used = set(interface_sides.values())
-    sides = ("xmin", "xmax") if mesh.dim == 1 else ("xmin", "xmax", "ymin", "ymax")
-    exterior = tuple(_side_trace(mesh, side, EXTERIOR) for side in sides if side not in used)
+    exterior = tuple(_side_trace(mesh, side, EXTERIOR)
+                     for side in SIDES[: 2 * mesh.dim] if side not in used)
     return FemSpace(mesh=mesh, traces=traces, exterior=exterior)
 
 

@@ -4,7 +4,8 @@ transmission parameters, and the text configuration format.
 Coefficients (diffusion nu, advection b, reaction c, porosity omega,
 initial data u0, source f) are closed-form expression trees over the
 variables x, y, t.  Subdomains are axis-aligned boxes tiling the global
-domain; interfaces between neighbors are flat (axis-aligned) faces.
+domain; interfaces between neighbors are flat (axis-aligned) faces, and
+in 2D each must be a whole face of both neighbors (the band rule).
 """
 
 from __future__ import annotations
@@ -372,38 +373,37 @@ class ExperimentConfig:
         return find_interfaces(self.subdomains)
 
 
+def _extent(a, b, axis):
+    """The common extent (lo, hi) of two boxes along one axis."""
+    return max(a[2 * axis], b[2 * axis]), min(a[2 * axis + 1], b[2 * axis + 1])
+
+
 def find_interfaces(subdomains):
     """Shared flat faces between subdomain boxes, one Interface per
-    unordered pair with i < j."""
+    unordered pair with i < j.
+
+    A face is (axis, end): the face of box i at the high (end 1) or low
+    (end 0) end of an axis meets box j when j's opposite face lies at the
+    same coordinate and the two overlap along every other axis (a 1D face
+    is a point).  Faces are tried by axis, the high end first; normal_i
+    is the outward normal of that face of i.
+    """
     out = []
     geom_tol = 1e-12
     for a in subdomains:
         for b in subdomains:
             if a.id >= b.id:
                 continue
-            if a.dim == 1:
-                # touching endpoints
-                if abs(a.box[1] - b.box[0]) < geom_tol:
-                    out.append(Interface(a.id, b.id, 0, a.box[1], None, (1.0,)))
-                elif abs(b.box[1] - a.box[0]) < geom_tol:
-                    out.append(Interface(a.id, b.id, 0, a.box[0], None, (-1.0,)))
-                continue
-            ax0, ax1, ay0, ay1 = a.box
-            bx0, bx1, by0, by1 = b.box
-            # shared vertical face
-            for pos, na in ((ax1, 1.0), (ax0, -1.0)):
-                other = bx0 if na > 0 else bx1
-                if abs(pos - other) < geom_tol:
-                    lo, hi = max(ay0, by0), min(ay1, by1)
-                    if hi - lo > geom_tol:
-                        out.append(Interface(a.id, b.id, 0, pos, (lo, hi), (na, 0.0)))
-            # shared horizontal face
-            for pos, na in ((ay1, 1.0), (ay0, -1.0)):
-                other = by0 if na > 0 else by1
-                if abs(pos - other) < geom_tol:
-                    lo, hi = max(ax0, bx0), min(ax1, bx1)
-                    if hi - lo > geom_tol:
-                        out.append(Interface(a.id, b.id, 1, pos, (lo, hi), (0.0, na)))
+            for axis in range(a.dim):
+                for end in (1, 0):
+                    pos = a.box[2 * axis + end]
+                    if abs(pos - b.box[2 * axis + 1 - end]) >= geom_tol:
+                        continue
+                    spans = [_extent(a.box, b.box, k) for k in range(a.dim) if k != axis]
+                    if all(hi - lo > geom_tol for lo, hi in spans):
+                        span = spans[0] if spans else None  # a 1D face is a point
+                        normal = tuple(2.0 * end - 1.0 if k == axis else 0.0 for k in range(a.dim))
+                        out.append(Interface(a.id, b.id, axis, pos, span, normal))
     return out
 
 
@@ -664,26 +664,26 @@ class Diagnostic:
     message: str
 
 
+def _grid_points(lines):
+    """The (x, y) points of a tensor grid with these lines per axis
+    (y = 0 in 1D)."""
+    pts = [g.ravel() for g in np.meshgrid(*lines)]
+    return pts[0], pts[1] if len(pts) == 2 else np.zeros_like(pts[0])
+
+
 def _sample_lattice(box, n=16):
     """Cell-center lattice, strictly interior (sign conditions hold a.e.;
     boundary-touching zeros such as sqrt(y) at y=0 must not trip them)."""
-    if len(box) == 2:
-        x = box[0] + (np.arange(n) + 0.5) / n * (box[1] - box[0])
-        return x, np.zeros_like(x)
-    x = box[0] + (np.arange(n) + 0.5) / n * (box[1] - box[0])
-    y = box[2] + (np.arange(n) + 0.5) / n * (box[3] - box[2])
-    X, Y = np.meshgrid(x, y)
-    return X.ravel(), Y.ravel()
+    centers = (np.arange(n) + 0.5) / n
+    return _grid_points([a + centers * (b - a) for a, b in zip(box[0::2], box[1::2])])
 
 
 def _mesh_nodes(spec):
     """The (x, y) nodes of a subdomain's mesh, as `femspace.build_mesh`
     places them (at least one cell per direction)."""
-    xs = np.linspace(spec.box[0], spec.box[1], max(spec.nx, 1) + 1)
-    if spec.dim == 1:
-        return xs, np.zeros_like(xs)
-    X, Y = np.meshgrid(xs, np.linspace(spec.box[2], spec.box[3], max(spec.ny, 1) + 1))
-    return X.ravel(), Y.ravel()
+    counts = (spec.nx, spec.ny)[: spec.dim]
+    return _grid_points([np.linspace(a, b, max(n, 1) + 1)
+                         for a, b, n in zip(spec.box[0::2], spec.box[1::2], counts)])
 
 
 def _load_times(cfg, spec):
@@ -707,18 +707,11 @@ def _interface_samples(itf, n=16):
 
 
 def _box_measure(box):
-    if len(box) == 2:
-        return box[1] - box[0]
-    return (box[1] - box[0]) * (box[3] - box[2])
+    return math.prod(b - a for a, b in zip(box[0::2], box[1::2]))
 
 
 def _boxes_overlap(a, b):
-    tol = 1e-12
-    if len(a) == 2:
-        return min(a[1], b[1]) - max(a[0], b[0]) > tol
-    ox = min(a[1], b[1]) - max(a[0], b[0])
-    oy = min(a[3], b[3]) - max(a[2], b[2])
-    return ox > tol and oy > tol
+    return all(hi - lo > 1e-12 for lo, hi in (_extent(a, b, k) for k in range(len(a) // 2)))
 
 
 def validate_problem(cfg):
@@ -805,6 +798,13 @@ def validate_problem(cfg):
     for (i, j) in sorted(set(cfg.transmission) - touching):
         err(f"transmission ({i}, {j}): subdomains {i} and {j} share no interface")
     for itf in interfaces:
+        # band rule: a 2D interface is a whole face of both its subdomains
+        t = 1 - itf.axis  # the axis along the interface
+        for sid in (itf.i, itf.j) if itf.span else ():
+            lo, hi = cfg.subdomain(sid).box[2 * t : 2 * t + 2]
+            if abs(itf.span[0] - lo) > 1e-12 or abs(itf.span[1] - hi) > 1e-12:
+                err(f"interface ({itf.i},{itf.j}) covers only part of a face of subdomain {sid}; "
+                    "only full-face (band) decompositions are supported")
         for (i, j) in ((itf.i, itf.j), (itf.j, itf.i)):
             if (i, j) not in cfg.transmission:
                 err(f"missing transmission parameters for directed interface ({i}, {j})")

@@ -264,7 +264,8 @@ def oracle_reference_operators(cfg, ref):
             ).tocsr()
             continue
         axis = 0 if side in ("xmin", "xmax") else 1
-        normal = fes._SIDE_NORMALS_2D[side]
+        normal = {"xmin": (-1.0, 0.0), "xmax": (1.0, 0.0),
+                  "ymin": (0.0, -1.0), "ymax": (0.0, 1.0)}[side]
         pos = mesh.box[2 * axis] if side.endswith("min") else mesh.box[2 * axis + 1]
         along = mesh.coords[nodes, 1 - axis]
 

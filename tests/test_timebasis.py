@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oswr.timebasis import (
@@ -201,6 +201,8 @@ class TestLiftProperties:
     @given(d=st.sampled_from([0, 1]), t_n=st.floats(-5.0, 5.0), k=st.floats(1e-2, 10.0),
            chi=st.lists(value, min_size=2, max_size=2),
            psi=st.lists(value, min_size=2, max_size=2), left=value)
+    # the quadrature terms, 12.5 in absolute sum, cancel to 1.2e-12; the jump is 0
+    @example(d=1, t_n=2.0, k=0.01171875, chi=[0.0, 0.0], psi=[6.0, 6.0], left=2.0)
     def test_radau_lift_identity(self, d, t_n, k, chi, psi, left):
         # int d(I chi)/dt psi - int chi' psi = (chi(t_n+) - chi(t_n-)) psi(t_n+)
         interval = (t_n, k)
@@ -211,7 +213,9 @@ class TestLiftProperties:
         psi_t = poly_eval(psi, interval, ts)
         lhs1, lhs2 = np.sum(w * rate * psi_t), np.sum(w * dchi * psi_t)
         jump = (poly_eval(chi, interval, t_n) - left) * poly_eval(psi, interval, t_n)
-        scale = 1.0 + abs(lhs1) + abs(lhs2) + abs(jump)
+        # rounding scales with the terms that cancel, not with their sums
+        scale = (1.0 + np.sum(np.abs(w * rate * psi_t)) + np.sum(np.abs(w * dchi * psi_t))
+                 + abs(jump))
         assert abs(lhs1 - lhs2 - jump) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
