@@ -326,12 +326,13 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
 
     x = solve(rhs)
     r = residual(x)
-    if _relative_residual(r, rhs) > RESIDUAL_TOL:
+    rel = _relative_residual(r, rhs)
+    if rel > RESIDUAL_TOL:
         # k may differ from the representative in its last digits, which
         # one refinement step with the same factor corrects.
         x = x - solve(r)
-        r = residual(x)
-    _check_residual(_relative_residual(r, rhs), f"interval {n}: ")
+        rel = _relative_residual(residual(x), rhs)
+    _check_residual(rel, f"interval {n}: ")
     return x
 
 

@@ -266,13 +266,11 @@ def transmission_update(md, i, j, traj_j, flux_j, u_init_j):
 
 
 def _lift_rate_window(W, w_init, lengths):
-    """Modes of d/dt(I W) interval by interval across a window."""
-    out = np.empty_like(W)
-    prev = w_init
-    for n in range(W.shape[0]):
-        out[n] = lift_rate_modes(W[n], prev, lengths[n])
-        prev = W[n].sum(axis=0)
-    return out
+    """Modes of d/dt(I W) interval by interval across a window, each
+    interval lifted from the right-end value of the one before."""
+    prev = np.concatenate([w_init[None], W[:-1].sum(axis=1)])
+    modes = lift_rate_modes(W.swapaxes(0, 1), prev, np.asarray(lengths)[:, None])
+    return modes.swapaxes(0, 1)
 
 
 def transfer_trace(trace, along, partition, along_new):

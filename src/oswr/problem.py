@@ -1,5 +1,7 @@
 """Problem definition: coefficient expressions, subdomain decomposition,
-transmission parameters, and the text configuration format.
+transmission parameters, and the text configuration format, whose keys
+are stated once, in one table per section (`_DOMAIN`, `_SUBDOMAIN`,
+`_TRANSMISSION`) that `parse_config` and `serialize_config` both walk.
 
 Coefficients (diffusion nu, advection b, reaction c, porosity omega,
 initial data u0, source f) are closed-form expression trees over the
@@ -411,18 +413,95 @@ def find_interfaces(subdomains):
 # Configuration text format
 # ---------------------------------------------------------------------------
 
-_DOMAIN_KEYS = {
-    "box", "t", "windows", "tolerance", "max_iterations", "initial_guess", "u0", "f",
+# One table per section: key as written -> (field, kind, default), in
+# the order serialize_config writes them.  A missing key reads as if its
+# default text were written; one with no default (None) is left to the
+# field's dataclass default or to the rules in parse_config.
+_MANDATORY = object()
+_DOMAIN = {
+    "box": ("domain_box", "box", _MANDATORY), "T": ("T", "float", _MANDATORY),
+    "windows": ("windows", "int", None), "tolerance": ("tolerance", "float", None),
+    "max_iterations": ("max_iterations", "int", None),
+    "initial_guess": ("initial_guess", "guess", None),
+    "u0": ("u0", "expr", "0.0"), "f": ("f", "expr", "0.0"),
 }
-_SUBDOMAIN_KEYS = {"id", "box", "nu", "bx", "by", "c", "omega", "nx", "ny", "nt", "degree"}
-_TRANSMISSION_KEYS = {"from", "to", "p", "q", "r", "s"}
+_SUBDOMAIN = {
+    "id": ("id", "int", _MANDATORY), "box": ("box", "box", _MANDATORY),
+    "nu": ("nu", "expr", "1.0"), "bx": ("bx", "expr", "0.0"), "by": ("by", "expr", "0.0"),
+    "c": ("c", "expr", "0.0"), "omega": ("omega", "expr", "1.0"),
+    "nx": ("nx", "int", "1"), "ny": ("ny", "int", None), "nt": ("nt", "int", "1"),
+    "degree": ("degree", "int", "1"),
+}
+_TRANSMISSION = {
+    "from": ("from", "int", _MANDATORY), "to": ("to", "int", _MANDATORY),
+    "p": ("p", "float", "0.0"), "q": ("q", "float", None),
+    "r": ("r", "expr", None), "s": ("s", "float", None),
+}
+_SECTIONS = {"domain": _DOMAIN, "subdomain": _SUBDOMAIN, "transmission": _TRANSMISSION}
 
 
-def _strip_quotes(v):
-    v = v.strip()
-    if len(v) >= 2 and v[0] == v[-1] and v[0] in "\"'":
-        return v[1:-1]
-    return v
+def _read_float(key, text, line):
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"bad number for {key!r}: {text!r}", line=line) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number for {key!r}: {text!r}", line=line)
+    return x
+
+
+def _read_int(key, text, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"bad integer for {key!r}: {text!r}", line=line) from None
+
+
+def _read_expr(key, text, line):
+    quoted = len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'"
+    try:
+        return parse_expression(text[1:-1] if quoted else text)
+    except ConfigError as e:
+        raise ConfigError(f"in expression for {key!r}: {e}", line=line) from None
+
+
+def _read_box(key, text, line):
+    try:
+        box = tuple(float(v) for v in text.split())
+    except ValueError:
+        raise ConfigError("bad box coordinates", line=line) from None
+    if not all(math.isfinite(v) for v in box):
+        raise ConfigError(f"non-finite number for {key!r}: {text!r}", line=line)
+    return box
+
+
+def _read_guess(key, text, line):
+    if text.lower() not in ("zero", "from_u0"):
+        raise ConfigError(f"{key} must be 'zero' or 'from_u0'", line=line)
+    return text.lower()
+
+
+# kind -> (reader of the value text, writer of the value)
+_KINDS = {
+    "float": (_read_float, repr),
+    "int": (_read_int, str),
+    "expr": (_read_expr, lambda e: f'"{e}"'),
+    "box": (_read_box, lambda box: " ".join(repr(v) for v in box)),
+    "guess": (_read_guess, str),
+}
+
+
+def _read_section(sec):
+    """The values of a section's keys by field, each read by its kind."""
+    values = {}
+    for key, (name, kind, default) in _SECTIONS[sec["__name__"]].items():
+        text, line = sec.get(key.lower(), (default, None))
+        if text is _MANDATORY:
+            raise ConfigError(f"missing mandatory key {key!r} in [{sec['__name__']}]",
+                              line=sec["__line__"])
+        if text is not None:
+            values[name] = _KINDS[kind][0](key.lower(), text, line)
+    return values
 
 
 def parse_config(text):
@@ -435,14 +514,14 @@ def parse_config(text):
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ConfigError("malformed section header", line=lineno)
             name = stripped[1:-1].strip().lower()
-            if name not in ("domain", "subdomain", "transmission"):
+            if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", line=lineno)
             current = {"__name__": name, "__line__": lineno}
             sections.append(current)
@@ -453,204 +532,84 @@ def parse_config(text):
             raise ConfigError("key outside of any section", line=lineno)
         key, value = stripped.split("=", 1)
         key = key.strip().lower()
-        allowed = {
-            "domain": _DOMAIN_KEYS,
-            "subdomain": _SUBDOMAIN_KEYS,
-            "transmission": _TRANSMISSION_KEYS,
-        }[current["__name__"]]
-        if key not in allowed:
+        if key not in {k.lower() for k in _SECTIONS[current["__name__"]]}:
             raise ConfigError(f"unknown key {key!r} in [{current['__name__']}]", line=lineno)
         if key in current:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
         current[key] = (value.strip(), lineno)
-    domains = [s for s in sections if s["__name__"] == "domain"]
-    subs = [s for s in sections if s["__name__"] == "subdomain"]
-    trans = [s for s in sections if s["__name__"] == "transmission"]
+    domains, subs, trans = ([s for s in sections if s["__name__"] == name] for name in _SECTIONS)
     if len(domains) != 1:
         raise ConfigError("exactly one [domain] section is required")
     if not subs:
         raise ConfigError("missing [subdomain] sections")
     if not trans and len(subs) > 1:
         raise ConfigError("missing [transmission] sections")
-    dom = domains[0]
 
-    def need(sec, key, what):
-        if key not in sec:
-            raise ConfigError(f"missing mandatory key {key!r} in [{what}]", line=sec["__line__"])
-        return sec[key]
-
-    def as_float(sec, key, default=None):
-        if key not in sec:
-            return default
-        v, ln = sec[key]
-        try:
-            x = float(v)
-        except ValueError:
-            raise ConfigError(f"bad number for {key!r}: {v!r}", line=ln) from None
-        if not math.isfinite(x):
-            raise ConfigError(f"non-finite number for {key!r}: {v!r}", line=ln)
-        return x
-
-    def as_int(sec, key, default=None):
-        if key not in sec:
-            return default
-        v, ln = sec[key]
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"bad integer for {key!r}: {v!r}", line=ln) from None
-
-    def as_expr(sec, key, default=None):
-        if key not in sec:
-            return const_expr(default) if default is not None else None
-        v, ln = sec[key]
-        try:
-            return parse_expression(_strip_quotes(v))
-        except ConfigError as e:
-            raise ConfigError(f"in expression for {key!r}: {e}", line=ln) from None
-
-    def as_box(sec, what):
-        text, ln = need(sec, "box", what)
-        try:
-            box = tuple(float(v) for v in text.split())
-        except ValueError:
-            raise ConfigError("bad box coordinates", line=ln) from None
-        if not all(math.isfinite(v) for v in box):
-            raise ConfigError(f"non-finite number for 'box': {text!r}", line=ln)
-        return box, ln
-
-    box, box_line = as_box(dom, "domain")
+    domain = _read_section(domains[0])
+    box = domain["domain_box"]
     if len(box) not in (2, 4):
-        raise ConfigError("domain box needs 2 (1D) or 4 (2D) coordinates", line=box_line)
-    dim = 1 if len(box) == 2 else 2
-
-    T = as_float(dom, "t")
-    if T is None:
-        raise ConfigError("missing mandatory key 'T' in [domain]", line=dom["__line__"])
-
-    guess = dom.get("initial_guess", ("from_u0", dom["__line__"]))
-    guess_val = guess[0].strip().lower()
-    if guess_val not in ("zero", "from_u0"):
-        raise ConfigError("initial_guess must be 'zero' or 'from_u0'", line=guess[1])
+        raise ConfigError("domain box needs 2 (1D) or 4 (2D) coordinates",
+                          line=domains[0]["box"][1])
+    dim = len(box) // 2
 
     subdomains = []
     for sec in subs:
-        sid = as_int(sec, "id")
-        if sid is None:
-            raise ConfigError("missing 'id' in [subdomain]", line=sec["__line__"])
-        sbox, sbox_line = as_box(sec, "subdomain")
-        if len(sbox) != len(box):
-            raise ConfigError(
-                f"subdomain {sid}: box dimension does not match domain", line=sbox_line
-            )
-        bx = as_expr(sec, "bx", 0.0)
-        by = as_expr(sec, "by", None)
-        if dim == 1 and by is not None:
+        spec = _read_section(sec)
+        sid = spec["id"]
+        if len(spec["box"]) != len(box):
+            raise ConfigError(f"subdomain {sid}: box dimension does not match domain",
+                              line=sec["box"][1])
+        if dim == 1 and "by" in sec:
             raise ConfigError(f"subdomain {sid}: 'by' given for a 1D problem (dimension mismatch in b)",
                               line=sec["by"][1])
-        if dim == 2 and by is None:
-            by = const_expr(0.0)
-        b = (bx,) if dim == 1 else (bx, by)
-        ny = as_int(sec, "ny", None)
-        if dim == 1 and ny is not None:
+        if dim == 1 and "ny" in sec:
             raise ConfigError(f"subdomain {sid}: 'ny' given for a 1D problem", line=sec["ny"][1])
-        if dim == 2 and ny is None:
+        if dim == 2 and "ny" not in sec:
             raise ConfigError(f"subdomain {sid}: missing 'ny'", line=sec["__line__"])
-        subdomains.append(
-            SubdomainSpec(
-                id=sid,
-                box=sbox,
-                nu=as_expr(sec, "nu", 1.0),
-                b=b,
-                c=as_expr(sec, "c", 0.0),
-                omega=as_expr(sec, "omega", 1.0),
-                nx=as_int(sec, "nx", 1),
-                ny=ny,
-                nt=as_int(sec, "nt", 1),
-                degree=as_int(sec, "degree", 1),
-            )
-        )
+        spec["b"] = (spec.pop("bx"), spec.pop("by"))[:dim]
+        spec.setdefault("ny", None)
+        subdomains.append(SubdomainSpec(**spec))
     ids = [s.id for s in subdomains]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate subdomain ids")
 
     transmission = {}
     for sec in trans:
-        i = as_int(sec, "from")
-        j = as_int(sec, "to")
-        if i is None or j is None:
-            raise ConfigError("transmission section needs 'from' and 'to'", line=sec["__line__"])
+        params = _read_section(sec)
+        i, j = params.pop("from"), params.pop("to")
         for end in (i, j):
             if end not in ids:
                 raise ConfigError(f"transmission ({i}, {j}): no subdomain {end}",
                                   line=sec["__line__"])
         if (i, j) in transmission:
             raise ConfigError(f"duplicate transmission ({i}, {j})", line=sec["__line__"])
-        tp = TransmissionParams(
-            p=as_float(sec, "p", 0.0),
-            q=as_float(sec, "q", 0.0),
-            r=as_expr(sec, "r", 0.0),
-            s=as_float(sec, "s", 1.0),
-        )
-        transmission[(i, j)] = tp
+        transmission[(i, j)] = TransmissionParams(**params)
     # mirror missing reverse directions
     for (i, j), tp in list(transmission.items()):
         transmission.setdefault((j, i), tp)
 
-    return ExperimentConfig(
-        domain_box=box,
-        T=T,
-        subdomains=subdomains,
-        transmission=transmission,
-        u0=as_expr(dom, "u0", 0.0),
-        f=as_expr(dom, "f", 0.0),
-        windows=as_int(dom, "windows", 1),
-        tolerance=as_float(dom, "tolerance", 1e-8),
-        max_iterations=as_int(dom, "max_iterations", 100),
-        initial_guess=guess_val,
-    )
+    return ExperimentConfig(subdomains=subdomains, transmission=transmission, **domain)
+
+
+def _write_section(section, values):
+    """A section's text: each key whose field has a value in `values`."""
+    lines = [f"[{section}]"]
+    for key, (name, kind, _) in _SECTIONS[section].items():
+        if values.get(name) is not None:
+            lines.append(f"{key} = {_KINDS[kind][1](values[name])}")
+    return "\n".join(lines)
 
 
 def serialize_config(cfg):
     """Canonical text form, each expression as it was written;
     parse_config(serialize_config(c)) == c."""
-    out = []
-    out.append("[domain]")
-    out.append("box = " + " ".join(repr(v) for v in cfg.domain_box))
-    out.append(f"T = {cfg.T!r}")
-    out.append(f"windows = {cfg.windows}")
-    out.append(f"tolerance = {cfg.tolerance!r}")
-    out.append(f"max_iterations = {cfg.max_iterations}")
-    out.append(f"initial_guess = {cfg.initial_guess}")
-    out.append(f'u0 = "{cfg.u0}"')
-    out.append(f'f = "{cfg.f}"')
+    parts = [_write_section("domain", vars(cfg))]
     for s in sorted(cfg.subdomains, key=lambda s: s.id):
-        out.append("")
-        out.append("[subdomain]")
-        out.append(f"id = {s.id}")
-        out.append("box = " + " ".join(repr(v) for v in s.box))
-        out.append(f'nu = "{s.nu}"')
-        out.append(f'bx = "{s.b[0]}"')
-        if s.dim == 2:
-            out.append(f'by = "{s.b[1]}"')
-        out.append(f'c = "{s.c}"')
-        out.append(f'omega = "{s.omega}"')
-        out.append(f"nx = {s.nx}")
-        if s.dim == 2:
-            out.append(f"ny = {s.ny}")
-        out.append(f"nt = {s.nt}")
-        out.append(f"degree = {s.degree}")
-    for (i, j) in sorted(cfg.transmission):
-        tp = cfg.transmission[(i, j)]
-        out.append("")
-        out.append("[transmission]")
-        out.append(f"from = {i}")
-        out.append(f"to = {j}")
-        out.append(f"p = {tp.p!r}")
-        out.append(f"q = {tp.q!r}")
-        out.append(f'r = "{tp.r}"')
-        out.append(f"s = {tp.s!r}")
-    return "\n".join(out) + "\n"
+        by, ny = (s.b[1], s.ny) if s.dim == 2 else (None, None)
+        parts.append(_write_section("subdomain", {**vars(s), "bx": s.b[0], "by": by, "ny": ny}))
+    for (i, j), tp in sorted(cfg.transmission.items()):
+        parts.append(_write_section("transmission", {"from": i, "to": j, **vars(tp)}))
+    return "\n\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +699,11 @@ def validate_problem(cfg):
         if d not in (0, 1):
             err(f"unsupported DG degree {d} (only 0 and 1)")
 
+    named = [("domain", cfg.domain_box)] + [(f"subdomain {s.id}", s.box) for s in cfg.subdomains]
+    for what, box in named:
+        for axis, lo, hi in zip("xy", box[0::2], box[1::2]):
+            if not lo < hi:
+                err(f"{what}: box extent along {axis} is not positive")
     # tiling: total measure matches and no pairwise overlap
     total = sum(_box_measure(s.box) for s in cfg.subdomains)
     if abs(total - _box_measure(cfg.domain_box)) > 1e-10 * max(1.0, _box_measure(cfg.domain_box)):

@@ -29,8 +29,6 @@ __all__ = [
     "GAUSS4_WEIGHTS",
 ]
 
-MAX_DEGREE = 1
-
 # 4-point Gauss-Legendre on [0,1]: used for time integrals of configured
 # data (exact on P_7, far beyond the scheme order).
 _g4 = np.array([

@@ -8,11 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oswr.cli import main
 from oswr.problem import (
     _FUNCTIONS,
     CoefficientExpression,
     ConfigError,
     EvalError,
+    ExperimentConfig,
+    SubdomainSpec,
+    TransmissionParams,
+    const_expr,
     parse_config,
     parse_expression,
     serialize_config,
@@ -117,6 +122,61 @@ p = 0.5
 q = 0.1
 r = "0"
 s = 0.003
+"""
+
+ZERO_WIDTH_1D = """
+[domain]
+box = 0 1
+T = 0.1
+[subdomain]
+id = 1
+box = 0 0.5
+nx = 2
+nt = 2
+[subdomain]
+id = 2
+box = 0.5 0.5
+nx = 2
+nt = 2
+[subdomain]
+id = 3
+box = 0.5 1
+nx = 2
+nt = 2
+[transmission]
+from = 1
+to = 2
+p = 1.0
+[transmission]
+from = 1
+to = 3
+p = 1.0
+[transmission]
+from = 2
+to = 3
+p = 1.0
+"""
+
+ZERO_HEIGHT_2D = """
+[domain]
+box = 0 1 0 1
+T = 0.1
+[subdomain]
+id = 1
+box = 0 1 0 1
+nx = 2
+ny = 2
+nt = 2
+[subdomain]
+id = 2
+box = 0 1 1 1
+nx = 2
+ny = 2
+nt = 2
+[transmission]
+from = 1
+to = 2
+p = 1.0
 """
 
 
@@ -407,6 +467,20 @@ class TestValidation:
         diags = validate_problem(parse_config(text))
         assert not [d for d in diags if d.severity == "error"]
 
+    @pytest.mark.parametrize("text,message", [(ZERO_WIDTH_1D, "subdomain 2: box extent along x"),
+                                              (ZERO_HEIGHT_2D, "subdomain 2: box extent along y")],
+                             ids=["1d-zero-width", "2d-zero-height"])
+    def test_zero_extent_box_run_exits_2_and_writes_nothing(self, text, message, tmp_path, capsys):
+        # the layout tiles the domain by measure and overlaps nowhere
+        diags = validate_problem(parse_config(text))
+        assert [d.message for d in diags if d.severity == "error"] == [f"{message} is not positive"]
+        path = tmp_path / "flat.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"error: {message} is not positive" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # The hand-written tokenizer and recursive-descent parser that read the
@@ -638,3 +712,373 @@ class TestReferenceParser:
             parse_expression(text)
         assert 1 <= e.value.col <= len(text)
         assert text[e.value.col - 1 :].startswith(where), (e.value, text)
+
+
+# ---------------------------------------------------------------------------
+# The parse_config and serialize_config that read and wrote each key by
+# its own call, before the format became one key table per section, kept
+# as the reference the table-driven ones must agree with.  The only edit:
+# a missing 'id', 'from' or 'to' is reported as any missing mandatory key.
+# ---------------------------------------------------------------------------
+
+_ORACLE_DOMAIN_KEYS = {
+    "box", "t", "windows", "tolerance", "max_iterations", "initial_guess", "u0", "f",
+}
+_ORACLE_SUBDOMAIN_KEYS = {"id", "box", "nu", "bx", "by", "c", "omega", "nx", "ny", "nt", "degree"}
+_ORACLE_TRANSMISSION_KEYS = {"from", "to", "p", "q", "r", "s"}
+
+
+def _strip_quotes(v):
+    v = v.strip()
+    if len(v) >= 2 and v[0] == v[-1] and v[0] in "\"'":
+        return v[1:-1]
+    return v
+
+
+def oracle_parse_config(text):
+    """Parse the line-oriented configuration document into a config.
+
+    Sections are introduced by bracketed headers [domain], [subdomain],
+    [transmission]; keys use ``key = value``; ``#`` begins a comment.
+    """
+    sections = []
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if stripped.startswith("["):
+            if not stripped.endswith("]"):
+                raise ConfigError("malformed section header", line=lineno)
+            name = stripped[1:-1].strip().lower()
+            if name not in ("domain", "subdomain", "transmission"):
+                raise ConfigError(f"unknown section [{name}]", line=lineno)
+            current = {"__name__": name, "__line__": lineno}
+            sections.append(current)
+            continue
+        if "=" not in stripped:
+            raise ConfigError("expected 'key = value'", line=lineno, col=len(line) + 1)
+        if current is None:
+            raise ConfigError("key outside of any section", line=lineno)
+        key, value = stripped.split("=", 1)
+        key = key.strip().lower()
+        allowed = {
+            "domain": _ORACLE_DOMAIN_KEYS,
+            "subdomain": _ORACLE_SUBDOMAIN_KEYS,
+            "transmission": _ORACLE_TRANSMISSION_KEYS,
+        }[current["__name__"]]
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in [{current['__name__']}]", line=lineno)
+        if key in current:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        current[key] = (value.strip(), lineno)
+    domains = [s for s in sections if s["__name__"] == "domain"]
+    subs = [s for s in sections if s["__name__"] == "subdomain"]
+    trans = [s for s in sections if s["__name__"] == "transmission"]
+    if len(domains) != 1:
+        raise ConfigError("exactly one [domain] section is required")
+    if not subs:
+        raise ConfigError("missing [subdomain] sections")
+    if not trans and len(subs) > 1:
+        raise ConfigError("missing [transmission] sections")
+    dom = domains[0]
+
+    def need(sec, key, what):
+        if key not in sec:
+            raise ConfigError(f"missing mandatory key {key!r} in [{what}]", line=sec["__line__"])
+        return sec[key]
+
+    def as_float(sec, key, default=None):
+        if key not in sec:
+            return default
+        v, ln = sec[key]
+        try:
+            x = float(v)
+        except ValueError:
+            raise ConfigError(f"bad number for {key!r}: {v!r}", line=ln) from None
+        if not math.isfinite(x):
+            raise ConfigError(f"non-finite number for {key!r}: {v!r}", line=ln)
+        return x
+
+    def as_int(sec, key, default=None):
+        if key not in sec:
+            return default
+        v, ln = sec[key]
+        try:
+            return int(v)
+        except ValueError:
+            raise ConfigError(f"bad integer for {key!r}: {v!r}", line=ln) from None
+
+    def as_expr(sec, key, default=None):
+        if key not in sec:
+            return const_expr(default) if default is not None else None
+        v, ln = sec[key]
+        try:
+            return parse_expression(_strip_quotes(v))
+        except ConfigError as e:
+            raise ConfigError(f"in expression for {key!r}: {e}", line=ln) from None
+
+    def as_box(sec, what):
+        text, ln = need(sec, "box", what)
+        try:
+            box = tuple(float(v) for v in text.split())
+        except ValueError:
+            raise ConfigError("bad box coordinates", line=ln) from None
+        if not all(math.isfinite(v) for v in box):
+            raise ConfigError(f"non-finite number for 'box': {text!r}", line=ln)
+        return box, ln
+
+    box, box_line = as_box(dom, "domain")
+    if len(box) not in (2, 4):
+        raise ConfigError("domain box needs 2 (1D) or 4 (2D) coordinates", line=box_line)
+    dim = 1 if len(box) == 2 else 2
+
+    T = as_float(dom, "t")
+    if T is None:
+        raise ConfigError("missing mandatory key 'T' in [domain]", line=dom["__line__"])
+
+    guess = dom.get("initial_guess", ("from_u0", dom["__line__"]))
+    guess_val = guess[0].strip().lower()
+    if guess_val not in ("zero", "from_u0"):
+        raise ConfigError("initial_guess must be 'zero' or 'from_u0'", line=guess[1])
+
+    subdomains = []
+    for sec in subs:
+        sid = as_int(sec, "id")
+        if sid is None:
+            raise ConfigError("missing mandatory key 'id' in [subdomain]", line=sec["__line__"])
+        sbox, sbox_line = as_box(sec, "subdomain")
+        if len(sbox) != len(box):
+            raise ConfigError(
+                f"subdomain {sid}: box dimension does not match domain", line=sbox_line
+            )
+        bx = as_expr(sec, "bx", 0.0)
+        by = as_expr(sec, "by", None)
+        if dim == 1 and by is not None:
+            raise ConfigError(f"subdomain {sid}: 'by' given for a 1D problem (dimension mismatch in b)",
+                              line=sec["by"][1])
+        if dim == 2 and by is None:
+            by = const_expr(0.0)
+        b = (bx,) if dim == 1 else (bx, by)
+        ny = as_int(sec, "ny", None)
+        if dim == 1 and ny is not None:
+            raise ConfigError(f"subdomain {sid}: 'ny' given for a 1D problem", line=sec["ny"][1])
+        if dim == 2 and ny is None:
+            raise ConfigError(f"subdomain {sid}: missing 'ny'", line=sec["__line__"])
+        subdomains.append(
+            SubdomainSpec(
+                id=sid,
+                box=sbox,
+                nu=as_expr(sec, "nu", 1.0),
+                b=b,
+                c=as_expr(sec, "c", 0.0),
+                omega=as_expr(sec, "omega", 1.0),
+                nx=as_int(sec, "nx", 1),
+                ny=ny,
+                nt=as_int(sec, "nt", 1),
+                degree=as_int(sec, "degree", 1),
+            )
+        )
+    ids = [s.id for s in subdomains]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("duplicate subdomain ids")
+
+    transmission = {}
+    for sec in trans:
+        i = as_int(sec, "from")
+        j = as_int(sec, "to")
+        if i is None or j is None:
+            raise ConfigError(f"missing mandatory key {'from' if i is None else 'to'!r} "
+                              "in [transmission]", line=sec["__line__"])
+        for end in (i, j):
+            if end not in ids:
+                raise ConfigError(f"transmission ({i}, {j}): no subdomain {end}",
+                                  line=sec["__line__"])
+        if (i, j) in transmission:
+            raise ConfigError(f"duplicate transmission ({i}, {j})", line=sec["__line__"])
+        tp = TransmissionParams(
+            p=as_float(sec, "p", 0.0),
+            q=as_float(sec, "q", 0.0),
+            r=as_expr(sec, "r", 0.0),
+            s=as_float(sec, "s", 1.0),
+        )
+        transmission[(i, j)] = tp
+    # mirror missing reverse directions
+    for (i, j), tp in list(transmission.items()):
+        transmission.setdefault((j, i), tp)
+
+    return ExperimentConfig(
+        domain_box=box,
+        T=T,
+        subdomains=subdomains,
+        transmission=transmission,
+        u0=as_expr(dom, "u0", 0.0),
+        f=as_expr(dom, "f", 0.0),
+        windows=as_int(dom, "windows", 1),
+        tolerance=as_float(dom, "tolerance", 1e-8),
+        max_iterations=as_int(dom, "max_iterations", 100),
+        initial_guess=guess_val,
+    )
+
+
+def oracle_serialize_config(cfg):
+    """Canonical text form, each expression as it was written;
+    parse_config(serialize_config(c)) == c."""
+    out = []
+    out.append("[domain]")
+    out.append("box = " + " ".join(repr(v) for v in cfg.domain_box))
+    out.append(f"T = {cfg.T!r}")
+    out.append(f"windows = {cfg.windows}")
+    out.append(f"tolerance = {cfg.tolerance!r}")
+    out.append(f"max_iterations = {cfg.max_iterations}")
+    out.append(f"initial_guess = {cfg.initial_guess}")
+    out.append(f'u0 = "{cfg.u0}"')
+    out.append(f'f = "{cfg.f}"')
+    for s in sorted(cfg.subdomains, key=lambda s: s.id):
+        out.append("")
+        out.append("[subdomain]")
+        out.append(f"id = {s.id}")
+        out.append("box = " + " ".join(repr(v) for v in s.box))
+        out.append(f'nu = "{s.nu}"')
+        out.append(f'bx = "{s.b[0]}"')
+        if s.dim == 2:
+            out.append(f'by = "{s.b[1]}"')
+        out.append(f'c = "{s.c}"')
+        out.append(f'omega = "{s.omega}"')
+        out.append(f"nx = {s.nx}")
+        if s.dim == 2:
+            out.append(f"ny = {s.ny}")
+        out.append(f"nt = {s.nt}")
+        out.append(f"degree = {s.degree}")
+    for (i, j) in sorted(cfg.transmission):
+        tp = cfg.transmission[(i, j)]
+        out.append("")
+        out.append("[transmission]")
+        out.append(f"from = {i}")
+        out.append(f"to = {j}")
+        out.append(f"p = {tp.p!r}")
+        out.append(f"q = {tp.q!r}")
+        out.append(f'r = "{tp.r}"')
+        out.append(f"s = {tp.s!r}")
+    return "\n".join(out) + "\n"
+
+
+FULL_1D = """
+[domain]
+box = 0 1
+T = 0.5
+windows = 2
+tolerance = 1e-9
+max_iterations = 40
+initial_guess = zero
+u0 = "sin(pi*x)"
+f = "x*t"
+
+[subdomain]
+id = 1
+box = 0 0.5
+nu = "0.1+x"
+bx = "0.5"
+c = "1"
+omega = "2"
+nx = 4
+nt = 3
+degree = 0
+
+[subdomain]
+id = 2
+box = 0.5 1
+nu = "0.2"
+bx = "-x"
+c = "0.5"
+omega = "0.5"
+nx = 5
+nt = 6
+degree = 0
+
+[transmission]
+from = 1
+to = 2
+p = 0.7
+q = 0.1
+r = "0.3"
+s = 0.2
+
+[transmission]
+from = 2
+to = 1
+p = 0.4
+q = 0.0
+r = "-1"
+s = 2.0
+"""
+
+# text that is a bad number, integer, expression, box or guess for every key
+_BAD_VALUES = ["abc", "nan", "-inf", "1.5", "1e999", '"x +"', "0 1 x", ""]
+
+
+def _mutants(text):
+    """Every single-fault mutant of a config text that states each key:
+    a key dropped, duplicated or given a bad value; an unknown key; by
+    or ny in every subdomain; a transmission to an unknown subdomain; and
+    a duplicate transmission."""
+    lines = text.splitlines()
+    out = []
+    for k, line in enumerate(lines):
+        if "=" in line:
+            key = line.split("=")[0]
+            out.append(lines[:k] + lines[k + 1 :])
+            out.append(lines[: k + 1] + lines[k:])
+            out += [lines[:k] + [f"{key}= {v}"] + lines[k + 1 :] for v in _BAD_VALUES]
+            if key.strip() in ("from", "to"):
+                out.append(lines[:k] + [f"{key}= 9"] + lines[k + 1 :])
+        elif line.startswith("["):
+            inserts = ["foo = 1"] + (['by = "1"', "ny = 4"] if line == "[subdomain]" else [])
+            out += [lines[: k + 1] + [extra] + lines[k + 1 :] for extra in inserts]
+    first = lines.index("[transmission]")
+    out.append(lines + lines[first : first + 7])
+    return ["\n".join(m) + "\n" for m in out]
+
+
+def _outcome(parse, serialize, text):
+    try:
+        cfg = parse(text)
+    except ConfigError as e:
+        return str(e), e.line, e.col
+    return _plain(cfg), serialize(cfg)
+
+
+def _agrees_with_oracle(text):
+    assert _outcome(parse_config, serialize_config, text) == _outcome(
+        oracle_parse_config, oracle_serialize_config, text), text
+
+
+class TestConfigOracle:
+    @pytest.mark.parametrize("text", [FULL_1D, EXP1], ids=["1d", "2d"])
+    def test_every_single_fault_matches_the_oracle(self, text):
+        mutants = _mutants(text)
+        assert len(mutants) > 300
+        for mutant in mutants:
+            _agrees_with_oracle(mutant)
+
+    def test_repository_configs_match_the_oracle(self):
+        texts = [path.read_text() for path in sorted((_REPO / "demos").glob("*.cfg"))]
+        for text in texts + [EXP1, POROSITY, FULL_1D]:
+            _agrees_with_oracle(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=config_texts(), data=st.data())
+    def test_drawn_configs_and_their_faults_match_the_oracle(self, text, data):
+        _agrees_with_oracle(text)
+        _agrees_with_oracle(data.draw(st.sampled_from(_mutants(text))))
+
+    @pytest.mark.parametrize("key,section", [
+        ("id", "subdomain"), ("from", "transmission"), ("to", "transmission"),
+    ])
+    def test_missing_mandatory_key_names_it(self, key, section):
+        text = FULL_1D.replace(f"\n{key} = ", f"\n# {key} = ", 1)
+        with pytest.raises(ConfigError, match=f"^missing mandatory key '{key}' in \\[{section}\\]") as e:
+            parse_config(text)
+        header = text[: text.index(f"# {key} = ")].rindex(f"[{section}]")
+        assert e.value.line == text[:header].count("\n") + 1
