@@ -454,8 +454,9 @@ def convergence_study(cfg, axis, levels, tol=1e-10, reference=None):
     """Refine `levels` times along the given axis, run OSWR to a tight
     tolerance per level, and fit log-log slopes of the error norms.
 
-    Level 0 starts from the configured initial guess; every later level
-    starts from the previous level's converged traces, mapped onto its
+    Level 0 runs as `run_windows` does, from the configured initial guess
+    and then from each window's converged traces; every window of a later
+    level starts from the previous level's converged traces, mapped onto its
     grids (nested iteration).  Only the traces and their interface
     coordinates are carried from one level to the next."""
     if levels < 3:

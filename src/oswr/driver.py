@@ -450,12 +450,38 @@ class MultidomainSolution:
         return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
 
 
+def _extrapolate(trace, partition):
+    """The linear continuation of a trace past its end, as modes on
+    `partition`: g(t) = c_0 + s (t - t_mid) about the midpoint of the last
+    interval, whose mode 0 is c_0.  A DG(1) trace has its own slope there,
+    s = 2 c_1 / k; a DG(0) trace is constant on each interval, so s runs
+    through the means of its last two intervals (0 with only one)."""
+    c, k = trace.coeffs, trace.partition.lengths
+    if c.shape[1] > 1:
+        s = 2.0 * c[-1, 1] / k[-1]
+    elif k.size > 1:
+        s = (c[-1, 0] - c[-2, 0]) / (0.5 * (k[-1] + k[-2]))
+    else:
+        s = 0.0
+    bp = partition.breakpoints
+    shift = 0.5 * (bp[:-1] + bp[1:]) - (trace.partition.end - 0.5 * k[-1])
+    out = np.zeros((partition.n_intervals,) + c.shape[1:])
+    out[:, 0] = c[-1, 0] + shift[:, None] * s
+    if c.shape[1] > 1:
+        out[:, 1] = 0.5 * partition.lengths[:, None] * s
+    return InterfaceTrace(partition=partition, coeffs=out)
+
+
 def run_windows(cfg, md=None, tol=None, traces=None):
     """Sequential time windows; each window's endpoint seeds the next.
 
     traces, if given, holds one dict of starting transmission data per
-    window (directed pair -> InterfaceTrace on the window's partitions);
-    without it every window starts from the configured initial guess."""
+    window (directed pair -> InterfaceTrace on the window's partitions).
+    Without it the first window starts from the configured initial guess
+    and every later one from the previous window's converged traces,
+    continued linearly past their end (`_extrapolate`) onto the new
+    window's partitions.  A multi-window run therefore stops at another
+    point than cold-started windows would, within the tolerance."""
     if md is None:
         md = build_multidomain(cfg)
     tol = cfg.tolerance if tol is None else tol
@@ -467,9 +493,18 @@ def run_windows(cfg, md=None, tol=None, traces=None):
     all_traj = {sid: [] for sid in md.assemblies}
     histories, final_traces = [], []
     for w in range(cfg.windows):
+        if traces is not None:
+            start = traces[w]
+        elif w > 0:
+            start = {
+                (i, j): _extrapolate(tr, TimePartition.uniform(
+                    bounds[w], bounds[w + 1], md.assemblies[i].spec.nt))
+                for (i, j), tr in final_traces[-1].items()
+            }
+        else:
+            start = None
         trajectories, _, final, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, cfg.max_iterations, tol,
-            traces=None if traces is None else traces[w],
+            md, (bounds[w], bounds[w + 1]), u_cur, cfg.max_iterations, tol, traces=start,
         )
         histories.append(hist)
         final_traces.append(final)

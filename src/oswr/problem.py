@@ -72,6 +72,8 @@ _NAMES = {"x": ("var", "x"), "y": ("var", "y"), "t": ("var", "t"), "pi": ("num",
 _BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 # the only literals: unsigned decimals, no underscores, prefixes or suffixes
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# a number in a config value: an optional sign and a `_NUMBER` in ASCII digits
+_SIGNED_NUMBER = re.compile(r"[+-]?" + _NUMBER.pattern, re.ASCII)
 
 
 def _eval_node(node, x, y, t):
@@ -440,9 +442,20 @@ _TRANSMISSION = {
 _SECTIONS = {"domain": _DOMAIN, "subdomain": _SUBDOMAIN, "transmission": _TRANSMISSION}
 
 
+def _to_float(text):
+    """float(text) for a config number.  Text that reads as inf or nan is
+    returned as such, for the caller to report as non-finite; any other
+    spelling outside `_SIGNED_NUMBER` (1_0, non-ASCII digits) raises
+    ValueError."""
+    x = float(text)
+    if math.isfinite(x) and not _SIGNED_NUMBER.fullmatch(text):
+        raise ValueError(f"not a config number: {text!r}")
+    return x
+
+
 def _read_float(key, text, line):
     try:
-        x = float(text)
+        x = _to_float(text)
     except ValueError:
         raise ConfigError(f"bad number for {key!r}: {text!r}", line=line) from None
     if not math.isfinite(x):
@@ -452,9 +465,12 @@ def _read_float(key, text, line):
 
 def _read_int(key, text, line):
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
-        raise ConfigError(f"bad integer for {key!r}: {text!r}", line=line) from None
+        n = None
+    if n is None or not _SIGNED_NUMBER.fullmatch(text):
+        raise ConfigError(f"bad integer for {key!r}: {text!r}", line=line)
+    return n
 
 
 def _read_expr(key, text, line):
@@ -467,7 +483,7 @@ def _read_expr(key, text, line):
 
 def _read_box(key, text, line):
     try:
-        box = tuple(float(v) for v in text.split())
+        box = tuple(_to_float(v) for v in text.split())
     except ValueError:
         raise ConfigError("bad box coordinates", line=line) from None
     if not all(math.isfinite(v) for v in box):

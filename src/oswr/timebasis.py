@@ -4,9 +4,9 @@ Each time interval I_n = (t_n, t_{n+1}] carries a scaled Legendre basis
 L_{n,j}(t) = P_j(2(t - t_{n+1/2})/k_n) with L_{n,j}(t_{n+1}) = 1 and
 L_{n,j}(t_n) = (-1)^j.  The module provides the Gram norms and the
 derivative/jump coupling tables of the implicit DG scheme, the
-Gauss-Radau rule (right endpoint included, exact on P_{2d}), the
-degree-raising lift that interpolates at the left breakpoint and the
-Radau nodes, and per-interval L2 projection onto P_d.
+Gauss-Radau rule (right endpoint included, exact on P_{2d}), and the
+Legendre modes of the time derivative of the degree-raising lift that
+interpolates at the left breakpoint and the Radau nodes.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ __all__ = [
     "legendre_eval",
     "build_interval_basis",
     "gauss_radau",
-    "lift",
     "lift_rate_modes",
-    "project_interval",
     "GAUSS4_NODES",
     "GAUSS4_WEIGHTS",
 ]
@@ -86,11 +84,6 @@ class TimePartition:
         """(N, degree+1) Legendre Gram weights int_{I_n} L_j^2 = k_n/(2j+1)."""
         return self.lengths[:, None] / (2.0 * np.arange(degree + 1) + 1.0)
 
-    def locate(self, t):
-        """Index n with t in (t_n, t_{n+1}]; t at the start maps to 0."""
-        bp = self.breakpoints
-        n = int(np.searchsorted(bp, t, side="left")) - 1
-        return min(max(n, 0), self.n_intervals - 1)
 
 
 @dataclass(frozen=True)
@@ -161,32 +154,6 @@ def legendre_eval(j, interval, t):
     raise ValueError(f"legendre_eval supports j <= 2, got {j}")
 
 
-def lift(coeffs, left_value, d=None):
-    """Degree-raising interpolation I_n on one interval.
-
-    coeffs are the Legendre coefficients of a P_d polynomial (leading
-    axis d+1, trailing axes arbitrary); left_value is the limit from the
-    previous interval at t_n.  Returns the d+2 Legendre coefficients of
-    the P_{d+1} interpolant through the left breakpoint and the
-    Gauss-Radau nodes.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    left_value = np.asarray(left_value, dtype=float)
-    if d is None:
-        d = coeffs.shape[0] - 1
-    _check_degree(d)
-    if d == 0:
-        u1 = coeffs[0]
-        return np.stack([0.5 * (left_value + u1), 0.5 * (u1 - left_value)])
-    u0, u1 = coeffs[0], coeffs[1]
-    # I_n U = a + b*th' + c*th'^2 with th' = (t - t_mid)/k_n
-    a = 0.25 * (5.0 * u0 - u1 - left_value)
-    b = u0 + u1 - left_value
-    c = 3.0 * (-u0 + u1 + left_value)
-    # th' = theta/2, th'^2 = (2 P_2(theta) + 1)/12
-    return np.stack([a + c / 12.0, 0.5 * b, c / 6.0])
-
-
 def lift_rate_modes(coeffs, left_value, k, d=None):
     """Legendre modes of d(I_n .)/dt on one interval.
 
@@ -206,26 +173,3 @@ def lift_rate_modes(coeffs, left_value, k, d=None):
         (u0 + u1 - left_value) / k,
         3.0 * (-u0 + u1 + left_value) / k,
     ])
-
-
-def project_interval(func, interval, d):
-    """L2-orthogonal projection of func onto P_d on one interval.
-
-    func maps an array of times to values (scalar or vector per time,
-    time on the leading axis).  Uses the 4-point Gauss rule; exact for
-    polynomial data of degree <= 7.
-    """
-    _check_degree(d)
-    t_n, k_n = interval
-    ts = t_n + k_n * GAUSS4_NODES
-    vals = np.asarray(func(ts), dtype=float)
-    if vals.shape[0] != ts.size:
-        raise ValueError("func must return one value per quadrature time")
-    w = GAUSS4_WEIGHTS * k_n
-    out = []
-    for j in range(d + 1):
-        Lj = legendre_eval(j, (t_n, k_n), ts)
-        gram = k_n / (2.0 * j + 1.0)
-        wl = (w * Lj) / gram
-        out.append(np.tensordot(wl, vals, axes=(0, 0)))
-    return np.stack(out)

@@ -28,6 +28,8 @@ from oswr.driver import TrajectoryView, build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
+from test_driver import _cold_windows
+from test_timebasis import locate
 
 CFG_1D = """
 [domain]
@@ -487,7 +489,7 @@ def _value_pointwise(traj, t, left=False):
             n = traj.partition.n_intervals - 1
         if abs(t - bp[n + 1]) == 0.0:
             return traj.endpoint(n)
-    n = traj.partition.locate(t)
+    n = locate(traj.partition, t)
     k = bp[n + 1] - bp[n]
     theta = 2.0 * (t - 0.5 * (bp[n] + bp[n + 1])) / k
     val = traj.coeffs[n, 0].copy()
@@ -642,8 +644,8 @@ CFG_1D_2W = (CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 2")
 
 
 def _cold_study(cfg, axis, levels, reference, tol=1e-10):
-    """Every level from the configured initial guess: (rows of norms, sweeps
-    per level, slopes)."""
+    """Every level, and every window of it, from the configured initial
+    guess: (rows of norms, sweeps per level, slopes)."""
     rows, sweeps = [], []
     for lev in range(levels):
         f = 2**lev
@@ -654,7 +656,7 @@ def _cold_study(cfg, axis, levels, reference, tol=1e-10):
                     nt=s.nt * f if in_time else s.nt)
             for s in cfg.subdomains
         ])
-        sol = run_windows(cl, md=build_multidomain(cl), tol=tol)
+        sol = _cold_windows(cl, md=build_multidomain(cl), tol=tol)
         rep = error_norms(sol, reference)
         row = {"size": {s.id: (cfg.T / cfg.windows / s.nt if axis == "time"
                                else (s.box[1] - s.box[0]) / s.nx) for s in cl.subdomains}}
@@ -689,7 +691,8 @@ class TestWarmStartedStudy:
         warm_sweeps = [sum(h.iterations for h in level) for level in warm.histories]
         assert len(warm.histories) == 3
         assert all(len(level) == cfg.windows for level in warm.histories)
-        assert warm_sweeps[0] == sweeps[0]  # level 0 starts cold
+        level0 = run_windows(cfg, tol=1e-10)  # level 0 starts from the configured guess
+        assert warm_sweeps[0] == sum(h.iterations for h in level0.histories)
         return warm_sweeps, sweeps
 
     def test_two_window_time_study(self):

@@ -20,6 +20,7 @@ from oswr.dgsolver import (
 )
 from oswr.driver import (
     DivergenceError,
+    MultidomainSolution,
     build_multidomain,
     initial_guess,
     interface_residual,
@@ -32,6 +33,7 @@ from oswr.cli import main
 from oswr.problem import parse_config, validate_problem
 from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
+from test_timebasis import locate
 
 CFG_1D = """
 [domain]
@@ -508,7 +510,7 @@ def _hats(coarse, fine):
 def _values(partition, coeffs, times):
     out = []
     for t in times:
-        n = partition.locate(t)
+        n = locate(partition, t)
         iv = (partition.breakpoints[n], partition.lengths[n])
         out.append(sum(coeffs[n, j] * legendre_eval(j, iv, t) for j in range(coeffs.shape[1])))
     return np.array(out)
@@ -961,3 +963,76 @@ class TestFailureReporting:
                            match=r"^interface 1->2, window \[0, 0\.5\]: "
                                  r"non-finite interface residual$"):
             iterate(md, (0.0, cfg.T), u_init, 5, 1e-30, traces=traces)
+
+
+# ---------------------------------------------------------------------------
+# Windows started from the previous window's traces
+# ---------------------------------------------------------------------------
+
+
+def _cold_windows(cfg, md=None, tol=None):
+    """The oracle of chained windows: each window from the previous one's
+    end state, but from the configured initial guess, not its traces."""
+    md = build_multidomain(cfg) if md is None else md
+    tol = cfg.tolerance if tol is None else tol
+    bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
+    u = {sid: fes.nodal_interpolate(asm.mesh, cfg.u0, t=0.0) for sid, asm in md.assemblies.items()}
+    trajectories, traces, histories = {sid: [] for sid in md.assemblies}, [], []
+    for w in range(cfg.windows):
+        trajs, _, final, hist = iterate(md, (bounds[w], bounds[w + 1]), u, cfg.max_iterations, tol)
+        for sid, traj in trajs.items():
+            trajectories[sid].append(traj)
+        traces.append(final)
+        histories.append(hist)
+        u = {sid: traj.final_value() for sid, traj in trajs.items()}
+    return MultidomainSolution(
+        cfg=cfg, trajectories=trajectories, traces=traces, histories=histories,
+        meshes={sid: asm.mesh for sid, asm in md.assemblies.items()},
+    )
+
+
+class TestChainedWindows:
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("text", [
+        CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 3"),
+        CFG_2D_NONMATCHING.replace("T = 0.25", "T = 0.25\nwindows = 3"),
+    ], ids=["1d", "mortar-2d"])
+    def test_as_tight_as_cold_windows_in_fewer_sweeps(self, text, degree):
+        cfg = parse_config(text.replace("degree = 1", f"degree = {degree}"))
+        warm, cold = run_windows(cfg), _cold_windows(cfg)
+        tight = _cold_windows(cfg, tol=1e-12)
+        for sol in (warm, cold):
+            for sid in tight.trajectories:
+                want = tight.view(sid).final_value()
+                err = np.max(np.abs(sol.view(sid).final_value() - want))
+                assert err <= cfg.tolerance * np.max(np.abs(want)), sid
+        assert all(h.converged for h in warm.histories)
+        sweeps = [(a.iterations, b.iterations) for a, b in zip(warm.histories, cold.histories)]
+        assert sweeps[0][0] == sweeps[0][1]
+        assert all(a < b for a, b in sweeps[1:]), sweeps
+
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.sampled_from([0, 1]), t0=st.floats(-2.0, 2.0),
+           spans=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+           n_old=st.integers(2, 6), n_new=st.integers(1, 6),
+           line=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                         min_size=1, max_size=3))
+    def test_linear_trace_continues_as_itself(self, degree, t0, spans, n_old, n_new, line):
+        a, b = np.array(line).T
+
+        def modes(partition):
+            # the L2 projection of a + b t onto P_degree on each interval
+            bp = partition.breakpoints
+            out = np.zeros((partition.n_intervals, degree + 1, a.size))
+            out[:, 0] = a + 0.5 * (bp[:-1] + bp[1:])[:, None] * b
+            if degree:
+                out[:, 1] = 0.5 * partition.lengths[:, None] * b
+            return out
+
+        t1 = t0 + spans[0]
+        old = TimePartition.uniform(t0, t1, n_old)
+        new = TimePartition.uniform(t1, t1 + spans[1], n_new)
+        got = drv._extrapolate(InterfaceTrace(old, modes(old)), new)
+        assert got.partition is new
+        scale = 1.0 + np.max(np.abs(a)) + np.max(np.abs(b)) * (abs(t0) + sum(spans))
+        assert np.max(np.abs(got.coeffs - modes(new))) <= 1e-12 * scale

@@ -330,6 +330,23 @@ nt = 2
             parse_config(text)
         assert e.value.line == text[:text.index(new)].count("\n") + 1
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("p = 0.5", "p = 1_0", "bad number for 'p': '1_0'"),
+        ("tolerance = 1e-8", "tolerance = 1e-0_8", "bad number for 'tolerance': '1e-0_8'"),
+        ("p = 0.5", "p = ٠.٥", "bad number for 'p': '٠.٥'"),
+        ("nx = 16", "nx = 1_6", "bad integer for 'nx': '1_6'"),
+        ("nx = 16", "nx = ١٦", "bad integer for 'nx': '١٦'"),
+        ("box = 0 1 0 2", "box = 0 1 0 2_0", "bad box coordinates"),
+        ("box = 0.5 1 0 2", "box = 0.5 １ 0 2", "bad box coordinates"),
+    ], ids=["float-underscore", "exponent-underscore", "float-arabic-indic", "int-underscore",
+            "int-arabic-indic", "box-underscore", "box-fullwidth"])
+    def test_python_only_number_spellings_rejected(self, old, new, message):
+        # float() and int() read each of these; the config grammar does not
+        text = EXP1.replace(old, new, 1)
+        with pytest.raises(ConfigError, match="^" + re.escape(message)) as e:
+            parse_config(text)
+        assert e.value.line == text[:text.index(new)].count("\n") + 1
+
 
 _LEAVES = st.one_of(
     st.sampled_from(["x", "y", "t"]),

@@ -10,9 +10,7 @@ from oswr.timebasis import (
     build_interval_basis,
     gauss_radau,
     legendre_eval,
-    lift,
     lift_rate_modes,
-    project_interval,
 )
 
 
@@ -20,6 +18,69 @@ def poly_eval(legendre_coeffs, interval, t):
     return sum(
         c * legendre_eval(j, interval, t) for j, c in enumerate(legendre_coeffs)
     )
+
+
+# Test helpers that the library does not need: the interval holding a
+# time, the degree-raising lift (the oracle of lift_rate_modes) and the
+# per-interval L2 projection onto P_d.
+
+
+def locate(partition, t):
+    """Index n with t in (t_n, t_{n+1}]; t at the start maps to 0."""
+    bp = partition.breakpoints
+    n = int(np.searchsorted(bp, t, side="left")) - 1
+    return min(max(n, 0), partition.n_intervals - 1)
+
+
+def lift(coeffs, left_value, d=None):
+    """Degree-raising interpolation I_n on one interval.
+
+    coeffs are the Legendre coefficients of a P_d polynomial (leading
+    axis d+1, trailing axes arbitrary); left_value is the limit from the
+    previous interval at t_n.  Returns the d+2 Legendre coefficients of
+    the P_{d+1} interpolant through the left breakpoint and the
+    Gauss-Radau nodes.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    left_value = np.asarray(left_value, dtype=float)
+    if d is None:
+        d = coeffs.shape[0] - 1
+    if d not in (0, 1):
+        raise ValueError(f"unsupported DG degree {d}")
+    if d == 0:
+        u1 = coeffs[0]
+        return np.stack([0.5 * (left_value + u1), 0.5 * (u1 - left_value)])
+    u0, u1 = coeffs[0], coeffs[1]
+    # I_n U = a + b*th' + c*th'^2 with th' = (t - t_mid)/k_n
+    a = 0.25 * (5.0 * u0 - u1 - left_value)
+    b = u0 + u1 - left_value
+    c = 3.0 * (-u0 + u1 + left_value)
+    # th' = theta/2, th'^2 = (2 P_2(theta) + 1)/12
+    return np.stack([a + c / 12.0, 0.5 * b, c / 6.0])
+
+
+def project_interval(func, interval, d):
+    """L2-orthogonal projection of func onto P_d on one interval.
+
+    func maps an array of times to values (scalar or vector per time,
+    time on the leading axis).  Uses the 4-point Gauss rule; exact for
+    polynomial data of degree <= 7.
+    """
+    if d not in (0, 1):
+        raise ValueError(f"unsupported DG degree {d}")
+    t_n, k_n = interval
+    ts = t_n + k_n * GAUSS4_NODES
+    vals = np.asarray(func(ts), dtype=float)
+    if vals.shape[0] != ts.size:
+        raise ValueError("func must return one value per quadrature time")
+    w = GAUSS4_WEIGHTS * k_n
+    out = []
+    for j in range(d + 1):
+        Lj = legendre_eval(j, (t_n, k_n), ts)
+        gram = k_n / (2.0 * j + 1.0)
+        wl = (w * Lj) / gram
+        out.append(np.tensordot(wl, vals, axes=(0, 0)))
+    return np.stack(out)
 
 
 class TestLegendre:
@@ -276,7 +337,7 @@ class TestTimePartition:
 
     def test_locate(self):
         p = TimePartition.uniform(0.0, 1.0, 4)
-        assert p.locate(0.1) == 0
-        assert p.locate(0.25) == 0  # intervals are (t_n, t_{n+1}]
-        assert p.locate(0.26) == 1
-        assert p.locate(1.0) == 3
+        assert locate(p, 0.1) == 0
+        assert locate(p, 0.25) == 0  # intervals are (t_n, t_{n+1}]
+        assert locate(p, 0.26) == 1
+        assert locate(p, 1.0) == 3

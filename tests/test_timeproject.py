@@ -4,13 +4,14 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oswr.timebasis import TimePartition, legendre_eval, project_interval
+from oswr.timebasis import TimePartition, legendre_eval
 from oswr.timeproject import (
     SLIVER_REL,
     apply_projection,
     build_projection_matrices,
     hat_cross_matrix,
 )
+from test_timebasis import locate, project_interval
 
 
 def random_partition(rng, t0, t1, n):
@@ -28,8 +29,8 @@ def brute_force_blocks(source, target, d):
     g2 = np.array([-1.0, 1.0]) / np.sqrt(3.0)
     for a, b in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (a + b)
-        m = source.locate(mid)
-        n = target.locate(mid)
+        m = locate(source, mid)
+        n = locate(target, mid)
         xq = 0.5 * (a + b) + 0.5 * (b - a) * g2
         w = 0.5 * (b - a)
         sm = 0.5 * (source.breakpoints[m] + source.breakpoints[m + 1])
@@ -249,7 +250,7 @@ class TestApply:
         coeffs_s = np.zeros((12, 2))
         for m in range(12):
             t_m, k_m = src.breakpoints[m], src.lengths[m]
-            n = tgt.locate(t_m + 0.5 * k_m)
+            n = locate(tgt, t_m + 0.5 * k_m)
 
             def f(ts, n=n):
                 return sum(
