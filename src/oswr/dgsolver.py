@@ -26,8 +26,9 @@ For d = 0, B = [[1]]: lam = 1, c = 1, and the factor is the real
 MM + k KK.  For d = 1 the eigenvalues of B are 2 +- i sqrt(2); the
 second eigenpair is the conjugate of the first, so c = 2 and one
 complex n x n solve replaces the real 2n x 2n one.  The 1e-12 residual
-contract is checked against the real S(k), formed blockwise from MM,
-KK and the tables.
+contract is checked against the real S(k) of each step's own k with one
+sparse product: the stacked SS = [A^T (x) MM; diag(gram) (x) KK] gives
+y = SS x, and S(k) x is the first half of y plus k times the second.
 
 One march serves every system.  Every interface is a mortar
 interface: it adds a block of discrete flux unknowns Q, loaded by its
@@ -37,14 +38,15 @@ Jaffre, Japhet, Kern & Roberts, SINUM 51 (2013)).  A flux row has no
 mass, yet lam MM + k KK keeps its k M_Gamma diagonal block.
 
 Every system owns a FactorCache that keeps its step operator
-(MM, KK, P, rows) and one sparse LU factor of lam MM + k KK per step
-class, so a uniform grid factors once and no other system can be handed
-its operator.
+(MM, KK, P, rows), the stacked SS of its residual check, and one sparse
+LU factor of lam MM + k KK per step class, so a uniform grid factors
+once and no other system can be handed its operator.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +74,11 @@ RESIDUAL_TOL = 1e-12
 # interval lengths of a uniform grid differ only in their last bits.
 STEP_CLASS_RTOL = 1e-12
 
+# Intervals per sparse product in `trajectory_norm` (16 columns for
+# DG(1)): a block this size keeps the operand and M's product in cache,
+# where one product over a whole window's coefficients falls out of it.
+NORM_BLOCK = 8
+
 
 class SolverError(Exception):
     """Linear solve failure; carries the achieved residual."""
@@ -88,12 +95,14 @@ def _factorize(matrix):
 @dataclass
 class FactorCache:
     """One system's LU factorizations keyed by step class, its step
-    operator (MM, KK, P, rows), and how often `get` factored
-    (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a factor
-    (`hits`)."""
+    operator (MM, KK, P, rows), the stacked residual operator SS of
+    `_stacked_operator`, built at the first step, and how often `get`
+    factored (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a
+    factor (`hits`)."""
 
     factors: dict = field(default_factory=dict)
     step: tuple | None = None
+    stacked: sp.csr_matrix | None = None
     factorizations: int = 0
     hits: int = 0
     nnz_lu: int = 0
@@ -122,9 +131,11 @@ class FactorCache:
         return self.step
 
 
-def _relative_residual(r, rhs):
-    nb = np.linalg.norm(rhs)
-    return np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
+def _relative_residual(r, b):
+    """||r|| / ||b|| of 1-D arrays, or ||r|| when b = 0."""
+    nb = math.sqrt(b @ b)
+    nr = math.sqrt(r @ r)
+    return nr / nb if nb > 0 else nr
 
 
 def _check_residual(rel, where=""):
@@ -308,6 +319,21 @@ def _step_operator(assembly):
     return sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), P, rows
 
 
+def _stacked_operator(mass, stiff, d):
+    """SS = [A^T (x) MM; diag(gram) (x) KK] in CSR, the DG(d) tables at
+    k = 1: S(k) x is the first half of SS x plus k times the second."""
+    tab = _step_tables(d)
+    return sp.vstack([sp.kron(tab.AT, mass, format="csr"),
+                      sp.kron(np.diag(tab.gram), stiff, format="csr")], format="csr")
+
+
+def _step_residual(SS, k, x, flat_rhs):
+    """S(k) x - rhs, flat, from the stacked SS of `_stacked_operator`."""
+    y = SS @ x.ravel()
+    m = y.size // 2
+    return y[:m] + k * y[m:] - flat_rhs
+
+
 def _solve_step(cache, d, mass, stiff, k, rhs, n):
     """Solve S(k) x = rhs for step n, rhs and x of shape (d+1, size),
     with the factor of lam MM + k KK of k's step class.
@@ -317,21 +343,22 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
     from."""
     tab = _step_tables(d)
     factor = cache.get(cache.key(k), lambda: tab.lam * mass + k * stiff)
+    if cache.stacked is None:
+        cache.stacked = _stacked_operator(mass, stiff, d)
+    SS = cache.stacked
+    flat_rhs = rhs.ravel()
 
     def solve(b):
         return (tab.v[:, None] * factor.solve(tab.w @ b)).real
 
-    def residual(x):
-        return tab.AT @ (mass @ x.T).T + (k * tab.gram)[:, None] * (stiff @ x.T).T - rhs
-
     x = solve(rhs)
-    r = residual(x)
-    rel = _relative_residual(r, rhs)
+    r = _step_residual(SS, k, x, flat_rhs)
+    rel = _relative_residual(r, flat_rhs)
     if rel > RESIDUAL_TOL:
         # k may differ from the representative in its last digits, which
         # one refinement step with the same factor corrects.
-        x = x - solve(r)
-        rel = _relative_residual(residual(x), rhs)
+        x = x - solve(r.reshape(rhs.shape))
+        rel = _relative_residual(_step_residual(SS, k, x, flat_rhs), flat_rhs)
     _check_residual(rel, f"interval {n}: ")
     return x
 
@@ -378,11 +405,14 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
 
 
 def trajectory_norm(traj, M):
-    """Discrete L2(window; L2) norm with mass matrix M."""
+    """Discrete L2(window; L2) norm with mass matrix M: the sum over
+    intervals n and modes j of gram[n, j] v^T M v, v = coeffs[n, j],
+    one sparse product per NORM_BLOCK intervals."""
     gram = traj.partition.gram(traj.degree)
+    ndof = traj.coeffs.shape[2]
     total = 0.0
-    for n in range(traj.partition.n_intervals):
-        for j in range(traj.coeffs.shape[1]):
-            v = traj.coeffs[n, j]
-            total += gram[n, j] * float(v @ (M @ v))
+    for n0 in range(0, traj.partition.n_intervals, NORM_BLOCK):
+        blk = slice(n0, n0 + NORM_BLOCK)
+        V = np.ascontiguousarray(traj.coeffs[blk].reshape(-1, ndof).T)
+        total += float(gram[blk].ravel() @ np.einsum("ij,ij->j", V, M @ V))
     return np.sqrt(total)

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oswr.dgsolver as dg
 from oswr.dgsolver import (
     RESIDUAL_TOL,
     DGTrajectory,
@@ -16,9 +17,12 @@ from oswr.dgsolver import (
     Operators,
     SolverError,
     _solve_step,
+    _stacked_operator,
     _step_operator,
+    _step_residual,
     solve_window,
     solve_window_mortar,
+    trajectory_norm,
 )
 from oswr.driver import build_multidomain, run_windows
 from oswr.problem import parse_config
@@ -207,6 +211,47 @@ class TestComplexStep:
         assert np.linalg.norm(x.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestStackedResidual:
+    @staticmethod
+    def _spatial(grids):
+        mass, stiff = grids
+        full = [[sp.csr_matrix(stiff[r][r].shape) if b is None and r == c else b
+                 for c, b in enumerate(row)] for r, row in enumerate(mass)]
+        return sp.bmat(full, format="csr"), sp.bmat(stiff, format="csr")
+
+    @settings(max_examples=60, deadline=None)
+    @given(grids=block_grids(), d=st.sampled_from([0, 1]), k=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_blockwise_residual(self, grids, d, k, seed):
+        # oracle: A^T (MM x) + k gram (KK x) - rhs, one spatial product per
+        # mode, flux rows without mass included
+        MM, KK = self._spatial(grids)
+        rng = np.random.default_rng(seed)
+        x, rhs = rng.standard_normal((2, d + 1, MM.shape[0]))
+        tab = build_interval_basis(d, 1.0)
+        want = tab.A.T @ (MM @ x.T).T + k * tab.gram[:, None] * (KK @ x.T).T - rhs
+        got = _step_residual(_stacked_operator(MM, KK, d), k, x, rhs.ravel())
+        assert np.linalg.norm(got - want.ravel()) <= 1e-13 * np.linalg.norm(rhs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(grids=block_grids(), d=st.sampled_from([0, 1]), seed=st.integers(0, 2**32 - 1))
+    def test_steps_of_different_k_share_one_stacked_operator(self, grids, d, seed):
+        MM, KK = self._spatial(grids)
+        tab = build_interval_basis(d, 1.0)
+        for k in (0.5, 2.0):
+            S = (sp.kron(tab.A.T, MM) + k * sp.kron(np.diag(tab.gram), KK)).toarray()
+            assume(np.linalg.cond(S) < 1e3)
+        rhs = np.random.default_rng(seed).standard_normal((d + 1, MM.shape[0]))
+        cache = FactorCache()
+        assert cache.stacked is None
+        _solve_step(cache, d, MM, KK, 0.5, rhs, 0)
+        SS = cache.stacked
+        _solve_step(cache, d, MM, KK, 2.0, rhs, 1)
+        assert len(cache.factors) == 2
+        assert cache.stacked is SS
+        assert _same_csr(SS, _stacked_operator(MM, KK, d))
+
+
 def _window_loads(M, A, w, partition, degree):
     """Loads for the manufactured solution u(t) = t*w: f = M w + t A w."""
     loads = []
@@ -299,6 +344,27 @@ class TestTrajectory:
         assert traj.value(0.0, left=True)[0] == 5.0
         assert traj.value(0.5, left=True)[0] == 1.0
         assert traj.value(0.5, left=False)[0] == 1.0
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("N", [1, 7, 8, 9, 48])
+    def test_blocked_norm_equals_interval_loop(self, N, d):
+        # oracle: the per-interval, per-mode loop; the coefficients are a
+        # view that skips flux columns, as `solve_window_mortar` returns
+        rng = np.random.default_rng(N + 100 * d)
+        ndof = 13
+        B = rng.standard_normal((ndof, ndof))
+        M = sp.csr_matrix(B @ B.T + np.eye(ndof))
+        part = TimePartition(np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, N)]))
+        X = rng.standard_normal((N, d + 1, ndof + 4))
+        traj = DGTrajectory(part, X[:, :, :ndof], np.zeros(ndof))
+        gram = part.gram(d)
+        total = 0.0
+        for n in range(N):
+            for j in range(d + 1):
+                v = traj.coeffs[n, j]
+                total += gram[n, j] * float(v @ (M @ v))
+        want = np.sqrt(total)
+        assert abs(trajectory_norm(traj, M) - want) <= 1e-14 * want
 
 
 def _dg1_matrix(Ms, As, k):
@@ -504,10 +570,24 @@ class TestStepClassCache:
         with pytest.raises(ValueError):
             replace(Operators(ONE, ONE, 1), cache=FactorCache())
 
-    def test_merged_step_class_meets_residual_contract(self):
+    def test_merged_step_class_meets_residual_contract(self, monkeypatch):
         # Lengths 1 and 1 + 8e-13 share one factor.  With reaction -3 the
         # representative's solution misses the second step's 1e-12 residual
-        # until it is refined against the exact step matrix.
+        # until it is refined against the exact step matrix: the factor
+        # solves three times for two steps, the third from the residual.
+        factors = []
+
+        class Counting:
+            def __init__(self, factor):
+                self.factor, self.L, self.U, self.solves = factor, factor.L, factor.U, 0
+
+            def solve(self, b):
+                self.solves += 1
+                return self.factor.solve(b)
+
+        factorize = dg._factorize
+        monkeypatch.setattr(dg, "_factorize", lambda m: factors.append(Counting(factorize(m)))
+                            or factors[-1])
         M, A = ONE, -3.0 * ONE
         part = TimePartition(np.array([0.0, 1.0, 2.0 + 8e-13]))
         u0 = np.array([1.0])
@@ -515,5 +595,6 @@ class TestStepClassCache:
         asm = Operators(M, A, 1)
         traj = solve_window(asm, {}, part, u0, loads)
         assert len(asm.cache.factors) == 1
+        assert [f.solves for f in factors] == [3]
         ref = _march_reference(M, A, part, u0, loads)
         assert _relative_gap(traj.coeffs, ref) <= 1e-12

@@ -610,10 +610,12 @@ class TestTransmissionWithoutInterface:
 @pytest.mark.parametrize("text", [CFG_MIXED, CFG_2D, CFG_1D], ids=["mixed", "mortar-2d", "1d"])
 def test_each_subdomain_assembled_once(monkeypatch, text):
     # the volume operators are built once per subdomain, and each system
-    # folds its interfaces into its step operator once, across windows
-    # and sweeps
-    calls = {"atilde": 0, "step_operator": 0}
+    # folds its interfaces into its step operator and stacks its residual
+    # operator once, across windows and sweeps, both in the march and not
+    # at set-up
+    calls = {"atilde": 0, "step_operator": 0, "stacked": 0}
     atilde, step_operator = fes.assemble_atilde, dg._step_operator
+    stacked = dg._stacked_operator
 
     def count(name, fn):
         def wrapped(*args, **kwargs):
@@ -623,13 +625,16 @@ def test_each_subdomain_assembled_once(monkeypatch, text):
 
     monkeypatch.setattr(fes, "assemble_atilde", count("atilde", atilde))
     monkeypatch.setattr(dg, "_step_operator", count("step_operator", step_operator))
+    monkeypatch.setattr(dg, "_stacked_operator", count("stacked", stacked))
     cfg = replace(parse_config(text), windows=2, max_iterations=3, tolerance=1e-30)
     md = build_multidomain(cfg)
     n = len(cfg.subdomains)
-    assert calls == {"atilde": n, "step_operator": 0}
+    assert calls == {"atilde": n, "step_operator": 0, "stacked": 0}
+    assert all(asm.cache.stacked is None for asm in md.assemblies.values())
     sol = run_windows(cfg, md=md)
     assert [h.iterations for h in sol.histories] == [3, 3]
-    assert calls == {"atilde": n, "step_operator": n}
+    assert calls == {"atilde": n, "step_operator": n, "stacked": n}
+    assert all(asm.cache.stacked is not None for asm in md.assemblies.values())
 
 
 # Oracles: the interface fold and the window march as they were when the
