@@ -15,9 +15,10 @@ monodomain solution coincide on conforming grids up to solver tolerance.
 Error norms follow a nested-refinement discipline: every study grid is a
 coarsening of the reference grid, so interpolating P1 fields onto the
 reference mesh is exact and measured slopes carry no interpolation bias.
-The evaluation is built once per reference as operators (the reference
-time layout, P1 interpolation onto each subdomain's reference nodes, the
-restricted norm matrices) and applied to blocks of times.
+Each region's unit mass and stiffness are assembled with the reference;
+each call of `error_norms` builds the reference times and the P1
+interpolation onto each subdomain's reference nodes, and applies them to
+blocks of times.
 """
 
 from __future__ import annotations
@@ -89,74 +90,20 @@ def _global_mesh(cfg, ref):
 
 
 @dataclass(frozen=True)
-class TimeLayout:
-    """Reference times of the error norms.
-
-    sup: breakpoint left limits, then the interior Radau points (taken
-    from the right), for the L-inf(L2) norm; gauss: two Gauss points per
-    interval with their quadrature weights, for the L2(L2) norm.
-    """
-
-    sup_times: np.ndarray
-    sup_left: np.ndarray
-    gauss_times: np.ndarray
-    gauss_weights: np.ndarray
-
-    @classmethod
-    def build(cls, partition, degree):
-        bp = partition.breakpoints
-        a, k = bp[:-1, None], (bp[1:] - bp[:-1])[:, None]
-        radau = gauss_radau(degree).nodes[:-1]  # interior nodes only
-        interior = (a + radau[None, :] * k).ravel()
-        return cls(
-            sup_times=np.concatenate([bp, interior]),
-            sup_left=np.arange(bp.size + interior.size) < bp.size,
-            gauss_times=(a + fes._G2[None, :] * k).ravel(),
-            gauss_weights=np.repeat(0.5 * k, fes._G2.size, axis=1).ravel(),
-        )
-
-
-@dataclass
 class Reference:
-    """Monodomain reference solution on the global conforming mesh."""
+    """Monodomain reference solution on the global conforming mesh.
+
+    regions: sid -> (the region's reference node ids, its unit mass, its
+    unit stiffness), the operators of the error norms."""
 
     mesh: fes.Mesh
     trajectory: DGTrajectory
-    regions: dict  # sid -> (FemSpace of the region, its reference node ids)
     cfg: prb.ExperimentConfig
-    _norm_ops: dict = field(default_factory=dict)
-    _interp: dict = field(default_factory=dict)
-    _layout: TimeLayout | None = None
+    regions: dict
 
     def view(self, sid=None):
         """The monodomain solution; the same view for every subdomain."""
         return TrajectoryView([self.trajectory], mesh=self.mesh)
-
-    @property
-    def layout(self):
-        if self._layout is None:
-            self._layout = TimeLayout.build(self.trajectory.partition, self.trajectory.degree)
-        return self._layout
-
-    def interpolation(self, sid, mesh):
-        """P1 interpolation from `mesh` onto subdomain sid's reference
-        nodes, keyed on the grid lines of `mesh`."""
-        ys = None if mesh.ys is None else mesh.ys.tobytes()
-        key = (sid, mesh.xs.tobytes(), ys)
-        if key not in self._interp:
-            nodes = self.norm_ops(sid)[0]
-            self._interp[key] = mesh.p1_operator(self.mesh.coords[nodes])
-        return self._interp[key]
-
-    def norm_ops(self, sid):
-        """The reference node ids of one subdomain region, and the unit
-        mass and stiffness on the region's mesh."""
-        if sid not in self._norm_ops:
-            space, nodes = self.regions[sid]
-            M = fes.assemble_mass(space.mesh, 1.0)
-            K = fes.assemble_atilde(space.mesh, 1.0, (0.0,) * space.mesh.dim, 0.0, 0.0)
-            self._norm_ops[sid] = (nodes, M, K)
-        return self._norm_ops[sid]
 
 
 @dataclass
@@ -176,13 +123,14 @@ class _IntervalLoads:
 
 
 def _reference_operators(cfg, ref):
-    """The reference mesh, its regions (sid -> (FemSpace, node ids)) and
-    the operators M = sum_s M_vol_s, A = sum_s A_vol_s - sum_Gamma G,
-    with G the interface face block of weight (b_i.n_i + b_j.n_j)/2."""
+    """The reference mesh, its regions (sid -> (node ids, unit mass, unit
+    stiffness)) and the operators M = sum_s M_vol_s, A = sum_s A_vol_s -
+    sum_Gamma G, with G the interface face block of weight
+    (b_i.n_i + b_j.n_j)/2."""
     mesh = _global_mesh(cfg, ref)
     n = mesh.n_nodes
     interfaces = cfg.interfaces()
-    regions = {}
+    spaces, regions = {}, {}
     M = sp.csr_matrix((n, n))
     A = sp.csr_matrix((n, n))
     offset = 0
@@ -192,7 +140,9 @@ def _reference_operators(cfg, ref):
         ids = offset + np.arange(spec.nx + 1)
         if mesh.dim == 2:  # node j * (NX + 1) + i of the global tensor mesh
             ids = (np.arange(ref.ny + 1)[:, None] * (mesh.nx + 1) + ids[None, :]).ravel()
-        regions[s.id] = (space, ids)
+        spaces[s.id] = space
+        regions[s.id] = (ids, fes.assemble_mass(space.mesh, 1.0),
+                         fes.assemble_atilde(space.mesh, 1.0, (0.0,) * mesh.dim, 0.0, 0.0))
         offset += spec.nx
         M_vol, A_vol = _volume_operators(spec, space)
         M = M + fes.scatter_matrix(M_vol, ids, ids, n, n)
@@ -200,10 +150,9 @@ def _reference_operators(cfg, ref):
 
     b = {s.id: s.b for s in cfg.subdomains}
     for itf in interfaces:
-        (space_i, ids_i), (space_j, _) = regions[itf.i], regions[itf.j]
-        ti = space_i.traces[itf.j]
+        ids_i, ti = regions[itf.i][0], spaces[itf.i].traces[itf.j]
         bn_i = fes._bn_along(ti, b[itf.i])
-        bn_j = fes._bn_along(space_j.traces[itf.i], b[itf.j])
+        bn_j = fes._bn_along(spaces[itf.j].traces[itf.i], b[itf.j])
         G = fes._face_blocks(ti, ti, lambda x: 0.5 * (bn_i(x) + bn_j(x)))
         A = A - fes.scatter_matrix(G, ids_i[ti.nodes], ids_i[ti.nodes], n, n)
     return mesh, regions, M, A
@@ -231,7 +180,7 @@ def solve_monodomain(cfg, ref):
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
     traj = solve_window(Operators(M, A, degree), {}, part, u0,
                         _IntervalLoads(mesh, cfg.f, part, degree))
-    return Reference(mesh=mesh, trajectory=traj, regions=regions, cfg=cfg)
+    return Reference(mesh=mesh, trajectory=traj, cfg=cfg, regions=regions)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +218,18 @@ def _blocks(n_times, n_values):
         yield slice(a, min(a + size, n_times))
 
 
+def _norm_times(partition, degree):
+    """The reference times of the error norms: for the L-inf(L2) norm the
+    breakpoints (left limits), then the interior Radau points (from the
+    right), with their left-limit flags; for the L2(L2) norm two Gauss
+    points per interval with their quadrature weights."""
+    bp = partition.breakpoints
+    a, k = bp[:-1, None], (bp[1:] - bp[:-1])[:, None]
+    interior = (a + gauss_radau(degree).nodes[:-1][None, :] * k).ravel()
+    return (np.concatenate([bp, interior]), np.arange(bp.size + interior.size) < bp.size,
+            (a + fes._G2[None, :] * k).ravel(), np.repeat(0.5 * k, fes._G2.size, axis=1).ravel())
+
+
 def _sq_norms(D, M):
     """d @ (M @ d) for every row d of D."""
     return np.einsum("ti,ti->t", D, (M @ D.T).T)
@@ -287,7 +248,8 @@ def error_norms(sol, reference):
     cfg = reference.cfg
     ref_part = reference.trajectory.partition
     ref_view = reference.view()
-    layout = reference.layout
+    sup_times, sup_left, gauss_times, gauss_weights = _norm_times(
+        ref_part, reference.trajectory.degree)
     n_ref = reference.mesh.n_nodes
 
     parts = {}  # sid -> (its view, reference nodes, M, K, P1 interpolation)
@@ -301,7 +263,8 @@ def error_norms(sol, reference):
                 ref_part.n_intervals,
                 f"time grid of subdomain {s.id}",
             )
-        parts[s.id] = (view, *reference.norm_ops(s.id), reference.interpolation(s.id, view.mesh))
+        nodes, M, K = reference.regions[s.id]
+        parts[s.id] = (view, nodes, M, K, view.mesh.p1_operator(reference.mesh.coords[nodes]))
 
     def diffs_at(times, left):
         """(sid, M, K, the times x its reference nodes error) of every
@@ -311,13 +274,13 @@ def error_norms(sol, reference):
             yield sid, M, K, P.apply(view.values(times, left)) - ref[:, nodes]
 
     sup2 = dict.fromkeys(parts, 0.0)
-    for b in _blocks(layout.sup_times.size, n_ref):
-        for sid, M, _, D in diffs_at(layout.sup_times[b], layout.sup_left[b]):
+    for b in _blocks(sup_times.size, n_ref):
+        for sid, M, _, D in diffs_at(sup_times[b], sup_left[b]):
             sup2[sid] = max(sup2[sid], float(_sq_norms(D, M).max()))
     acc = dict.fromkeys(parts, 0.0)
-    for b in _blocks(layout.gauss_times.size, n_ref):
-        for sid, M, _, D in diffs_at(layout.gauss_times[b], False):
-            acc[sid] += float(layout.gauss_weights[b] @ _sq_norms(D, M))
+    for b in _blocks(gauss_times.size, n_ref):
+        for sid, M, _, D in diffs_at(gauss_times[b], False):
+            acc[sid] += float(gauss_weights[b] @ _sq_norms(D, M))
 
     e_inf, e_l2, e_T_l2, e_T_h1 = {}, {}, {}, {}
     for sid, M, K, (dT,) in diffs_at([ref_part.end], True):
@@ -354,6 +317,9 @@ def max_nodal_difference(solution, md, reference):
 REFINE_RATIO = 2
 REF_FACTOR = 4
 
+# Study axis -> (refines space, refines time).
+AXES = {"time": (False, True), "space": (True, False), "spacetime": (True, True)}
+
 
 @dataclass
 class StudyTable:
@@ -379,23 +345,24 @@ def fit_slope(sizes, errors):
 
 
 def _scaled_cfg(cfg, axis, factor):
-    subs = []
-    for s in cfg.subdomains:
-        nx, ny, nt = s.nx, s.ny, s.nt
-        if axis in ("space", "spacetime"):
-            nx *= factor
-            ny = None if ny is None else ny * factor
-        if axis in ("time", "spacetime"):
-            nt *= factor
-        subs.append(replace(s, nx=nx, ny=ny, nt=nt))
-    return replace(cfg, subdomains=subs)
+    in_space, in_time = AXES[axis]
+    fx, ft = (factor if in_space else 1), (factor if in_time else 1)
+    return replace(cfg, subdomains=[
+        replace(s, nx=s.nx * fx, ny=None if s.ny is None else s.ny * fx, nt=s.nt * ft)
+        for s in cfg.subdomains
+    ])
 
 
-def _lcm_list(vals):
-    out = 1
-    for v in vals:
-        out = math.lcm(out, int(v))
-    return out
+def _nested(counts, fine):
+    """The least common multiple of the (positive) grid counts; along a
+    refined axis (fine, the finest level's factor, not None) the lcm of
+    the refined counts times the least integer >= 1 that reaches
+    REF_FACTOR times the largest of them."""
+    if fine is None:
+        return math.lcm(*counts)
+    refined = [n * fine for n in counts]
+    lcm = math.lcm(*refined)
+    return math.ceil(REF_FACTOR * max(refined) / lcm) * lcm
 
 
 def reference_grid(cfg, axis, levels):
@@ -403,36 +370,18 @@ def reference_grid(cfg, axis, levels):
     finer than the finest level along the refined axis, an exact common
     refinement of every level's grids, and equal to the study grids along
     unrefined axes (so unrefined-axis discretization error cancels)."""
+    in_space, in_time = AXES[axis]
     fine = REFINE_RATIO ** (levels - 1)
     subs = cfg.subdomains
-    if axis in ("time", "spacetime"):
-        nts = [s.nt * fine for s in subs]
-        lcm_nt = _lcm_list(nts)
-        mult = max(1, math.ceil(REF_FACTOR * max(nts) / lcm_nt))
-        ref_nt = mult * lcm_nt * cfg.windows
-    else:
-        # time grids stay at base level; the reference only needs to nest them
-        ref_nt = _lcm_list([s.nt for s in subs]) * cfg.windows
-
+    nt = _nested([s.nt for s in subs], fine if in_time else None) * cfg.windows
+    nx = {s.id: s.nx * fine * REF_FACTOR if in_space else s.nx for s in subs}
     if cfg.dim == 1:
-        if axis in ("space", "spacetime"):
-            nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
-        else:
-            nx = {s.id: s.nx for s in subs}
-        return RefGrid(nx=nx, ny=None, nt=ref_nt)
-
-    if axis == "time":
+        return RefGrid(nx=nx, ny=None, nt=nt)
+    nys = [s.ny for s in subs]
+    if not in_space and len(set(nys)) != 1:
         # space grids must already conform across the interfaces
-        nys = {s.ny for s in subs}
-        if len(nys) != 1:
-            raise ValueError("time studies need trace-conforming space grids")
-        return RefGrid(nx={s.id: s.nx for s in subs}, ny=subs[0].ny, nt=ref_nt)
-    nys = [s.ny * fine for s in subs]
-    lcm_ny = _lcm_list(nys)
-    mult = max(1, math.ceil(REF_FACTOR * max(nys) / lcm_ny))
-    ref_ny = mult * lcm_ny
-    nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
-    return RefGrid(nx=nx, ny=ref_ny, nt=ref_nt)
+        raise ValueError("time studies need trace-conforming space grids")
+    return RefGrid(nx=nx, ny=_nested(nys, fine if in_space else None), nt=nt)
 
 
 def _warm_traces(md, traces, along):
@@ -461,7 +410,7 @@ def convergence_study(cfg, axis, levels, tol=1e-10, reference=None):
     coordinates are carried from one level to the next."""
     if levels < 3:
         raise ValueError("a study needs at least 3 levels")
-    if axis not in ("time", "space", "spacetime"):
+    if axis not in AXES:
         raise ValueError(f"unknown study axis {axis!r}")
     if reference is None:
         reference = solve_monodomain(cfg, reference_grid(cfg, axis, levels))
@@ -486,7 +435,7 @@ def convergence_study(cfg, axis, levels, tol=1e-10, reference=None):
             for name in StudyTable.NORMS:
                 row[(name, s.id)] = getattr(rep, name)[s.id]
         rows.append(row)
-    size_key = "k" if axis == "time" else "h"
+    size_key = "h" if AXES[axis][0] else "k"
     slopes = {}
     for name in StudyTable.NORMS:
         for sid in sids:

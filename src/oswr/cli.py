@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -248,11 +249,11 @@ def cmd_sweep(args):
     _validate_or_fail(cfg)
     p_values = [float(v) for v in args.p.split(",") if v.strip()]
     q_values = [float(v) for v in args.q.split(",") if v.strip()] if args.q else [0.0]
-    if not p_values or any(p <= 0 for p in p_values):
+    if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
         print("error: --p needs a list of positive reals", file=sys.stderr)
         return EXIT_CONFIG
-    if any(q < 0 for q in q_values):
-        print("error: --q values must be nonnegative", file=sys.stderr)
+    if not all(math.isfinite(q) and q >= 0 for q in q_values):
+        print("error: --q needs a list of nonnegative reals", file=sys.stderr)
         return EXIT_CONFIG
     if not args.target > 0:
         print("error: --target must be a positive real", file=sys.stderr)
@@ -292,7 +293,7 @@ def build_parser():
 
     p_st = sub.add_parser("study", help="convergence-order study")
     p_st.add_argument("config")
-    p_st.add_argument("--axis", required=True, choices=["time", "space", "spacetime"])
+    p_st.add_argument("--axis", required=True, choices=list(ana.AXES))
     p_st.add_argument("--levels", type=int, required=True)
     p_st.add_argument("--tol", type=float, default=1e-10)
     p_st.add_argument("--out", default=".")
@@ -316,13 +317,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except prb.ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except (prb.ConfigError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, DivergenceError) as e:

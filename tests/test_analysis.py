@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from oswr import femspace as fes
 from oswr.analysis import (
+    REF_FACTOR,
+    REFINE_RATIO,
     RefGrid,
-    Reference,
     _global_mesh,
     _IntervalLoads,
     _reference_operators,
@@ -348,9 +350,8 @@ class TestMonodomainOracle:
         assert _same_bytes(M, M_o)
         assert _same_bytes(A.indices, A_o.indices) and _same_bytes(A.indptr, A_o.indptr)
         assert np.max(np.abs(A.data - A_o.data)) <= 1e-15 * np.max(np.abs(A_o.data))
-        reference = Reference(mesh=mesh, trajectory=None, regions=regions, cfg=cfg)
         for sid, elems in owners.items():
-            for new, old in zip(reference.norm_ops(sid), oracle_norm_ops(mesh_o, elems)):
+            for new, old in zip(regions[sid], oracle_norm_ops(mesh_o, elems)):
                 assert _same_bytes(new, old), (sid, case)
 
     def test_criterion_2_reference_trajectory_bit_identical(self):
@@ -446,6 +447,80 @@ class TestReferenceGrid:
         assert rg.nt >= 4 * 8 * 8
 
 
+# reference_grid as written before the axis table and the one nesting rule:
+# a branch per dimension and axis, kept verbatim as the oracle.
+
+
+def _lcm_list(vals):
+    out = 1
+    for v in vals:
+        out = math.lcm(out, int(v))
+    return out
+
+
+def oracle_reference_grid(cfg, axis, levels):
+    fine = REFINE_RATIO ** (levels - 1)
+    subs = cfg.subdomains
+    if axis in ("time", "spacetime"):
+        nts = [s.nt * fine for s in subs]
+        lcm_nt = _lcm_list(nts)
+        mult = max(1, math.ceil(REF_FACTOR * max(nts) / lcm_nt))
+        ref_nt = mult * lcm_nt * cfg.windows
+    else:
+        # time grids stay at base level; the reference only needs to nest them
+        ref_nt = _lcm_list([s.nt for s in subs]) * cfg.windows
+
+    if cfg.dim == 1:
+        if axis in ("space", "spacetime"):
+            nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
+        else:
+            nx = {s.id: s.nx for s in subs}
+        return RefGrid(nx=nx, ny=None, nt=ref_nt)
+
+    if axis == "time":
+        # space grids must already conform across the interfaces
+        nys = {s.ny for s in subs}
+        if len(nys) != 1:
+            raise ValueError("time studies need trace-conforming space grids")
+        return RefGrid(nx={s.id: s.nx for s in subs}, ny=subs[0].ny, nt=ref_nt)
+    nys = [s.ny * fine for s in subs]
+    lcm_ny = _lcm_list(nys)
+    mult = max(1, math.ceil(REF_FACTOR * max(nys) / lcm_ny))
+    ref_ny = mult * lcm_ny
+    nx = {s.id: s.nx * fine * REF_FACTOR for s in subs}
+    return RefGrid(nx=nx, ny=ref_ny, nt=ref_nt)
+
+
+@st.composite
+def band_layouts(draw):
+    """What reference_grid reads of a band layout: the dimension, the
+    window count and each subdomain's id and grid counts (in 2D the ny
+    are shared or drawn per subdomain)."""
+    dim = draw(st.sampled_from([1, 2]))
+    counts = st.integers(1, 12)
+    shared_ny = draw(counts) if draw(st.booleans()) else None
+    subs = [
+        SimpleNamespace(id=i + 1, nx=draw(counts), nt=draw(counts),
+                        ny=None if dim == 1 else shared_ny or draw(counts))
+        for i in range(draw(st.integers(1, 4)))
+    ]
+    return SimpleNamespace(dim=dim, windows=draw(st.integers(1, 5)), subdomains=subs)
+
+
+class TestReferenceGridOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(cfg=band_layouts(), axis=st.sampled_from(["time", "space", "spacetime"]),
+           levels=st.integers(3, 6))
+    def test_matches_the_branch_per_axis_version(self, cfg, axis, levels):
+        def outcome(grid):
+            try:
+                return grid(cfg, axis, levels)
+            except ValueError as e:
+                return f"ValueError: {e}"
+
+        assert outcome(reference_grid) == outcome(oracle_reference_grid)
+
+
 class TestSweep:
     def test_single_pair(self):
         cfg = parse_config(CFG_1D)
@@ -517,7 +592,7 @@ def _error_norms_pointwise(sol, reference):
     for s in cfg.subdomains:
         sid = s.id
         view = sol.view(sid)
-        nodes, M, K = reference.norm_ops(sid)
+        nodes, M, K = reference.regions[sid]
         pts = reference.mesh.coords[nodes]
 
         def diff_at(t, left):

@@ -338,6 +338,23 @@ class TestSweep:
         assert len(lines) == 5
         assert sum(int(l.split(",")[-1]) for l in lines[1:]) == 1
 
+    @pytest.mark.parametrize("flag,values,message", [
+        ("--p", "0,1", "--p needs a list of positive reals"),
+        ("--p", "nan,1", "--p needs a list of positive reals"),
+        ("--p", "inf", "--p needs a list of positive reals"),
+        ("--q", "-1", "--q needs a list of nonnegative reals"),
+        ("--q", "nan", "--q needs a list of nonnegative reals"),
+        ("--q", "0,inf", "--q needs a list of nonnegative reals"),
+    ], ids=["p-zero", "p-nan", "p-inf", "q-negative", "q-nan", "q-inf"])
+    def test_bad_parameter_exit_2_before_writing(self, cfg_path, tmp_path, capsys,
+                                                 flag, values, message):
+        out = tmp_path / "w"
+        args = {"--p": "1", "--q": "0", flag: values}
+        assert main(["sweep", str(cfg_path), "--p", args["--p"], "--q", args["--q"],
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_p_rejected(self, cfg_path, tmp_path):
         assert main(["sweep", str(cfg_path), "--p", "", "--q", "0",
                      "--out", str(tmp_path / "w")]) == 2
