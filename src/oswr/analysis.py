@@ -106,22 +106,6 @@ class Reference:
         return TrajectoryView([self.trajectory], mesh=self.mesh)
 
 
-@dataclass
-class _IntervalLoads:
-    """The load vectors of interval n, assembled when the march asks for
-    them: a reference grid has many intervals, and a list of all of them
-    is as large as the reference trajectory."""
-
-    mesh: fes.Mesh
-    f: prb.CoefficientExpression
-    partition: TimePartition
-    degree: int
-
-    def __getitem__(self, n):
-        bp = self.partition.breakpoints
-        return fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
-
-
 def _reference_operators(cfg, ref):
     """The reference mesh, its regions (sid -> (node ids, unit mass, unit
     stiffness)) and the operators M = sum_s M_vol_s, A = sum_s A_vol_s -
@@ -179,7 +163,7 @@ def solve_monodomain(cfg, ref):
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
     traj = solve_window(Operators(M, A, degree), {}, part, u0,
-                        _IntervalLoads(mesh, cfg.f, part, degree))
+                        fes.IntervalLoads(mesh, cfg.f, part, degree))
     return Reference(mesh=mesh, trajectory=traj, cfg=cfg, regions=regions)
 
 

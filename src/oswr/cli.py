@@ -45,6 +45,15 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _real(flag, text):
+    """A flag's number, read as the config reads one (`problem._to_float`):
+    inf and nan come back for the caller to reject."""
+    try:
+        return prb._to_float(text.strip())
+    except ValueError:
+        raise prb.ConfigError(f"{flag} {text!r}: not a number") from None
+
+
 def _read_config(path):
     """Read a config file, or extract the embedded config of a manifest.
 
@@ -56,6 +65,9 @@ def _read_config(path):
         doc = json.loads(text)
         if "config" not in doc:
             raise prb.ConfigError("manifest file has no embedded config")
+        for key in ("config", "times"):
+            if not isinstance(doc.get(key, ""), str):
+                raise prb.ConfigError(f"manifest {key!r} is not a string: {doc[key]!r}")
         text = doc["config"]
     return prb.parse_config(text), doc
 
@@ -92,10 +104,7 @@ def _snapshot_times(text, T):
     be a finite time in [0, T], given once."""
     if not text:
         return [T]
-    try:
-        times = [float(t) for t in text.split(",")]
-    except ValueError:
-        raise prb.ConfigError(f"--times {text!r}: expected comma-separated reals") from None
+    times = [_real("--times", t) for t in text.split(",")]
     bad = [t for t in times if not 0.0 <= t <= T]  # NaN fails too
     if bad:
         raise prb.ConfigError(
@@ -208,16 +217,17 @@ plot \\
 def cmd_study(args):
     cfg, _ = _read_config(args.config)
     _validate_or_fail(cfg)
-    if args.levels < 3:
+    levels, tol = prb._read_int("--levels", args.levels.strip(), None), _real("--tol", args.tol)
+    if levels < 3:
         print("error: a study needs at least 3 levels (slope fit)", file=sys.stderr)
         return EXIT_CONFIG
-    if not args.tol > 0:
+    if not tol > 0:
         print("error: --tol must be a positive real", file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    table = ana.convergence_study(cfg, args.axis, args.levels, tol=args.tol)
+    table = ana.convergence_study(cfg, args.axis, levels, tol=tol)
     wall = time.perf_counter() - t0
     path = outdir / "study.csv"
     path.write_text(_study_csv(table))
@@ -239,7 +249,7 @@ def cmd_study(args):
             xlabel="k" if args.axis == "time" else "h", plots=", \\\n".join(plots)
         ))
         outputs.append(gp.name)
-    _write_manifest(outdir, f"study --axis {args.axis} --levels {args.levels}",
+    _write_manifest(outdir, f"study --axis {args.axis} --levels {levels}",
                     cfg, outputs, wall, _study_residuals(table))
     return EXIT_OK
 
@@ -247,22 +257,26 @@ def cmd_study(args):
 def cmd_sweep(args):
     cfg, _ = _read_config(args.config)
     _validate_or_fail(cfg)
-    p_values = [float(v) for v in args.p.split(",") if v.strip()]
-    q_values = [float(v) for v in args.q.split(",") if v.strip()] if args.q else [0.0]
+    p_values = [_real("--p", v) for v in args.p.split(",") if v.strip()]
+    q_values = [_real("--q", v) for v in args.q.split(",") if v.strip()] if args.q else [0.0]
+    target, seed = _real("--target", args.target), prb._read_int("--seed", args.seed.strip(), None)
     if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
         print("error: --p needs a list of positive reals", file=sys.stderr)
         return EXIT_CONFIG
     if not all(math.isfinite(q) and q >= 0 for q in q_values):
         print("error: --q needs a list of nonnegative reals", file=sys.stderr)
         return EXIT_CONFIG
-    if not args.target > 0:
+    if not target > 0:
         print("error: --target must be a positive real", file=sys.stderr)
+        return EXIT_CONFIG
+    if seed < 0:
+        print("error: --seed must be a nonnegative integer", file=sys.stderr)
         return EXIT_CONFIG
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     table = ana.sweep_parameters(
-        cfg, p_values, q_values, args.target, mode=args.mode, seed=args.seed
+        cfg, p_values, q_values, target, mode=args.mode, seed=seed
     )
     wall = time.perf_counter() - t0
     lines = ["p,q,iterations,converged,best"]
@@ -273,7 +287,7 @@ def cmd_sweep(args):
         )
     path = outdir / "sweep.csv"
     path.write_text("\n".join(lines) + "\n")
-    _write_manifest(outdir, f"sweep --p {args.p} --q {args.q} --seed {args.seed}",
+    _write_manifest(outdir, f"sweep --p {args.p} --q {args.q} --seed {seed}",
                     cfg, [path.name], wall, [])
     return EXIT_OK
 
@@ -294,8 +308,8 @@ def build_parser():
     p_st = sub.add_parser("study", help="convergence-order study")
     p_st.add_argument("config")
     p_st.add_argument("--axis", required=True, choices=list(ana.AXES))
-    p_st.add_argument("--levels", type=int, required=True)
-    p_st.add_argument("--tol", type=float, default=1e-10)
+    p_st.add_argument("--levels", required=True)
+    p_st.add_argument("--tol", default="1e-10")
     p_st.add_argument("--out", default=".")
     p_st.add_argument("--plot", action="store_true", help="emit a gnuplot script")
     p_st.set_defaults(func=cmd_study)
@@ -304,8 +318,8 @@ def build_parser():
     p_sw.add_argument("config")
     p_sw.add_argument("--p", required=True, help="comma-separated p values")
     p_sw.add_argument("--q", default="0", help="comma-separated q values")
-    p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.add_argument("--target", type=float, default=1e-6)
+    p_sw.add_argument("--seed", default="0")
+    p_sw.add_argument("--target", default="1e-6")
     p_sw.add_argument("--mode", choices=["error", "full"], default="error")
     p_sw.add_argument("--out", default=".")
     p_sw.set_defaults(func=cmd_sweep)

@@ -37,10 +37,13 @@ meshes alike (the space-time nonconforming decomposition of Hoang,
 Jaffre, Japhet, Kern & Roberts, SINUM 51 (2013)).  A flux row has no
 mass, yet lam MM + k KK keeps its k M_Gamma diagonal block.
 
-Every system owns a FactorCache that keeps its step operator
-(MM, KK, P, rows), the stacked SS of its residual check, and one sparse
-LU factor of lam MM + k KK per step class, so a uniform grid factors
-once and no other system can be handed its operator.
+One record, `Operators`, is the system a march takes: its volume
+blocks, its degree, its interfaces (none for the monodomain reference)
+and a FactorCache.  At the system's first march the cache gets its step
+operator (MM, KK, P, rows) and the stacked SS of its residual check;
+it keeps one sparse LU factor of lam MM + k KK per step class, so a
+uniform grid factors once and no other system can be handed its
+operator.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ __all__ = [
     "SolverError",
     "DGTrajectory",
     "InterfaceTrace",
-    "MortarFlux",
     "FactorCache",
     "Operators",
     "solve_window",
@@ -95,10 +97,10 @@ def _factorize(matrix):
 @dataclass
 class FactorCache:
     """One system's LU factorizations keyed by step class, its step
-    operator (MM, KK, P, rows), the stacked residual operator SS of
-    `_stacked_operator`, built at the first step, and how often `get`
-    factored (`factorizations`, adding nnz(L+U) to `nnz_lu`) or found a
-    factor (`hits`)."""
+    operator (MM, KK, P, rows) and the stacked residual operator SS of
+    `_stacked_operator`, both set at the system's first march, and how
+    often `get` factored (`factorizations`, adding nnz(L+U) to `nnz_lu`)
+    or found a factor (`hits`)."""
 
     factors: dict = field(default_factory=dict)
     step: tuple | None = None
@@ -125,11 +127,6 @@ class FactorCache:
             self.hits += 1
         return factor
 
-    def operator(self, build):
-        if self.step is None:
-            self.step = build()
-        return self.step
-
 
 def _relative_residual(r, b):
     """||r|| / ||b|| of 1-D arrays, or ||r|| when b = 0."""
@@ -145,21 +142,20 @@ def _check_residual(rel, where=""):
 
 @dataclass
 class Operators:
-    """A system without interfaces: mass-like M_vol, stiffness-like
-    A_vol, DG degree, and the factor cache of its step operator."""
+    """The system one march takes: mass-like M_vol, stiffness-like
+    A_vol, DG degree, its interfaces (neighbor -> femspace.InterfaceBlocks;
+    none for a system without interfaces, such as the monodomain
+    reference), and the factor cache of its step operator."""
 
     M_vol: sp.csr_matrix
     A_vol: sp.csr_matrix
     degree: int
+    iface: dict = field(default_factory=dict)
     cache: FactorCache = field(default_factory=FactorCache, init=False)
 
     @property
     def n_dofs(self):
         return self.M_vol.shape[0]
-
-    @property
-    def iface(self):
-        return {}
 
 
 @dataclass
@@ -244,14 +240,6 @@ class InterfaceTrace:
         return float(np.sqrt(np.sum(gram[:, :, None] * self.coeffs**2)))
 
 
-@dataclass
-class MortarFlux:
-    """Discrete interface flux modes, one entry per interface."""
-
-    partition: TimePartition
-    coeffs: dict  # neighbor id -> (N, d+1, n_iface)
-
-
 @dataclass(frozen=True)
 class _StepTables:
     """The DG(d) time tables at k = 1 (A^T, gram) and one eigenpair of
@@ -278,7 +266,7 @@ def _step_tables(d):
     return _StepTables(tab.A.T, tab.gram, lam[i], w, 2.0 * V[:, i])
 
 
-def _step_operator(assembly):
+def _step_operator(system):
     """Step operator (MM, KK, P) of one system for the DG(d) march, and
     the rows that each interface's transmission data loads.  The blocks
     are the same for every degree; the time tables carry d.
@@ -295,12 +283,12 @@ def _step_operator(assembly):
     stacked from the blocks, not sliced from MM, because slicing sorts
     the column indices of a row and so reorders the sums of P @ u.
     """
-    ndof = assembly.n_dofs
-    ifaces = sorted(assembly.iface.items())
+    ndof = system.n_dofs
+    ifaces = sorted(system.iface.items())
     nblk = 1 + len(ifaces)
     mass = [[None] * nblk for _ in range(nblk)]
     stiff = [[None] * nblk for _ in range(nblk)]
-    A, rows, offset = assembly.A_vol, {}, ndof
+    A, rows, offset = system.A_vol, {}, ndof
     for r, (nb, ia) in enumerate(ifaces, start=1):
         n = ia.nodes.size
         R = sp.coo_matrix((np.ones(n), (np.arange(n), ia.nodes)), shape=(n, ndof)).tocsr()
@@ -313,7 +301,7 @@ def _step_operator(assembly):
         stiff[r][0] = ((ia.M_pbn - M_bn2).tocsr() + ia.q * ia.B_r + ia.K_s) @ R
         rows[nb] = slice(offset, offset + n)
         offset += n
-    mass[0][0] = assembly.M_vol.tocsr()
+    mass[0][0] = system.M_vol.tocsr()
     stiff[0][0] = A.tocsr()
     P = sp.vstack([row[0] for row in mass], format="csr")
     return sp.bmat(mass, format="csr"), sp.bmat(stiff, format="csr"), P, rows
@@ -339,12 +327,10 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
     with the factor of lam MM + k KK of k's step class.
 
     The 1e-12 residual contract is checked against the step's own real
-    S(k), never against the class representative the factor was built
-    from."""
+    S(k), with the cache's stacked SS, never against the class
+    representative the factor was built from."""
     tab = _step_tables(d)
     factor = cache.get(cache.key(k), lambda: tab.lam * mass + k * stiff)
-    if cache.stacked is None:
-        cache.stacked = _stacked_operator(mass, stiff, d)
     SS = cache.stacked
     flat_rhs = rhs.ravel()
 
@@ -363,26 +349,30 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
     return x
 
 
-def solve_window(assembly, traces_in, partition, u_init, loads):
+def solve_window(system, traces_in, partition, u_init, loads):
     """The trajectory of `solve_window_mortar`, without the flux."""
-    return solve_window_mortar(assembly, traces_in, partition, u_init, loads)[0]
+    return solve_window_mortar(system, traces_in, partition, u_init, loads)[0]
 
 
-def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
-    """March one system (a SubdomainAssembly, or Operators) over a window.
+def solve_window_mortar(system, traces_in, partition, u_init, loads):
+    """March one system (Operators, or a SubdomainAssembly) over a window.
 
-    traces_in maps neighbor id -> InterfaceTrace on this subdomain's
+    traces_in maps neighbor id -> InterfaceTrace on the system's
     partition; each trace loads the flux rows `_step_operator` gives its
     interface.  loads[n] is the (d+1, ndof) volume load of interval n.
-    Returns (DGTrajectory, MortarFlux); the flux has one entry per
-    interface.  Both are views of one window array, so the flux columns
-    are not copied.  The step operator and its factors live in
-    assembly.cache.
+    Returns the DGTrajectory and the flux modes, neighbor id ->
+    (N, d+1, n_iface) on the trajectory's partition.  Both are views of
+    one window array, so the flux columns are not copied.  The step
+    operator and SS are built at the system's first march and live in
+    system.cache with its factors.
     """
-    d = assembly.degree
-    ndof = assembly.n_dofs
-    cache = assembly.cache
-    mass, stiff, P, rows = cache.operator(lambda: _step_operator(assembly))
+    d = system.degree
+    ndof = system.n_dofs
+    cache = system.cache
+    if cache.step is None:
+        cache.step = _step_operator(system)
+        cache.stacked = _stacked_operator(cache.step[0], cache.step[1], d)
+    mass, stiff, P, rows = cache.step
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
     # X[n] holds step n's data until the step overwrites it with its
@@ -400,8 +390,7 @@ def solve_window_mortar(assembly, traces_in, partition, u_init, loads):
         u_prev = X[n, :, :ndof].sum(axis=0)
     traj = DGTrajectory(partition=partition, coeffs=X[:, :, :ndof],
                         u_init=np.asarray(u_init, float).copy())
-    flux = {nb: X[:, :, r] for nb, r in rows.items()}
-    return traj, MortarFlux(partition=partition, coeffs=flux)
+    return traj, {nb: X[:, :, r] for nb, r in rows.items()}
 
 
 def trajectory_norm(traj, M):

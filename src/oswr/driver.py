@@ -33,8 +33,8 @@ import scipy.sparse.linalg as spla
 from oswr import femspace as fes
 from oswr import problem as prb
 from oswr.dgsolver import (
-    FactorCache,
     InterfaceTrace,
+    Operators,
     SolverError,
     solve_window,  # unused here; bench/tracing.py wraps oswr.driver.solve_window
     solve_window_mortar,
@@ -75,28 +75,16 @@ class DivergenceError(RuntimeError):
         self.history = history
 
 
-@dataclass
-class SubdomainAssembly:
+@dataclass(kw_only=True)
+class SubdomainAssembly(Operators):
+    """A subdomain's system (M_vol the omega-weighted mass, A_vol the
+    skew volume form plus the exterior Robin closure, one
+    femspace.InterfaceBlocks per neighbor) with its spec, mesh and
+    trace spaces."""
+
     spec: prb.SubdomainSpec
     mesh: fes.Mesh
     space: fes.FemSpace
-    degree: int
-    M_vol: sp.csr_matrix       # omega-weighted mass
-    A_vol: sp.csr_matrix       # atilde + exterior Robin closure
-    iface: dict                # neighbor -> femspace.InterfaceBlocks
-    cache: FactorCache = field(default_factory=FactorCache, init=False)
-    f: object = None
-
-    @property
-    def n_dofs(self):
-        return self.mesh.n_nodes
-
-    def window_loads(self, partition):
-        bp = partition.breakpoints
-        return [
-            fes.assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
-            for n in range(partition.n_intervals)
-        ]
 
 
 def _build_space(spec, interfaces):
@@ -133,10 +121,8 @@ def build_subdomain_assembly(cfg, spec, space):
         nb: fes.assemble_interface_ops(space, nb, cfg.transmission[(spec.id, nb)], spec.b)
         for nb in sorted(space.traces)
     }
-    return SubdomainAssembly(
-        spec=spec, mesh=space.mesh, space=space, degree=spec.degree, M_vol=M_vol,
-        A_vol=A_vol, iface=iface, f=cfg.f,
-    )
+    return SubdomainAssembly(M_vol, A_vol, spec.degree, iface,
+                             spec=spec, mesh=space.mesh, space=space)
 
 
 @dataclass
@@ -191,10 +177,10 @@ class Multidomain:
             )
             for (i, j) in self.pairs
         }
-        self.loads = {
-            sid: asm.window_loads(self.partitions[sid])
-            for sid, asm in self.assemblies.items()
-        }
+        self.loads = {}
+        for sid, asm in self.assemblies.items():
+            loads = fes.IntervalLoads(asm.mesh, self.cfg.f, self.partitions[sid], asm.degree)
+            self.loads[sid] = [loads[n] for n in range(self.partitions[sid].n_intervals)]
 
 
 def _check_problem(cfg):
@@ -247,18 +233,20 @@ def _apply_rows(B, arr):
     return out.reshape(shp[:-1] + (B.shape[0],))
 
 
-def transmission_update(md, i, j, traj_j, flux_j, u_init_j):
-    """New data g_{i,j} from neighbor j's iterate (directed i <- j).
+def transmission_update(md, i, j, traj_j, flux_j):
+    """New data g_{i,j} from neighbor j's iterate (directed i <- j): its
+    trajectory, which holds u_j(t_a), and its flux modes (neighbor id ->
+    modes), as `solve_window_mortar` returns them.
 
     traj_j and flux_j live on T_j; the result is projected onto T_i.
     """
     ex = md.exchange[(i, j)]
     nodes = md.assemblies[j].iface[i].nodes
     RU = traj_j.coeffs[:, :, nodes]
-    gtil = _apply_rows(ex.op, RU) - _apply_rows(ex.mass, flux_j.coeffs[i])
+    gtil = _apply_rows(ex.op, RU) - _apply_rows(ex.mass, flux_j[i])
     if ex.q != 0.0:
         W = _apply_rows(ex.mass, RU)
-        w_init = ex.mass @ np.asarray(u_init_j, dtype=float)[nodes]
+        w_init = ex.mass @ traj_j.u_init[nodes]
         gtil += ex.q * _lift_rate_window(W, w_init, md.partitions[j].lengths)
 
     new = apply_projection(md.projections[(i, j)], gtil)
@@ -366,9 +354,7 @@ def iterate(md, window, u_init, budget, tol, traces=None):
 
         new_traces = {}
         for (i, j) in md.pairs:
-            new_traces[(i, j)] = transmission_update(
-                md, i, j, trajectories[j], fluxes[j], u_init[j]
-            )
+            new_traces[(i, j)] = transmission_update(md, i, j, trajectories[j], fluxes[j])
         r_pair = {
             pair: interface_residual(new_traces[pair], traces[pair], scale[pair])
             for pair in md.pairs

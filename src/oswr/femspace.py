@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from oswr.timebasis import GAUSS4_NODES, GAUSS4_WEIGHTS, legendre_eval
+from oswr.timebasis import GAUSS4_NODES, GAUSS4_WEIGHTS, TimePartition, legendre_eval
 from oswr.timeproject import hat_cross_matrix
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "assemble_interface_ops",
     "assemble_exterior_robin",
     "assemble_load",
+    "IntervalLoads",
     "assemble_space_load",
     "nodal_interpolate",
     "scatter_matrix",
@@ -518,6 +519,22 @@ def assemble_load(mesh, f, interval, d):
         for beta in range(d + 1):
             out[beta] += wq * legendre_eval(beta, (t_n, k_n), tq) * load
     return out
+
+
+@dataclass
+class IntervalLoads:
+    """The `assemble_load` vectors of the intervals of a time partition,
+    interval n's assembled when it is indexed: a reference grid has many
+    intervals, and a list of all of them is as large as its trajectory."""
+
+    mesh: Mesh
+    f: object  # a problem.CoefficientExpression
+    partition: TimePartition
+    degree: int
+
+    def __getitem__(self, n):
+        bp = self.partition.breakpoints
+        return assemble_load(self.mesh, self.f, (bp[n], bp[n + 1] - bp[n]), self.degree)
 
 
 def nodal_interpolate(mesh, g, t=0.0):

@@ -137,10 +137,9 @@ def build_interval_basis(d, k):
 
 
 def legendre_eval(j, interval, t):
-    """Scaled Legendre polynomial L_{n,j} at time t.
+    """Scaled Legendre polynomial L_{n,j} at time t, for j <= 1.
 
-    interval is (t_n, k_n).  Supports j up to 2 (degree d+1 for the
-    lifted polynomials).
+    interval is (t_n, k_n).
     """
     t_n, k_n = interval
     theta = 2.0 * (np.asarray(t, dtype=float) - (t_n + 0.5 * k_n)) / k_n
@@ -148,10 +147,7 @@ def legendre_eval(j, interval, t):
         return np.ones_like(theta) if theta.shape else 1.0
     if j == 1:
         return theta if theta.shape else float(theta)
-    if j == 2:
-        v = 0.5 * (3.0 * theta * theta - 1.0)
-        return v if v.shape else float(v)
-    raise ValueError(f"legendre_eval supports j <= 2, got {j}")
+    raise ValueError(f"legendre_eval supports j <= 1, got {j}")
 
 
 def lift_rate_modes(coeffs, left_value, k, d=None):

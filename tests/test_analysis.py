@@ -15,7 +15,6 @@ from oswr.analysis import (
     REFINE_RATIO,
     RefGrid,
     _global_mesh,
-    _IntervalLoads,
     _reference_operators,
     convergence_study,
     error_norms,
@@ -362,7 +361,7 @@ class TestMonodomainOracle:
         part = TimePartition.uniform(0.0, cfg.T, ref.nt)
         oracle = solve_window(
             Operators(M, A, degree), {}, part, fes.nodal_interpolate(mesh, cfg.u0),
-            _IntervalLoads(mesh, cfg.f, part, degree),
+            fes.IntervalLoads(mesh, cfg.f, part, degree),
         )
         assert _same_bytes(solve_monodomain(cfg, ref).trajectory.coeffs, oracle.coeffs)
 

@@ -280,6 +280,25 @@ class TestDroppedConfigInput:
         assert not out.exists()
 
 
+class TestFlagNumbers:
+    # every number flag reads its value as the config reads a number: no
+    # digit separators, ASCII digits only
+    @pytest.mark.parametrize("args,flag", [
+        (["run", "--times", "0.1_25"], "--times"),
+        (["sweep", "--p", "0_5"], "--p"),
+        (["sweep", "--p", "1", "--q", "0_1"], "--q"),
+        (["sweep", "--p", "1", "--target", "1_0e-6"], "--target"),
+        (["sweep", "--p", "1", "--seed", "0_7"], "--seed"),
+        (["study", "--axis", "time", "--levels", "3", "--tol", "1_0e-9"], "--tol"),
+        (["study", "--axis", "time", "--levels", "\u0663"], "--levels"),
+    ], ids=["times", "p", "q", "target", "seed", "tol", "levels"])
+    def test_exit_2_before_writing(self, cfg_path, tmp_path, capsys, args, flag):
+        out = tmp_path / "o"
+        assert main([args[0], str(cfg_path), *args[1:], "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStudy:
     def test_levels_requires_three(self, cfg_path, tmp_path):
         assert main(["study", str(cfg_path), "--axis", "time", "--levels", "1",
@@ -355,6 +374,12 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_2_before_writing(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "w"
+        assert main(["sweep", str(cfg_path), "--p", "1", "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_p_rejected(self, cfg_path, tmp_path):
         assert main(["sweep", str(cfg_path), "--p", "", "--q", "0",
                      "--out", str(tmp_path / "w")]) == 2
@@ -376,3 +401,13 @@ class TestManifest:
         assert "residual_history" in doc and doc["residual_history"]
         assert sorted(doc["outputs"]) == doc["outputs"]
         assert "[domain]" in doc["config"]
+
+    @pytest.mark.parametrize("doc", [{"config": 5}, {"config": CFG, "times": [0.1]}],
+                             ids=["config-number", "times-list"])
+    def test_malformed_manifest_exit_2_before_writing(self, tmp_path, capsys, doc):
+        p = tmp_path / "manifest.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert "is not a string" in capsys.readouterr().err
+        assert not out.exists()

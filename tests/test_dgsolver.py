@@ -25,6 +25,7 @@ from oswr.dgsolver import (
     trajectory_norm,
 )
 from oswr.driver import build_multidomain, run_windows
+from oswr.femspace import IntervalLoads
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, build_interval_basis
 
@@ -214,7 +215,7 @@ class TestComplexStep:
         # S(k) compare nothing
         assume(np.linalg.cond(S) < 1e3)
         rhs = np.random.default_rng(seed).standard_normal((2, MM.shape[0]))
-        x = _solve_step(FactorCache(), 1, MM, KK, k, rhs, 0)
+        x = _solve_step(FactorCache(stacked=_stacked_operator(MM, KK, 1)), 1, MM, KK, k, rhs, 0)
         ref = np.linalg.solve(S, rhs.ravel())
         assert np.linalg.norm(x.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -257,10 +258,9 @@ class TestStackedResidual:
             S = (sp.kron(tab.A.T, MM) + k * sp.kron(np.diag(tab.gram), KK)).toarray()
             assume(np.linalg.cond(S) < 1e3)
         rhs = np.random.default_rng(seed).standard_normal((d + 1, MM.shape[0]))
-        cache = FactorCache()
-        assert cache.stacked is None
-        _solve_step(cache, d, MM, KK, 0.5, rhs, 0)
+        cache = FactorCache(stacked=_stacked_operator(MM, KK, d))
         SS = cache.stacked
+        _solve_step(cache, d, MM, KK, 0.5, rhs, 0)
         _solve_step(cache, d, MM, KK, 2.0, rhs, 1)
         assert len(cache.factors) == 2
         assert cache.stacked is SS
@@ -525,7 +525,7 @@ class TestStepClassCache:
         rng = np.random.default_rng(12)
         g = rng.standard_normal((part.n_intervals, 2, ni))
         u0 = rng.standard_normal(ndof)
-        loads = asm.window_loads(part)
+        loads = IntervalLoads(asm.mesh, parse_config(MORTAR_CFG).f, part, asm.degree)
         traj, flux = solve_window_mortar(asm, {2: InterfaceTrace(part, g)}, part, u0, loads)
         assert len(asm.cache.factors) == 1
 
@@ -538,7 +538,24 @@ class TestStepClassCache:
         ]
         ref = _march_reference(Ms, As, part, u0, data)
         assert _relative_gap(traj.coeffs, ref[:, :, :ndof]) <= 1e-12
-        assert _relative_gap(flux.coeffs[2], ref[:, :, ndof:]) <= 1e-12
+        assert _relative_gap(flux[2], ref[:, :, ndof:]) <= 1e-12
+
+    def test_subdomain_marches_as_its_operators(self):
+        # a subdomain is one Operators record with a spec, mesh and space:
+        # the record of its blocks alone marches to the same bytes
+        asm = _mortar_assembly()
+        part = TimePartition.uniform(0.0, 0.5, 5)
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((part.n_intervals, 2, asm.iface[2].nodes.size))
+        traces = {2: InterfaceTrace(part, g)}
+        u0 = rng.standard_normal(asm.n_dofs)
+        loads = list(rng.standard_normal((part.n_intervals, 2, asm.n_dofs)))
+        traj, flux = solve_window_mortar(asm, traces, part, u0, loads)
+        system = Operators(asm.M_vol, asm.A_vol, asm.degree, asm.iface)
+        traj_o, flux_o = solve_window_mortar(system, traces, part, u0, loads)
+        assert traj.coeffs.tobytes() == traj_o.coeffs.tobytes()
+        assert list(flux) == list(flux_o) == [2]
+        assert flux[2].tobytes() == flux_o[2].tobytes()
 
     def test_same_size_systems_keep_their_own_operators(self):
         # Two 2x2 systems marched in turn: each trajectory is its own.

@@ -3,15 +3,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oswr.timebasis as tb
 from oswr.timebasis import (
     GAUSS4_NODES,
     GAUSS4_WEIGHTS,
     TimePartition,
     build_interval_basis,
     gauss_radau,
-    legendre_eval,
     lift_rate_modes,
 )
+
+
+def legendre_eval(j, interval, t):
+    """The library's L_{n,j} for j <= 1, and L_{n,2}, which only the
+    lifted P_{d+1} polynomials of these tests need."""
+    if j < 2:
+        return tb.legendre_eval(j, interval, t)
+    t_n, k_n = interval
+    theta = 2.0 * (np.asarray(t, dtype=float) - (t_n + 0.5 * k_n)) / k_n
+    v = 0.5 * (3.0 * theta * theta - 1.0)
+    return v if v.shape else float(v)
 
 
 def poly_eval(legendre_coeffs, interval, t):
@@ -100,6 +111,10 @@ class TestLegendre:
     def test_left_endpoint_parity(self):
         for j in range(3):
             assert legendre_eval(j, (0.0, 1.0), 0.0) == pytest.approx((-1.0) ** j)
+
+    def test_library_evaluates_modes_up_to_one(self):
+        with pytest.raises(ValueError, match="j <= 1"):
+            tb.legendre_eval(2, (0.0, 1.0), 0.5)
 
 
 class TestIntervalBasis:
