@@ -440,14 +440,10 @@ class SweepTable:
     best: int | None
 
 
-def _error_mode_cfg(cfg):
-    zero = prb.const_expr(0.0)
-    return replace(cfg, u0=zero, f=zero, windows=1, initial_guess="zero")
-
-
 def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                      seed=0, budget=None):
-    """Iteration counts to a target residual over a (p, q) grid.
+    """Iteration counts to a target residual over a (p, q) grid, on the
+    first time window of the configured run.
 
     mode='error' runs the homogeneous problem (f = u0 = 0) with a seeded
     random initial guess; mode='full' runs the configured problem with
@@ -461,7 +457,9 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
     budget = cfg.max_iterations if budget is None else budget
     if budget < 1:
         raise ValueError(f"iteration budget must be at least 1, got {budget}")
-    base = _error_mode_cfg(cfg) if mode == "error" else cfg
+    zero = prb.const_expr(0.0)
+    base = replace(cfg, u0=zero, f=zero, initial_guess="zero") if mode == "error" else cfg
+    t_a, t_b = np.linspace(0.0, cfg.T, cfg.windows + 1)[:2]
     rows = []
     for p in p_values:
         for q in q_values:
@@ -469,22 +467,17 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                 key: prb.TransmissionParams(p=float(p), q=float(q), r=tp.r, s=tp.s)
                 for key, tp in base.transmission.items()
             }
-            c = replace(base, transmission=trans, windows=1, max_iterations=budget)
-            md = build_multidomain(c)
-            u_init = {
-                sid: fes.nodal_interpolate(asm.mesh, c.u0, t=0.0)
-                for sid, asm in md.assemblies.items()
-            }
+            md = build_multidomain(replace(base, transmission=trans))
+            win = md.window(t_a, t_b)
+            u_init = {sid: fes.nodal_interpolate(asm.mesh, base.u0, t=0.0)
+                      for sid, asm in md.assemblies.items()}
             traces = None
             if mode == "error":
-                md.set_window(0.0, c.T)
+                traces = initial_guess("zero", md, win, u_init)
                 rng = np.random.default_rng(seed)
-                traces = {}
-                for sid in sorted(md.assemblies):
-                    for nb, tr in initial_guess("zero", md, sid, u_init[sid]).items():
-                        tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
-                        traces[(sid, nb)] = tr
-            _, _, _, hist = iterate(md, (0.0, c.T), u_init, budget, target_residual, traces=traces)
+                for tr in traces.values():
+                    tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
+            _, _, _, hist = iterate(md, win, u_init, budget, target_residual, traces=traces)
             rows.append({
                 "p": float(p), "q": float(q),
                 "iterations": hist.iterations, "converged": hist.converged,

@@ -257,6 +257,10 @@ def cmd_study(args):
 def cmd_sweep(args):
     cfg, _ = _read_config(args.config)
     _validate_or_fail(cfg)
+    if not cfg.interfaces():
+        print("error: the config has no interface, so there is no transmission "
+              "parameter to sweep", file=sys.stderr)
+        return EXIT_CONFIG
     p_values = [_real("--p", v) for v in args.p.split(",") if v.strip()]
     q_values = [_real("--q", v) for v in args.q.split(",") if v.strip()] if args.q else [0.0]
     target, seed = _real("--target", args.target), prb._read_int("--seed", args.seed.strip(), None)

@@ -5,11 +5,12 @@ first, then every subdomain's volume operators and one record of
 blocks per directed interface, once, and one exchange operator per
 directed pair.  How an interface enters a subdomain's step system is
 decided by `dgsolver._step_operator` alone: every interface carries a
-discrete flux unknown, on matching and nonmatching meshes alike.  The
-driver then exchanges transmission data between neighbors (Jacobi
-style: every subdomain solves against the previous iterate's traces),
-projects traces between nonconforming time grids, monitors interface
-residuals, and chains time windows.
+discrete flux unknown, on matching and nonmatching meshes alike.  Each
+time window is one frozen `Window` record, built once by `md.window`.
+`sweep` is one Jacobi sweep over it: every subdomain solves against the
+previous iterate's traces, then every directed pair gets new data.
+`iterate` loops `sweep` under the residual, divergence and stopping
+rules, and `run_windows` chains the windows.
 
 The exchange never extracts a normal derivative from the solution: the
 new data is the algebraic combination
@@ -38,7 +39,7 @@ from oswr.dgsolver import (
     SolverError,
     solve_window,  # unused here; bench/tracing.py wraps oswr.driver.solve_window
     solve_window_mortar,
-    trajectory_norm,
+    trajectory_norm,  # unused here; bench/tracing.py wraps oswr.driver.trajectory_norm
     trajectory_values,
 )
 from oswr.timebasis import TimePartition, lift_rate_modes
@@ -52,6 +53,7 @@ __all__ = [
     "DivergenceError",
     "SubdomainAssembly",
     "Multidomain",
+    "Window",
     "IterationHistory",
     "MultidomainSolution",
     "TrajectoryView",
@@ -60,6 +62,7 @@ __all__ = [
     "transmission_update",
     "transfer_trace",
     "interface_residual",
+    "sweep",
     "iterate",
     "run_windows",
 ]
@@ -151,36 +154,38 @@ def _exchange(cfg, ai, aj):
     return Exchange(mass=M_x, op=M_bx + params.q * B_rx + K_sx, q=params.q)
 
 
+@dataclass(frozen=True)
+class Window:
+    """One time window: per subdomain its partition and per-interval loads,
+    per directed pair (i, j) the time projection from j's partition onto i's."""
+
+    partitions: dict
+    projections: dict
+    loads: dict
+
+
 @dataclass
 class Multidomain:
     cfg: prb.ExperimentConfig
     assemblies: dict
     pairs: list          # directed (i, j) pairs
     exchange: dict       # directed pair -> Exchange
-    partitions: dict = field(default_factory=dict)
-    projections: dict = field(default_factory=dict)
-    loads: dict = field(default_factory=dict)
 
     @property
     def degree(self):
         return next(iter(self.assemblies.values())).degree
 
-    def set_window(self, t_a, t_b):
-        """Per-window time partitions, loads and time projections."""
-        self.partitions = {
-            sid: TimePartition.uniform(t_a, t_b, asm.spec.nt)
-            for sid, asm in self.assemblies.items()
-        }
-        self.projections = {
-            (i, j): build_projection_matrices(
-                self.partitions[j], self.partitions[i], self.degree
-            )
-            for (i, j) in self.pairs
-        }
-        self.loads = {}
+    def window(self, t_a, t_b):
+        """The record of the time window [t_a, t_b]."""
+        parts = {sid: TimePartition.uniform(t_a, t_b, asm.spec.nt)
+                 for sid, asm in self.assemblies.items()}
+        projections = {(i, j): build_projection_matrices(parts[j], parts[i], self.degree)
+                       for (i, j) in self.pairs}
+        loads = {}
         for sid, asm in self.assemblies.items():
-            loads = fes.IntervalLoads(asm.mesh, self.cfg.f, self.partitions[sid], asm.degree)
-            self.loads[sid] = [loads[n] for n in range(self.partitions[sid].n_intervals)]
+            per = fes.IntervalLoads(asm.mesh, self.cfg.f, parts[sid], asm.degree)
+            loads[sid] = [per[n] for n in range(parts[sid].n_intervals)]
+        return Window(partitions=parts, projections=projections, loads=loads)
 
 
 def _check_problem(cfg):
@@ -205,23 +210,23 @@ def build_multidomain(cfg):
 # ---------------------------------------------------------------------------
 
 
-def initial_guess(strategy, md, sid, u_init):
-    """Initial transmission data g_{sid, nb} for every interface of one
-    subdomain: zero, or the transmission operator applied to the initial
-    value with the flux term dropped (constant in time, mode 0)."""
-    asm = md.assemblies[sid]
-    part = md.partitions[sid]
-    d = asm.degree
+def initial_guess(strategy, md, win, u_init):
+    """Initial transmission data g_{i,j} of a window for every directed
+    pair, in `md.pairs` order: zero, or the transmission operator applied
+    to i's initial value u_init[i] with the flux term dropped (constant
+    in time, mode 0)."""
     out = {}
-    for nb, ia in sorted(asm.iface.items()):
-        coeffs = np.zeros((part.n_intervals, d + 1, ia.nodes.size))
+    for (i, j) in md.pairs:
+        asm, part = md.assemblies[i], win.partitions[i]
+        ia = asm.iface[j]
+        coeffs = np.zeros((part.n_intervals, asm.degree + 1, ia.nodes.size))
         if strategy == "from_u0":
-            tru = np.asarray(u_init, dtype=float)[ia.nodes]
+            tru = np.asarray(u_init[i], dtype=float)[ia.nodes]
             g0 = ia.p * (ia.M_gamma @ tru) + ia.q * (ia.B_r @ tru) + ia.K_s @ tru
             coeffs[:, 0, :] = g0[None, :]
         elif strategy != "zero":
             raise ValueError(f"unknown initial-guess strategy {strategy!r}")
-        out[nb] = InterfaceTrace(partition=part, coeffs=coeffs)
+        out[(i, j)] = InterfaceTrace(partition=part, coeffs=coeffs)
     return out
 
 
@@ -233,10 +238,10 @@ def _apply_rows(B, arr):
     return out.reshape(shp[:-1] + (B.shape[0],))
 
 
-def transmission_update(md, i, j, traj_j, flux_j):
-    """New data g_{i,j} from neighbor j's iterate (directed i <- j): its
-    trajectory, which holds u_j(t_a), and its flux modes (neighbor id ->
-    modes), as `solve_window_mortar` returns them.
+def transmission_update(md, win, i, j, traj_j, flux_j):
+    """New data g_{i,j} from neighbor j's iterate (directed i <- j) over
+    the window `win`: its trajectory, which holds u_j(t_a), and its flux
+    modes (neighbor id -> modes), as `solve_window_mortar` returns them.
 
     traj_j and flux_j live on T_j; the result is projected onto T_i.
     """
@@ -247,10 +252,10 @@ def transmission_update(md, i, j, traj_j, flux_j):
     if ex.q != 0.0:
         W = _apply_rows(ex.mass, RU)
         w_init = ex.mass @ traj_j.u_init[nodes]
-        gtil += ex.q * _lift_rate_window(W, w_init, md.partitions[j].lengths)
+        gtil += ex.q * _lift_rate_window(W, w_init, win.partitions[j].lengths)
 
-    new = apply_projection(md.projections[(i, j)], gtil)
-    return InterfaceTrace(partition=md.partitions[i], coeffs=new)
+    new = apply_projection(win.projections[(i, j)], gtil)
+    return InterfaceTrace(partition=win.partitions[i], coeffs=new)
 
 
 def _lift_rate_window(W, w_init, lengths):
@@ -309,7 +314,6 @@ def interface_residual(g_new, g_old, scale):
 class IterationHistory:
     residuals: list = field(default_factory=list)
     pair_residuals: list = field(default_factory=list)  # per sweep: directed pair -> residual
-    solution_norms: dict = field(default_factory=dict)  # sid -> list
     converged: bool = False
 
     @property
@@ -317,44 +321,45 @@ class IterationHistory:
         return len(self.residuals)
 
 
-def _solve_one(md, sid, traces, u_init):
-    asm = md.assemblies[sid]
-    part = md.partitions[sid]
-    mine = {nb: traces[(sid, nb)] for nb in asm.iface}
-    try:
-        return solve_window_mortar(asm, mine, part, u_init, md.loads[sid])
-    except SolverError as e:
-        raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
+def sweep(md, win, traces, u_init):
+    """One Jacobi sweep over the window `win`: every subdomain solves
+    from u_init[sid] against `traces` (directed pair -> InterfaceTrace),
+    then every directed pair i <- j gets new data from j's solution.
+
+    Returns (trajectories, fluxes, new_traces), the first two keyed by
+    subdomain id."""
+    trajectories, fluxes = {}, {}
+    for sid, asm in sorted(md.assemblies.items()):
+        part = win.partitions[sid]
+        mine = {nb: traces[(sid, nb)] for nb in asm.iface}
+        try:
+            trajectories[sid], fluxes[sid] = solve_window_mortar(
+                asm, mine, part, u_init[sid], win.loads[sid])
+        except SolverError as e:
+            raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
+    new_traces = {
+        (i, j): transmission_update(md, win, i, j, trajectories[j], fluxes[j])
+        for (i, j) in md.pairs
+    }
+    return trajectories, fluxes, new_traces
 
 
-def iterate(md, window, u_init, budget, tol, traces=None):
-    """Run the Jacobi waveform-relaxation loop on one window, from
-    `traces` or else from the configured initial guess.
+def iterate(md, win, u_init, budget, tol, traces=None):
+    """Sweep the window `win` until the interface residual reaches `tol`,
+    from `traces` or else from the configured initial guess.
 
     Returns (trajectories, fluxes, traces, history); trajectories are the
     last computed iterate (solved against the pre-update traces).
     """
-    t_a, t_b = window
-    md.set_window(t_a, t_b)
-    sids = sorted(md.assemblies)
     if traces is None:
-        traces = {}
-        for sid in sids:
-            for nb, tr in initial_guess(md.cfg.initial_guess, md, sid, u_init[sid]).items():
-                traces[(sid, nb)] = tr
+        traces = initial_guess(md.cfg.initial_guess, md, win, u_init)
     scale = {pair: traces[pair].norm() for pair in md.pairs}
 
-    history = IterationHistory(solution_norms={s: [] for s in sids})
+    history = IterationHistory()
     trajectories, fluxes = {}, {}
     r0 = None
-    for it in range(1, budget + 1):
-        results = {sid: _solve_one(md, sid, traces, u_init[sid]) for sid in sids}
-        trajectories = {sid: r[0] for sid, r in results.items()}
-        fluxes = {sid: r[1] for sid, r in results.items()}
-
-        new_traces = {}
-        for (i, j) in md.pairs:
-            new_traces[(i, j)] = transmission_update(md, i, j, trajectories[j], fluxes[j])
+    for _ in range(budget):
+        trajectories, fluxes, new_traces = sweep(md, win, traces, u_init)
         r_pair = {
             pair: interface_residual(new_traces[pair], traces[pair], scale[pair])
             for pair in md.pairs
@@ -362,20 +367,16 @@ def iterate(md, window, u_init, budget, tol, traces=None):
         r_k = float(np.max([*r_pair.values(), 0.0]))  # a NaN propagates
         history.residuals.append(r_k)
         history.pair_residuals.append(r_pair)
-        for sid in sids:
-            history.solution_norms[sid].append(
-                trajectory_norm(trajectories[sid], md.assemblies[sid].M_vol)
-            )
         traces = new_traces
         if not np.isfinite(r_k):
             raise DivergenceError(
-                f"{_worst(r_pair, window)}: non-finite interface residual", history
+                f"{_worst(r_pair, win)}: non-finite interface residual", history
             )
         if r0 is None:
             r0 = r_k
         elif r_k > DIVERGENCE_FACTOR * max(r0, 1e-300):
             raise DivergenceError(
-                f"{_worst(r_pair, window)}: interface residual grew by more than "
+                f"{_worst(r_pair, win)}: interface residual grew by more than "
                 f"{DIVERGENCE_FACTOR:.0e}", history
             )
         if r_k <= tol:
@@ -384,11 +385,11 @@ def iterate(md, window, u_init, budget, tol, traces=None):
     return trajectories, fluxes, traces, history
 
 
-def _worst(r_pair, window):
+def _worst(r_pair, win):
     """Where the residual blew up: the directed interface with the largest
     (or a non-finite) residual, and the window."""
     (i, j), _ = max(r_pair.items(), key=lambda kv: np.nan_to_num(kv[1], nan=np.inf))
-    return f"interface {i}->{j}, window [{window[0]:g}, {window[1]:g}]"
+    return f"interface {i}->{j}, window [{win.partitions[i].start:g}, {win.partitions[i].end:g}]"
 
 
 @dataclass
@@ -479,19 +480,17 @@ def run_windows(cfg, md=None, tol=None, traces=None):
     all_traj = {sid: [] for sid in md.assemblies}
     histories, final_traces = [], []
     for w in range(cfg.windows):
+        win = md.window(bounds[w], bounds[w + 1])
         if traces is not None:
             start = traces[w]
         elif w > 0:
             start = {
-                (i, j): _extrapolate(tr, TimePartition.uniform(
-                    bounds[w], bounds[w + 1], md.assemblies[i].spec.nt))
+                (i, j): _extrapolate(tr, win.partitions[i])
                 for (i, j), tr in final_traces[-1].items()
             }
         else:
             start = None
-        trajectories, _, final, hist = iterate(
-            md, (bounds[w], bounds[w + 1]), u_cur, cfg.max_iterations, tol, traces=start,
-        )
+        trajectories, _, final, hist = iterate(md, win, u_cur, cfg.max_iterations, tol, start)
         histories.append(hist)
         final_traces.append(final)
         for sid, traj in trajectories.items():

@@ -21,7 +21,8 @@ from oswr.analysis import (
     solve_monodomain,
     sweep_parameters,
 )
-from oswr.driver import build_multidomain, initial_guess, iterate, run_windows
+from oswr.dgsolver import trajectory_norm
+from oswr.driver import build_multidomain, initial_guess, iterate, run_windows, sweep
 from oswr.problem import parse_config
 
 # ---------------------------------------------------------------------------
@@ -317,17 +318,26 @@ def test_criterion_5_robin_vs_order2():
 
 
 def _homogeneous_run(cfg, seed=42, budget=60, tol=1e-8):
+    """`iterate` from a seeded random guess, then its sweeps replayed one
+    by one from the same guess: (history, subdomain id -> the solution
+    norm of every sweep)."""
     md = build_multidomain(cfg)
+    win = md.window(0.0, cfg.T)
     u_init = {sid: np.zeros(md.assemblies[sid].n_dofs) for sid in md.assemblies}
-    md.set_window(0.0, cfg.T)
     rng = np.random.default_rng(seed)
-    traces = {}
-    for sid in sorted(md.assemblies):
-        for nb, tr in initial_guess("zero", md, sid, u_init[sid]).items():
-            tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
-            traces[(sid, nb)] = tr
-    _, _, _, hist = iterate(md, (0.0, cfg.T), u_init, budget, tol, traces=traces)
-    return hist
+    start = initial_guess("zero", md, win, u_init)
+    for tr in start.values():
+        tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
+    last, _, _, hist = iterate(md, win, u_init, budget, tol, traces=start)
+    norms = {sid: [] for sid in md.assemblies}
+    traces = start
+    for _ in range(hist.iterations):
+        trajectories, _, traces = sweep(md, win, traces, u_init)
+        for sid, traj in trajectories.items():
+            norms[sid].append(trajectory_norm(traj, md.assemblies[sid].M_vol))
+    # iterate is a loop of sweep: the replay ends on iterate's own iterate
+    assert all(np.array_equal(trajectories[sid].coeffs, last[sid].coeffs) for sid in last)
+    return hist, norms
 
 
 def test_criterion_6_homogeneous_decay():
@@ -341,10 +351,10 @@ def test_criterion_6_homogeneous_decay():
     details = []
     ok = True
     for label, text in cases:
-        hist = _homogeneous_run(parse_config(text))
+        hist, norms = _homogeneous_run(parse_config(text))
         conv = hist.converged and hist.residuals[-1] < 1e-8 and hist.iterations <= 60
         mono = all(
-            np.all(np.diff(hist.solution_norms[sid][-10:]) < 0) for sid in (1, 2)
+            np.all(np.diff(norms[sid][-10:]) < 0) for sid in (1, 2)
         )
         ok = ok and conv and mono
         details.append(f"{label}: {hist.iterations} its, monotone={mono}")

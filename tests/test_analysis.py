@@ -541,6 +541,16 @@ class TestSweep:
         assert table.rows[0]["iterations"] == 3
         assert not table.rows[0]["converged"]
 
+    @pytest.mark.parametrize("mode", ["error", "full"])
+    def test_multi_window_config_sweeps_the_runs_first_window(self, mode):
+        # nt counts intervals per window, so the sweep runs on the time
+        # step that `oswr run` uses, not on one window over [0, T]
+        cfg = parse_config(CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 2", 1))
+        first = replace(cfg, T=0.25, windows=1)
+        grid = ([0.5, 1.0], [0.0, 0.05], 1e-6)
+        got = sweep_parameters(cfg, *grid, mode=mode, seed=0, budget=100)
+        assert got.rows == sweep_parameters(first, *grid, mode=mode, seed=0, budget=100).rows
+
     @pytest.mark.parametrize("budget", [0, -2])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be at least 1"):

@@ -384,6 +384,18 @@ class TestSweep:
         assert main(["sweep", str(cfg_path), "--p", "", "--q", "0",
                      "--out", str(tmp_path / "w")]) == 2
 
+    def test_no_interface_exit_2_before_writing(self, tmp_path, capsys):
+        # one subdomain: no transmission condition, so every cell would
+        # read "1 iteration, converged"
+        one = CFG[: CFG.index("[subdomain]")] + (
+            '[subdomain]\nid = 1\nbox = 0 1\nnu = "0.1"\nc = "1"\nnx = 8\nnt = 4\ndegree = 1\n'
+        )
+        path, out = tmp_path / "one.cfg", tmp_path / "w"
+        path.write_text(one)
+        assert main(["sweep", str(path), "--p", "1,2", "--q", "0", "--out", str(out)]) == 2
+        assert "no interface" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeded_reproducible(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

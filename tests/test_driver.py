@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from oswr.driver import (
     transmission_update,
 )
 from oswr.cli import main
-from oswr.problem import parse_config, validate_problem
+from oswr.problem import const_expr, parse_config, validate_problem
 from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
 from test_timebasis import locate
@@ -294,25 +295,26 @@ class TestInitialGuess:
     def test_zero(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
-        out = initial_guess("zero", md, 1, np.zeros(md.assemblies[1].n_dofs))
+        win = md.window(0.0, cfg.T)
+        out = initial_guess("zero", md, win, {s: np.zeros(a.n_dofs) for s, a in md.assemblies.items()})
         assert all(np.all(tr.coeffs == 0) for tr in out.values())
 
     def test_from_u0_with_zero_u0(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
-        out = initial_guess("from_u0", md, 1, np.zeros(md.assemblies[1].n_dofs))
+        win = md.window(0.0, cfg.T)
+        out = initial_guess("from_u0", md, win,
+                            {s: np.zeros(a.n_dofs) for s, a in md.assemblies.items()})
         assert all(np.all(tr.coeffs == 0) for tr in out.values())
 
     def test_from_u0_constant_robin(self):
         # p = 1, u0 = 1 on the interface: mode 0 equals M_Gamma . 1, mode 1 zero
         cfg = parse_config(CFG_2D.replace("q = 0.05", "q = 0.0"))
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
-        ones = np.ones(md.assemblies[1].n_dofs)
-        out = initial_guess("from_u0", md, 1, ones)
-        tr = out[2]
+        win = md.window(0.0, cfg.T)
+        ones = {s: np.ones(a.n_dofs) for s, a in md.assemblies.items()}
+        out = initial_guess("from_u0", md, win, ones)
+        tr = out[(1, 2)]
         mg_row = np.asarray(md.assemblies[1].iface[2].M_gamma.sum(axis=1)).ravel()
         for n in range(tr.coeffs.shape[0]):
             assert tr.coeffs[n, 0] == pytest.approx(mg_row, abs=1e-14)
@@ -320,33 +322,33 @@ class TestInitialGuess:
 
 
 class TestResidual:
-    def _trace(self, md, coeffs):
-        return InterfaceTrace(md.partitions[1], coeffs)
+    def _trace(self, win, coeffs):
+        return InterfaceTrace(win.partitions[1], coeffs)
 
     def test_equal_traces(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         c = np.random.default_rng(0).standard_normal((6, 2, 1))
-        assert interface_residual(self._trace(md, c), self._trace(md, c.copy()), 0.0) == 0.0
+        assert interface_residual(self._trace(win, c), self._trace(win, c.copy()), 0.0) == 0.0
 
     def test_zero_old(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         c = np.random.default_rng(1).standard_normal((6, 2, 1))
         z = np.zeros_like(c)
-        assert interface_residual(self._trace(md, c), self._trace(md, z), 0.0) == pytest.approx(1.0)
+        assert interface_residual(self._trace(win, c), self._trace(win, z), 0.0) == pytest.approx(1.0)
 
     def test_homogeneous_scaling(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         rng = np.random.default_rng(2)
         g = rng.standard_normal((6, 2, 1))
         d = rng.standard_normal((6, 2, 1))
-        r1 = interface_residual(self._trace(md, g + d), self._trace(md, g), 0.0)
-        tr1 = self._trace(md, g + d)
+        r1 = interface_residual(self._trace(win, g + d), self._trace(win, g), 0.0)
+        tr1 = self._trace(win, g + d)
         delta1 = InterfaceTrace(tr1.partition, d).norm()
         delta2 = InterfaceTrace(tr1.partition, 2 * d).norm()
         assert delta2 == pytest.approx(2 * delta1, rel=1e-12)
@@ -359,9 +361,9 @@ class TestTransmissionUpdate:
         # with b.n = -0.3 on subdomain 2's xmin side and p = 1
         cfg = parse_config(CFG_2D.replace("q = 0.05", "q = 0.0"))
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         asm = md.assemblies[2]
-        part = md.partitions[2]
+        part = win.partitions[2]
         mu, gamma = 0.7, -0.3
         coeffs = np.zeros((part.n_intervals, 2, asm.n_dofs))
         coeffs[:, 0, :] = mu
@@ -369,7 +371,7 @@ class TestTransmissionUpdate:
         nI = asm.iface[1].nodes.size
         Q = np.zeros((part.n_intervals, 2, nI))
         Q[:, 0, :] = gamma
-        out = transmission_update(md, 1, 2, traj, {1: Q})
+        out = transmission_update(md, win, 1, 2, traj, {1: Q})
         mx = md.exchange[(1, 2)].mass
         expect = (-gamma + 0.7 * mu) * np.asarray(mx.sum(axis=1)).ravel()
         for n in range(out.coeffs.shape[0]):
@@ -379,14 +381,14 @@ class TestTransmissionUpdate:
     def test_zero_maps_to_zero(self):
         cfg = parse_config(CFG_2D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         asm = md.assemblies[2]
-        part = md.partitions[2]
+        part = win.partitions[2]
         traj = DGTrajectory(part, np.zeros((part.n_intervals, 2, asm.n_dofs)),
                             np.zeros(asm.n_dofs))
         nI = asm.iface[1].nodes.size
         flux = {1: np.zeros((part.n_intervals, 2, nI))}
-        out = transmission_update(md, 1, 2, traj, flux)
+        out = transmission_update(md, win, 1, 2, traj, flux)
         assert np.all(out.coeffs == 0)
 
     def test_converged_traces_are_fixed_point(self):
@@ -399,10 +401,11 @@ class TestTransmissionUpdate:
             sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0)
             for sid in md.assemblies
         }
-        trajs, fluxes, traces, hist = iterate(md, (0.0, cfg.T), u_init, 300, 1e-13)
+        win = md.window(0.0, cfg.T)
+        trajs, fluxes, traces, hist = iterate(md, win, u_init, 300, 1e-13)
         assert hist.converged
         for (i, j) in md.pairs:
-            new = transmission_update(md, i, j, trajs[j], fluxes[j])
+            new = transmission_update(md, win, i, j, trajs[j], fluxes[j])
             rel = interface_residual(new, traces[(i, j)], 0.0)
             assert rel < 1e-10
 
@@ -411,15 +414,13 @@ class TestIterate:
     def test_homogeneous_decay_1d(self):
         cfg = parse_config(CFG_1D.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "0"'))
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         u_init = {sid: np.zeros(md.assemblies[sid].n_dofs) for sid in md.assemblies}
         rng = np.random.default_rng(6)
-        traces = {}
-        for sid in sorted(md.assemblies):
-            for nb, tr in initial_guess("zero", md, sid, u_init[sid]).items():
-                tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
-                traces[(sid, nb)] = tr
-        _, _, _, hist = iterate(md, (0.0, cfg.T), u_init, 100, 1e-8, traces=traces)
+        traces = initial_guess("zero", md, win, u_init)
+        for tr in traces.values():
+            tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
+        _, _, _, hist = iterate(md, win, u_init, 100, 1e-8, traces=traces)
         assert hist.converged
         assert hist.residuals[-1] < 1e-8
 
@@ -452,7 +453,8 @@ class TestIterate:
             sid: fes.nodal_interpolate(md2.assemblies[sid].mesh, cfg.u0)
             for sid in md2.assemblies
         }
-        trajs, _, _, _ = iterate(md2, (0.0, cfg.T), u_init, cfg.max_iterations, cfg.tolerance)
+        trajs, _, _, _ = iterate(md2, md2.window(0.0, cfg.T), u_init, cfg.max_iterations,
+                                 cfg.tolerance)
         for sid in trajs:
             assert np.array_equal(sol.trajectories[sid][0].coeffs, trajs[sid].coeffs)
 
@@ -571,7 +573,7 @@ def test_nonconforming_envelope_monitor(capsys):
             sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0)
             for sid in md.assemblies
         }
-        _, _, _, hist = iterate(md, (0.0, cfg.T), u_init, 60, 1e-9)
+        _, _, _, hist = iterate(md, md.window(0.0, cfg.T), u_init, 60, 1e-9)
         return np.array(hist.residuals)
 
     conf = history(CFG_2D.replace("nt = 3", "nt = 4"))
@@ -776,19 +778,19 @@ class TestOneInterfaceFold:
     def test_step_operator_and_march_match_oracle(self, text, degree):
         cfg = parse_config(text.replace("degree = 1", f"degree = {degree}"))
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         rng = np.random.default_rng(17)
         for sid, asm in md.assemblies.items():
             new = dg._step_operator(asm)
             for a, b in zip(new[:3], _old_blocks(asm, sorted(asm.iface))):
                 assert _same_csr(a, b)
-            part = md.partitions[sid]
+            part = win.partitions[sid]
             traces = {nb: InterfaceTrace(part, rng.standard_normal(
                           (part.n_intervals, degree + 1, ia.nodes.size)))
                       for nb, ia in asm.iface.items()}
             u0 = rng.standard_normal(asm.n_dofs)
-            traj, flux = solve_window_mortar(replace(asm), traces, part, u0, md.loads[sid])
-            old_traj, old_flux = _old_march(replace(asm), traces, part, u0, md.loads[sid])
+            traj, flux = solve_window_mortar(replace(asm), traces, part, u0, win.loads[sid])
+            old_traj, old_flux = _old_march(replace(asm), traces, part, u0, win.loads[sid])
             _assert_matches(traj.coeffs, old_traj.coeffs, degree)
             assert list(flux) == list(old_flux) == sorted(asm.iface)
             for nb in asm.iface:
@@ -823,7 +825,7 @@ def _matching(md, i, j):
     return al_i is None or (al_i.size == al_j.size and np.allclose(al_i, al_j, atol=1e-12))
 
 
-def _conforming_update(md, i, j, traj_j, g_old, u_init_j):
+def _conforming_update(md, win, i, j, traj_j, g_old, u_init_j):
     """The exchange i <- j across a conforming interface, from the data
     g_old = g_{j,i} that j received:
 
@@ -838,8 +840,8 @@ def _conforming_update(md, i, j, traj_j, g_old, u_init_j):
     q = ia.q + ja.q
     if q != 0.0:
         w_init = ja.M_gamma @ np.asarray(u_init_j, dtype=float)[ja.nodes]
-        gtil += q * drv._lift_rate_window(W, w_init, md.partitions[j].lengths)
-    return InterfaceTrace(md.partitions[i], apply_projection(md.projections[(i, j)], gtil))
+        gtil += q * drv._lift_rate_window(W, w_init, win.partitions[j].lengths)
+    return InterfaceTrace(win.partitions[i], apply_projection(win.projections[(i, j)], gtil))
 
 
 def _conforming_iterate(cfg):
@@ -848,23 +850,22 @@ def _conforming_iterate(cfg):
     volume blocks and exchanged by `_conforming_update`, the others
     carrying the flux.  Returns the last trajectories."""
     md = build_multidomain(cfg)
-    md.set_window(0.0, cfg.T)
+    win = md.window(0.0, cfg.T)
     u_init = _u_init(md, cfg)
     conforming = {pair for pair in md.pairs if _matching(md, *pair)}
-    traces = {(sid, nb): tr for sid in md.assemblies
-              for nb, tr in initial_guess(cfg.initial_guess, md, sid, u_init[sid]).items()}
+    traces = initial_guess(cfg.initial_guess, md, win, u_init)
     scale = {pair: traces[pair].norm() for pair in md.pairs}
     for _ in range(cfg.max_iterations):
         results = {
-            sid: _old_march(asm, {nb: traces[(sid, nb)] for nb in asm.iface}, md.partitions[sid],
-                            u_init[sid], md.loads[sid],
+            sid: _old_march(asm, {nb: traces[(sid, nb)] for nb in asm.iface}, win.partitions[sid],
+                            u_init[sid], win.loads[sid],
                             mortar=[nb for nb in sorted(asm.iface) if (sid, nb) not in conforming])
             for sid, asm in md.assemblies.items()
         }
         new = {
-            (i, j): _conforming_update(md, i, j, results[j][0], traces[(j, i)], u_init[j])
+            (i, j): _conforming_update(md, win, i, j, results[j][0], traces[(j, i)], u_init[j])
             if (i, j) in conforming else
-            transmission_update(md, i, j, *results[j])
+            transmission_update(md, win, i, j, *results[j])
             for (i, j) in md.pairs
         }
         r = max(interface_residual(new[pair], traces[pair], scale[pair]) for pair in md.pairs)
@@ -896,15 +897,12 @@ class TestMortarEquivalence:
             sid: fes.nodal_interpolate(md.assemblies[sid].mesh, cfg.u0)
             for sid in md.assemblies
         }
-        md.set_window(0.0, cfg.T)
-        traces = {}
-        for sid in sorted(md.assemblies):
-            traces.update({(sid, nb): tr for nb, tr in
-                           initial_guess("from_u0", md, sid, u_init[sid]).items()})
+        win = md.window(0.0, cfg.T)
+        traces = initial_guess("from_u0", md, win, u_init)
         asm = md.assemblies[1]
         traj, flux = solve_window_mortar(
             asm, {nb: traces[(1, nb)] for nb in asm.iface},
-            md.partitions[1], u_init[1], md.loads[1],
+            win.partitions[1], u_init[1], win.loads[1],
         )
         assert np.all(np.isfinite(traj.coeffs))
         assert np.all(np.isfinite(flux[2]))
@@ -923,9 +921,9 @@ class TestFailureReporting:
     def test_solver_error_names_subdomain_window_interval(self):
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
-        md.set_window(0.0, cfg.T)
+        win = md.window(0.0, cfg.T)
         asm = md.assemblies[1]
-        k = float(md.partitions[1].lengths[0])
+        k = float(win.partitions[1].lengths[0])
         # the class factor of a different matrix: every step misses the residual
         size = dg._step_operator(asm)[0].shape[0]
         wrong = spla.splu(sp.identity(size, dtype=complex, format="csc"))
@@ -933,7 +931,7 @@ class TestFailureReporting:
         with pytest.raises(SolverError,
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
                                  r"linear solve residual .* exceeds 1e-12$"):
-            iterate(md, (0.0, cfg.T), _u_init(md, cfg), 5, 1e-10)
+            iterate(md, win, _u_init(md, cfg), 5, 1e-10)
 
     def _perturbed(self, monkeypatch, pair, change):
         """Converged data, then iterate again with `change` applied to the
@@ -941,33 +939,34 @@ class TestFailureReporting:
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
         u_init = _u_init(md, cfg)
-        traces = iterate(md, (0.0, cfg.T), u_init, 200, 1e-12)[2]
+        win = md.window(0.0, cfg.T)
+        traces = iterate(md, win, u_init, 200, 1e-12)[2]
         update = drv.transmission_update
         calls = []
 
-        def perturbed(md, i, j, *args):
-            out = update(md, i, j, *args)
+        def perturbed(md, win, i, j, *args):
+            out = update(md, win, i, j, *args)
             calls.append((i, j))
             if (i, j) == pair and len(calls) > len(md.pairs):
                 out.coeffs[...] = change(out.coeffs)
             return out
 
         monkeypatch.setattr(drv, "transmission_update", perturbed)
-        return md, u_init, traces, cfg
+        return md, win, u_init, traces
 
     def test_divergence_names_interface_and_window(self, monkeypatch):
-        md, u_init, traces, cfg = self._perturbed(monkeypatch, (2, 1), lambda c: c + 1.0)
+        md, win, u_init, traces = self._perturbed(monkeypatch, (2, 1), lambda c: c + 1.0)
         with pytest.raises(DivergenceError,
                            match=r"^interface 2->1, window \[0, 0\.5\]: "
                                  r"interface residual grew by more than 1e\+06$"):
-            iterate(md, (0.0, cfg.T), u_init, 5, 1e-30, traces=traces)
+            iterate(md, win, u_init, 5, 1e-30, traces=traces)
 
     def test_non_finite_residual_names_interface_and_window(self, monkeypatch):
-        md, u_init, traces, cfg = self._perturbed(monkeypatch, (1, 2), lambda c: c * np.nan)
+        md, win, u_init, traces = self._perturbed(monkeypatch, (1, 2), lambda c: c * np.nan)
         with pytest.raises(DivergenceError,
                            match=r"^interface 1->2, window \[0, 0\.5\]: "
                                  r"non-finite interface residual$"):
-            iterate(md, (0.0, cfg.T), u_init, 5, 1e-30, traces=traces)
+            iterate(md, win, u_init, 5, 1e-30, traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +983,8 @@ def _cold_windows(cfg, md=None, tol=None):
     u = {sid: fes.nodal_interpolate(asm.mesh, cfg.u0, t=0.0) for sid, asm in md.assemblies.items()}
     trajectories, traces, histories = {sid: [] for sid in md.assemblies}, [], []
     for w in range(cfg.windows):
-        trajs, _, final, hist = iterate(md, (bounds[w], bounds[w + 1]), u, cfg.max_iterations, tol)
+        win = md.window(bounds[w], bounds[w + 1])
+        trajs, _, final, hist = iterate(md, win, u, cfg.max_iterations, tol)
         for sid, traj in trajs.items():
             trajectories[sid].append(traj)
         traces.append(final)
@@ -1041,3 +1041,69 @@ class TestChainedWindows:
         assert got.partition is new
         scale = 1.0 + np.max(np.abs(a)) + np.max(np.abs(b)) * (abs(t0) + sum(spans))
         assert np.max(np.abs(got.coeffs - modes(new))) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# The window record and one sweep
+# ---------------------------------------------------------------------------
+
+SWEEP_CASES = {"1d": CFG_1D, "mortar-2d": CFG_2D_NONMATCHING, "mixed": CFG_MIXED}
+
+
+def _case(name, f=0.0):
+    """A case with u0 = 0 and a constant f, its first window and its zero
+    initial values."""
+    cfg = replace(parse_config(SWEEP_CASES[name]), u0=const_expr(0.0), f=const_expr(f))
+    md = build_multidomain(cfg)
+    return md, md.window(0.0, cfg.T), {s: np.zeros(a.n_dofs) for s, a in md.assemblies.items()}
+
+
+def _random_traces(md, win, u_init, seed):
+    rng = np.random.default_rng(seed)
+    traces = initial_guess("zero", md, win, u_init)
+    for tr in traces.values():
+        tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
+    return traces
+
+
+def _sweep_arrays(out):
+    """Every array of one sweep's (trajectories, fluxes, new traces)."""
+    trajectories, fluxes, traces = out
+    return ([trajectories[s].coeffs for s in sorted(trajectories)]
+            + [fluxes[s][nb] for s in sorted(fluxes) for nb in sorted(fluxes[s])]
+            + [traces[pair].coeffs for pair in sorted(traces)])
+
+
+class TestSweep:
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(sorted(SWEEP_CASES)), alpha=st.floats(-3.0, 3.0),
+           beta=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_homogeneous_sweep_is_linear_in_the_traces(self, name, alpha, beta, seed):
+        md, win, u_init = _case(name)
+        a = _random_traces(md, win, u_init, seed)
+        b = _random_traces(md, win, u_init, seed + 1)
+        mix = {pair: InterfaceTrace(a[pair].partition, alpha * a[pair].coeffs + beta * b[pair].coeffs)
+               for pair in md.pairs}
+        got = _sweep_arrays(drv.sweep(md, win, mix, u_init))
+        sa = _sweep_arrays(drv.sweep(md, win, a, u_init))
+        sb = _sweep_arrays(drv.sweep(md, win, b, u_init))
+        for g, x, y in zip(got, sa, sb, strict=True):
+            scale = max(abs(alpha) * np.max(np.abs(x)), abs(beta) * np.max(np.abs(y)))
+            assert np.max(np.abs(g - (alpha * x + beta * y))) <= 1e-12 * scale
+
+    @settings(max_examples=6, deadline=None)
+    @given(name=st.sampled_from(sorted(SWEEP_CASES)), seed=st.integers(0, 2**32 - 1),
+           t_a=st.floats(0.0, 1.0), length=st.floats(0.05, 1.0))
+    def test_another_window_leaves_a_sweep_unchanged(self, name, seed, t_a, length):
+        md, win, u_init = _case(name, f=1.0)
+        traces = _random_traces(md, win, u_init, seed)
+        before = _sweep_arrays(drv.sweep(md, win, traces, u_init))
+        other = md.window(t_a, t_a + length)
+        drv.sweep(md, other, _random_traces(md, other, u_init, seed), u_init)
+        after = _sweep_arrays(drv.sweep(md, win, traces, u_init))
+        assert all(np.array_equal(x, y) for x, y in zip(before, after, strict=True))
+
+    def test_window_is_frozen(self):
+        _, win, _ = _case("1d")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            win.partitions = {}
