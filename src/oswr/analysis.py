@@ -68,30 +68,14 @@ class RefGrid:
     """Reference grid sizes: per-subdomain cell counts and time steps."""
 
     nx: dict            # sid -> cells across the subdomain's x-extent
-    ny: int | None      # common y grid lines (2D; bands in x)
+    ny: int | None      # cells across every subdomain's y-extent (2D)
     nt: int
-
-
-def _global_mesh(cfg, ref):
-    """Tensor mesh of the global box whose restriction to every
-    subdomain box refines that subdomain's own grid lines."""
-    subs = sorted(cfg.subdomains, key=lambda s: s.box[0])
-    xs = [np.array([cfg.domain_box[0]])]
-    for s in subs:
-        xs.append(np.linspace(s.box[0], s.box[1], ref.nx[s.id] + 1)[1:])
-    if cfg.dim == 1:
-        return fes.build_tensor_mesh(np.concatenate(xs))
-    # bands in x are the supported reference layout; verify
-    y0, y1 = cfg.domain_box[2], cfg.domain_box[3]
-    for s in subs:
-        if abs(s.box[2] - y0) > 1e-12 or abs(s.box[3] - y1) > 1e-12:
-            raise ValueError("monodomain reference supports band decompositions in x only")
-    return fes.build_tensor_mesh(np.concatenate(xs), np.linspace(y0, y1, ref.ny + 1))
 
 
 @dataclass(frozen=True)
 class Reference:
-    """Monodomain reference solution on the global conforming mesh.
+    """Monodomain reference solution on the tensor mesh of the union of
+    the subdomains' reference grid lines.
 
     regions: sid -> (the region's reference node ids, its unit mass, its
     unit stiffness), the operators of the error norms."""
@@ -110,33 +94,33 @@ def _reference_operators(cfg, ref):
     """The reference mesh, its regions (sid -> (node ids, unit mass, unit
     stiffness)) and the operators M = sum_s M_vol_s, A = sum_s A_vol_s -
     sum_Gamma G, with G the interface face block of weight
-    (b_i.n_i + b_j.n_j)/2."""
-    mesh = _global_mesh(cfg, ref)
-    n = mesh.n_nodes
+    (b_i.n_i + b_j.n_j)/2.  The mesh is the tensor mesh of the union of
+    the regions' grid lines; a region's lines must be a run of them."""
     interfaces = cfg.interfaces()
-    spaces, regions = {}, {}
-    M = sp.csr_matrix((n, n))
-    A = sp.csr_matrix((n, n))
-    offset = 0
-    for s in sorted(cfg.subdomains, key=lambda s: s.box[0]):
-        spec = replace(s, nx=ref.nx[s.id], ny=ref.ny)
-        space = _build_space(spec, interfaces)
-        ids = offset + np.arange(spec.nx + 1)
-        if mesh.dim == 2:  # node j * (NX + 1) + i of the global tensor mesh
-            ids = (np.arange(ref.ny + 1)[:, None] * (mesh.nx + 1) + ids[None, :]).ravel()
-        spaces[s.id] = space
-        regions[s.id] = (ids, fes.assemble_mass(space.mesh, 1.0),
-                         fes.assemble_atilde(space.mesh, 1.0, (0.0,) * mesh.dim, 0.0, 0.0))
-        offset += spec.nx
-        M_vol, A_vol = _volume_operators(spec, space)
+    specs = {s.id: replace(s, nx=ref.nx[s.id], ny=ref.ny) for s in cfg.subdomains}
+    spaces = {sid: _build_space(spec, interfaces) for sid, spec in specs.items()}
+    axes = zip(*(space.mesh.lines for space in spaces.values()))
+    mesh = fes.build_tensor_mesh(*(np.unique(np.concatenate(lines)) for lines in axes))
+    n, regions = mesh.n_nodes, {}
+    M = A = sp.csr_matrix((n, n))
+    for sid, space in spaces.items():
+        try:
+            ids = mesh.grid_nodes(space.mesh.lines)
+        except ValueError as e:
+            raise ValueError(f"reference grid of subdomain {sid}: {e}; the subdomains' "
+                             "counts must agree along every shared grid line") from None
+        regions[sid] = (ids, fes.assemble_mass(space.mesh, 1.0),
+                        fes.assemble_atilde(space.mesh, 1.0, (0.0,) * mesh.dim, 0.0, 0.0))
+        M_vol, A_vol = _volume_operators(specs[sid], space)
         M = M + fes.scatter_matrix(M_vol, ids, ids, n, n)
         A = A + fes.scatter_matrix(A_vol, ids, ids, n, n)
+    if sum(space.mesh.elems.shape[0] for space in spaces.values()) != mesh.elems.shape[0]:
+        raise ValueError("the subdomains' reference grid lines leave reference cells uncovered")
 
-    b = {s.id: s.b for s in cfg.subdomains}
     for itf in interfaces:
         ids_i, ti = regions[itf.i][0], spaces[itf.i].traces[itf.j]
-        bn_i = fes._bn_along(ti, b[itf.i])
-        bn_j = fes._bn_along(spaces[itf.j].traces[itf.i], b[itf.j])
+        bn_i = fes._bn_along(ti, specs[itf.i].b)
+        bn_j = fes._bn_along(spaces[itf.j].traces[itf.i], specs[itf.j].b)
         G = fes._face_blocks(ti, ti, lambda x: 0.5 * (bn_i(x) + bn_j(x)))
         A = A - fes.scatter_matrix(G, ids_i[ti.nodes], ids_i[ti.nodes], n, n)
     return mesh, regions, M, A
@@ -145,13 +129,14 @@ def _reference_operators(cfg, ref):
 def solve_monodomain(cfg, ref):
     """DG(d)-in-time, P1-in-space solve on the whole box, one window.
 
-    The reference mesh is split into one region per subdomain: the
-    subdomain's mesh at the reference counts ref.nx[sid] (and ref.ny).
-    Each region contributes its subdomain's volume operators, the skew
-    form plus the exterior Robin closure, and each interface subtracts
-    the correction gamma = (b_i.n_i + b_j.n_j)/2 (zero when b is
-    continuous).  Rejects the problems `build_multidomain` rejects, and
-    a grid whose nx keys are not the subdomain ids.
+    The reference mesh is split into one region per subdomain, in any
+    layout `validate_problem` accepts: the subdomain's mesh at the
+    reference counts ref.nx[sid] (and ref.ny).  Each region contributes
+    its subdomain's volume operators, the skew form plus the exterior
+    Robin closure, and each interface subtracts the correction
+    gamma = (b_i.n_i + b_j.n_j)/2 (zero when b is continuous).  Rejects
+    the problems `build_multidomain` rejects, nx keys that are not the
+    subdomain ids, and counts that differ along a shared grid line.
     """
     _check_problem(cfg)
     sids = {s.id for s in cfg.subdomains}

@@ -224,17 +224,17 @@ def cmd_study(args):
     if not tol > 0:
         print("error: --tol must be a positive real", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     table = ana.convergence_study(cfg, args.axis, levels, tol=tol)
     wall = time.perf_counter() - t0
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "study.csv"
     path.write_text(_study_csv(table))
     outputs = [path.name]
     if args.plot:
         sids = table.sids
-        xcol = 2 if args.axis == "time" else 1  # 1-based: k_1 or h_1
+        xcol = 3 if args.axis == "time" else 2  # 1-based: k_1 or h_1
         plots = []
         col = 1 + 2 * len(sids) + 1
         for name in table.NORMS:

@@ -103,12 +103,27 @@ class Mesh:
         """The grid lines of each axis: (xs,) in 1D, (xs, ys) in 2D."""
         return (self.xs, self.ys)[: self.dim]
 
+    @property
+    def _grid_ids(self):
+        """Node j * (nx + 1) + i is ids[j, i] in 2D, node i is ids[i] in 1D."""
+        return np.arange(self.n_nodes).reshape([x.size for x in reversed(self.lines)])
+
     def side_nodes(self, side):
         """Node ids on a box side, sorted along the side."""
         axis, end = _face(side)
-        # node j * (nx + 1) + i is ids[j, i] in 2D, node i is ids[i] in 1D
-        ids = np.arange(self.n_nodes).reshape([x.size for x in reversed(self.lines)])
-        return np.take(ids, end * (self.lines[axis].size - 1), axis=self.dim - 1 - axis).ravel()
+        ids = np.take(self._grid_ids, end * (self.lines[axis].size - 1), axis=self.dim - 1 - axis)
+        return ids.ravel()
+
+    def grid_nodes(self, lines):
+        """Node ids of the tensor grid of `lines` (one array per axis), in
+        that grid's order; each axis' lines must be a run of this mesh's."""
+        runs = []
+        for mine, sub in zip(self.lines, lines):
+            start = int(np.searchsorted(mine, sub[0]))
+            if not np.array_equal(mine[start : start + sub.size], sub):
+                raise ValueError("grid lines are not a contiguous run of the mesh's grid lines")
+            runs.append(slice(start, start + sub.size))
+        return self._grid_ids[tuple(reversed(runs))].ravel()
 
     def _locate(self, axis_nodes, v):
         i = np.searchsorted(axis_nodes, v, side="right") - 1

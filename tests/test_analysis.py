@@ -14,7 +14,6 @@ from oswr.analysis import (
     REF_FACTOR,
     REFINE_RATIO,
     RefGrid,
-    _global_mesh,
     _reference_operators,
     convergence_study,
     error_norms,
@@ -29,7 +28,7 @@ from oswr.driver import TrajectoryView, build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
-from test_driver import _cold_windows
+from test_driver import CFG_2X2, _cold_windows
 from test_timebasis import locate
 
 CFG_1D = """
@@ -177,6 +176,91 @@ class TestMonodomain:
         ref = solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
         assert max_nodal_difference(sol, md, ref) < 1e-8
 
+    def test_fixed_point_matches_monodomain_at_the_cross_point(self):
+        # criterion 1 on four subdomains around a cross point, conforming grids
+        cfg = parse_config(CFG_2X2.replace("nt = 3", "nt = 4")
+                           .replace("tolerance = 1e-9", "tolerance = 1e-10")
+                           .replace("max_iterations = 8", "max_iterations = 300"))
+        md = build_multidomain(cfg)
+        sol = run_windows(cfg, md=md)
+        (hist,) = sol.histories
+        assert hist.converged and hist.residuals[-1] <= 1e-10
+        ref = solve_monodomain(cfg, RefGrid(nx={1: 3, 2: 4, 3: 3, 4: 4}, ny=4, nt=4))
+        assert max_nodal_difference(sol, md, ref) <= 1e-8
+
+    def test_counts_that_differ_along_a_shared_line_name_the_subdomain(self):
+        cfg = parse_config(CFG_2X2)
+        with pytest.raises(ValueError, match="reference grid of subdomain 1: grid lines"):
+            solve_monodomain(cfg, RefGrid(nx={1: 3, 2: 4, 3: 6, 4: 4}, ny=4, nt=4))
+
+    def test_uncovered_reference_cells_rejected(self):
+        # the validator matches interface positions to 1e-12; a sliver cell
+        # between two such positions belongs to no subdomain
+        cfg = parse_config(CFG_1D.replace("box = 0.5 1", "box = 0.5000000000001 1"))
+        with pytest.raises(ValueError, match="leave reference cells uncovered"):
+            solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
+
+
+def _tensor_layout(widths, heights, counts, ny):
+    """A config of boxes on the tensor grid of the given column widths
+    (and row heights, 2D), with its reference grid: column c has
+    counts[c] cells in x, every subdomain ny cells in y."""
+    base = parse_config(SINGLE_2D if heights else SINGLE_1D)
+    xb, yb = np.cumsum([0.0, *widths]), np.cumsum([0.0, *(heights or [])])
+    subs, nx = [], {}
+    for r in range(max(1, len(yb) - 1)):
+        for c in range(len(widths)):
+            box = (xb[c], xb[c + 1], *((yb[r], yb[r + 1]) if heights else ()))
+            subs.append(replace(base.subdomains[0], id=len(subs) + 1,
+                                box=tuple(float(v) for v in box)))
+            nx[len(subs)] = counts[c]
+    box = (0.0, float(xb[-1]), *((0.0, float(yb[-1])) if heights else ()))
+    cfg = replace(base, domain_box=box, subdomains=subs)
+    return cfg, RefGrid(nx=nx, ny=ny if heights else None, nt=4)
+
+
+@st.composite
+def _layouts(draw):
+    """Column widths, row heights (None in 1D), x-counts per column, ny."""
+    sizes = st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3)
+    widths, heights = draw(sizes), draw(st.none() | sizes)
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(widths), max_size=len(widths)))
+    return widths, heights, counts, draw(st.integers(1, 4))
+
+
+class TestReferenceRegions:
+    """The exact region invariant of the reference mesh: each region's
+    nodes carry its own mesh's coordinates, byte for byte, and the
+    regions cover the mesh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_layouts())
+    def test_regions_are_the_subdomain_meshes(self, layout):
+        cfg, ref = _tensor_layout(*layout)
+        mesh, regions, _, _ = _reference_operators(cfg, ref)
+        for s in cfg.subdomains:
+            own = fes.build_mesh(s.box, (ref.nx[s.id], ref.ny)[: cfg.dim])
+            assert _same_bytes(mesh.coords[regions[s.id][0]], own.coords)
+        covered = np.unique(np.concatenate([ids for ids, _, _ in regions.values()]))
+        assert np.array_equal(covered, np.arange(mesh.n_nodes))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_layouts(), st.data())
+    def test_another_count_in_a_column_names_the_subdomain(self, layout, data):
+        widths, heights, counts, ny = layout
+        counts = [c + 1 for c in counts]  # at least 2 cells, so 1 is a coarser count
+        cfg, ref = _tensor_layout(widths, heights, counts, ny)
+        rows = len(cfg.subdomains) // len(widths)
+        sid = data.draw(st.sampled_from(sorted(ref.nx)))
+        n = ref.nx[sid]
+        coarser = data.draw(st.sampled_from([d for d in range(1, n) if n % d == 0]))
+        nx = {**ref.nx, sid: coarser}
+        if rows == 1:  # no other subdomain shares its x grid lines
+            _reference_operators(cfg, replace(ref, nx=nx))
+            return
+        with pytest.raises(ValueError, match=f"reference grid of subdomain {sid}: "):
+            _reference_operators(cfg, replace(ref, nx=nx))
+
 
 # ---------------------------------------------------------------------------
 # Monodomain oracle: the element-group assembler that the region-by-region
@@ -186,6 +270,25 @@ class TestMonodomain:
 # a box test.  A mesh that keeps every node but only one group's elements
 # assembles that group alone.
 # ---------------------------------------------------------------------------
+
+
+# The band-only mesh rule of the reference before it took the union of the
+# regions' grid lines; band configs must give the same mesh byte for byte.
+def _global_mesh(cfg, ref):
+    """Tensor mesh of the global box whose restriction to every
+    subdomain box refines that subdomain's own grid lines."""
+    subs = sorted(cfg.subdomains, key=lambda s: s.box[0])
+    xs = [np.array([cfg.domain_box[0]])]
+    for s in subs:
+        xs.append(np.linspace(s.box[0], s.box[1], ref.nx[s.id] + 1)[1:])
+    if cfg.dim == 1:
+        return fes.build_tensor_mesh(np.concatenate(xs))
+    # bands in x are the supported reference layout; verify
+    y0, y1 = cfg.domain_box[2], cfg.domain_box[3]
+    for s in subs:
+        if abs(s.box[2] - y0) > 1e-12 or abs(s.box[3] - y1) > 1e-12:
+            raise ValueError("monodomain reference supports band decompositions in x only")
+    return fes.build_tensor_mesh(np.concatenate(xs), np.linspace(y0, y1, ref.ny + 1))
 
 
 def _oracle_owner_elems(cfg, mesh):
@@ -208,15 +311,18 @@ def _oracle_interface_nodes(mesh, itf):
     tol = 1e-12 * max(1.0, abs(itf.position))
     if mesh.dim == 1:
         return np.nonzero(np.abs(mesh.coords - itf.position) <= tol)[0], None
-    idx = np.nonzero(np.abs(mesh.coords[:, itf.axis] - itf.position) <= tol)[0]
-    along = mesh.coords[idx, 1 - itf.axis]
-    order = np.argsort(along)
-    return idx[order], along[order]
+    along = mesh.coords[:, 1 - itf.axis]
+    lo, hi = itf.span
+    idx = np.nonzero((np.abs(mesh.coords[:, itf.axis] - itf.position) <= tol)
+                     & (along >= lo - 1e-12) & (along <= hi + 1e-12))[0]
+    order = np.argsort(along[idx])
+    return idx[order], along[idx][order]
 
 
-def oracle_reference_operators(cfg, ref):
-    """(mesh, element groups, M, A) of the element-group assembler."""
-    mesh = _global_mesh(cfg, ref)
+def oracle_reference_operators(cfg, ref, mesh=None):
+    """(mesh, element groups, M, A) of the element-group assembler, on
+    `mesh` (by default the band mesh of `_global_mesh`)."""
+    mesh = _global_mesh(cfg, ref) if mesh is None else mesh
     owners = _oracle_owner_elems(cfg, mesh)
     n = mesh.n_nodes
     M = sp.csr_matrix((n, n))
@@ -337,13 +443,16 @@ class TestMonodomainOracle:
         "2d-one": (SINGLE_2D, RefGrid(nx={1: 8}, ny=12, nt=4)),
         "2d-heterogeneous": (HETEROGENEOUS_CFG, RefGrid(nx={1: 8, 2: 12}, ny=32, nt=4)),
         "2d-porosity": (CFG_2D, RefGrid(nx={1: 4, 2: 6}, ny=20, nt=4)),
+        # the cross point: the oracle's uniform mesh has dyadic, exact coordinates
+        "2d-2x2": (CFG_2X2, RefGrid(nx={1: 4, 2: 4, 3: 4, 4: 4}, ny=4, nt=4)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_operators_match_oracle(self, case):
         text, ref = self.CASES[case]
         cfg = parse_config(text)
-        mesh_o, owners, M_o, A_o = oracle_reference_operators(cfg, ref)
+        mesh_o = fes.build_mesh(cfg.domain_box, (8, 8)) if case == "2d-2x2" else None
+        mesh_o, owners, M_o, A_o = oracle_reference_operators(cfg, ref, mesh_o)
         mesh, regions, M, A = _reference_operators(cfg, ref)
         assert _same_bytes(mesh.coords, mesh_o.coords)
         assert _same_bytes(M, M_o)

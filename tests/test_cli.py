@@ -43,6 +43,35 @@ to = 2
 p = 1.0
 """
 
+# Two bands in x whose interface meshes do not match (2 vs 3 cells).
+BANDS_2D = """
+[domain]
+box = 0 1 0 1
+T = 0.25
+u0 = "exp(-30*(x-0.5)^2)"
+
+[subdomain]
+id = 1
+box = 0 0.5 0 1
+c = "1"
+nx = 2
+ny = 2
+nt = 2
+
+[subdomain]
+id = 2
+box = 0.5 1 0 1
+c = "1"
+nx = 2
+ny = 3
+nt = 2
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+"""
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -324,6 +353,34 @@ class TestStudy:
             pairs = window["pair_residuals"]
             assert sorted(pairs) == ["1->2", "2->1"]
             assert window["residuals"] == [max(r) for r in zip(*pairs.values())]
+
+    @pytest.mark.parametrize("axis,x_name", [("time", "k_1"), ("space", "h_1")])
+    def test_plot_x_column_is_the_axis_step(self, cfg_path, tmp_path, axis, x_name):
+        out = tmp_path / "s"
+        assert main(["study", str(cfg_path), "--axis", axis, "--levels", "3",
+                     "--tol", "1e-9", "--out", str(out), "--plot"]) == 0
+        header = (out / "study.csv").read_text().splitlines()[0].split(",")
+        plots = re.findall(r"using (\d+):(\d+) with linespoints title '(\w+)'",
+                           (out / "study.gp").read_text())
+        assert len(plots) == 8
+        for x, y, title in plots:
+            assert header[int(x) - 1] == x_name
+            assert header[int(y) - 1] == title
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda text: BANDS_2D, "time studies need trace-conforming space grids"),
+        (lambda text: text.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "0"'),
+         "not enough positive errors to fit a slope"),
+    ], ids=["nonconforming-bands", "zero-solution"])
+    def test_rejected_study_exit_2_before_writing(self, cfg_path, tmp_path, capsys, edit,
+                                                  message):
+        p = tmp_path / "study.cfg"
+        p.write_text(edit(cfg_path.read_text()))
+        out = tmp_path / "s"
+        assert main(["study", str(p), "--axis", "time", "--levels", "3",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
