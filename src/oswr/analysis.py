@@ -111,7 +111,10 @@ def _reference_operators(cfg, ref):
                              "counts must agree along every shared grid line") from None
         regions[sid] = (ids, fes.assemble_mass(space.mesh, 1.0),
                         fes.assemble_atilde(space.mesh, 1.0, (0.0,) * mesh.dim, 0.0, 0.0))
-        M_vol, A_vol = _volume_operators(specs[sid], space)
+        try:
+            M_vol, A_vol = _volume_operators(specs[sid], space)
+        except (prb.EvalError, ValueError) as e:
+            raise ValueError(f"subdomain {sid}: {e}") from e
         M = M + fes.scatter_matrix(M_vol, ids, ids, n, n)
         A = A + fes.scatter_matrix(A_vol, ids, ids, n, n)
     if sum(space.mesh.elems.shape[0] for space in spaces.values()) != mesh.elems.shape[0]:

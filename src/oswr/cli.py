@@ -4,7 +4,8 @@ Subcommands:
 
 * ``oswr run <config> [--out DIR] [--times LIST]``
   runs the windowed OSWR solver; writes per-subdomain solution
-  snapshots, the residual history and a run manifest.  Given a
+  snapshots, the residual history and a run manifest, which holds each
+  window's sweep residuals and those of each directed interface.  Given a
   manifest, it re-runs with the manifest's --times unless the command
   line gives them.  Keys of older manifests that this version no
   longer reads, such as the interface-formulation flag, are ignored.
@@ -15,9 +16,10 @@ Subcommands:
   iteration counts over a transmission-parameter grid.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 solver
-failure.  All outputs are deterministic for fixed config and flags; the
-manifest embeds the resolved config so a run can be reproduced
-bit-identically from it.
+failure.  Each command computes everything before it creates --out, so
+a command that fails writes nothing.  All outputs are deterministic for
+fixed config and flags; the manifest embeds the resolved config so a
+run can be reproduced bit-identically from it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from oswr import analysis as ana
 from oswr import problem as prb
@@ -85,20 +89,6 @@ def _validate_or_fail(cfg):
     return diags
 
 
-def _write_manifest(outdir, command, cfg, outputs, wall, residuals, **flags):
-    doc = {
-        "command": command,
-        "config": prb.serialize_config(cfg),
-        "outputs": sorted(outputs),
-        "wall_time_s": wall,
-        "residual_history": residuals,
-        **flags,
-    }
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def _snapshot_times(text, T):
     """The snapshot times of a --times list (T alone if empty); each must
     be a finite time in [0, T], given once."""
@@ -118,90 +108,76 @@ def _snapshot_times(text, T):
     return times
 
 
+def _csv(header, rows):
+    """CSV text: numbers as `_fmt` writes them, strings as they are."""
+    lines = [header] + [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def _window_history(hist):
+    """One window's sweep residuals and those of each directed interface
+    ("i->j")."""
+    return {
+        "residuals": hist.residuals,
+        "pair_residuals": {
+            f"{i}->{j}": [r[(i, j)] for r in hist.pair_residuals]
+            for (i, j) in hist.pair_residuals[0]
+        },
+    }
+
+
+def _write_outputs(out, files, command, cfg, wall, residuals, **flags):
+    """Create the directory `out` and write `files` (name -> text) and the
+    manifest into it.  The only writer: a command calls it once everything
+    is computed, so a command that fails writes nothing."""
+    manifest = {
+        "command": command,
+        "config": prb.serialize_config(cfg),
+        "outputs": sorted(files),
+        "wall_time_s": wall,
+        "residual_history": residuals,
+        **flags,
+    }
+    files = {**files, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    return EXIT_OK
+
+
 def cmd_run(args):
     cfg, manifest = _read_config(args.config)
     times_arg = args.times or manifest.get("times", "")
     _validate_or_fail(cfg)
     times = _snapshot_times(times_arg, cfg.T)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     md = build_multidomain(cfg)
     sol = run_windows(cfg, md=md)
     wall = time.perf_counter() - t0
 
-    outputs = []
+    files = {}
     for sid in sorted(sol.trajectories):
         mesh = md.assemblies[sid].mesh
-        cols = ["x"] + (["y"] if mesh.dim == 2 else [])
-        cols += [f"u_t{_fmt(t)}" for t in times]
-        rows = []
-        vals = sol.view(sid).values(times, left=True)
-        for n in range(mesh.n_nodes):
-            if mesh.dim == 1:
-                row = [mesh.coords[n]]
-            else:
-                row = [mesh.coords[n, 0], mesh.coords[n, 1]]
-            row += [v[n] for v in vals]
-            rows.append(",".join(_fmt(v) for v in row))
-        path = outdir / f"solution_{sid}.csv"
-        path.write_text(",".join(cols) + "\n" + "\n".join(rows) + "\n")
-        outputs.append(path.name)
-
-    res_rows = ["window,iteration,residual"]
-    residuals = []
-    for w, hist in enumerate(sol.histories):
-        for it, r in enumerate(hist.residuals, start=1):
-            res_rows.append(f"{w},{it},{_fmt(r)}")
-            residuals.append(r)
-    rpath = outdir / "residuals.csv"
-    rpath.write_text("\n".join(res_rows) + "\n")
-    outputs.append(rpath.name)
-    _write_manifest(outdir, "run", cfg, outputs, wall, residuals, times=times_arg)
-    return EXIT_OK
+        values = sol.view(sid).values(times, left=True)
+        files[f"solution_{sid}.csv"] = _csv(
+            ["x", "y"][: mesh.dim] + [f"u_t{_fmt(t)}" for t in times],
+            np.column_stack([mesh.coords, values.T]),
+        )
+    files["residuals.csv"] = _csv(["window", "iteration", "residual"], [
+        (w, it, r) for w, hist in enumerate(sol.histories)
+        for it, r in enumerate(hist.residuals, start=1)
+    ])
+    return _write_outputs(args.out, files, "run", cfg, wall,
+                          [_window_history(hist) for hist in sol.histories], times=times_arg)
 
 
-def _study_csv(table):
-    sids = table.sids
-    header = ["level"]
-    for sid in sids:
-        header += [f"h_{sid}", f"k_{sid}"]
-    for name in table.NORMS:
-        for sid in sids:
-            header.append(f"{name}_{sid}")
-    lines = [",".join(header)]
-    for row in table.rows:
-        vals = [str(row["level"])]
-        for sid in sids:
-            vals += [_fmt(row[("h", sid)]), _fmt(row[("k", sid)])]
-        for name in table.NORMS:
-            for sid in sids:
-                vals.append(_fmt(row[(name, sid)]))
-        lines.append(",".join(vals))
-    foot = ["slopes"] + ["" for _ in sids for _ in range(2)]
-    for name in table.NORMS:
-        for sid in sids:
-            foot.append(_fmt(table.slopes[(name, sid)]))
-    lines.append(",".join(foot))
-    return "\n".join(lines) + "\n"
-
-
-def _study_residuals(table):
-    """Per level, per window: the sweep residuals and those of each
-    directed interface ("i->j")."""
-    return [
-        [
-            {
-                "residuals": hist.residuals,
-                "pair_residuals": {
-                    f"{i}->{j}": [r[(i, j)] for r in hist.pair_residuals]
-                    for (i, j) in hist.pair_residuals[0]
-                },
-            }
-            for hist in level
-        ]
-        for level in table.histories
-    ]
+def _study_columns(table):
+    """The study CSV's columns as (name, row key): the level, h and k per
+    subdomain, then each error norm per subdomain."""
+    sizes = [(f"{kind}_{sid}", (kind, sid)) for sid in table.sids for kind in ("h", "k")]
+    norms = [(f"{name}_{sid}", (name, sid)) for name in table.NORMS for sid in table.sids]
+    return [("level", "level"), *sizes, *norms]
 
 
 _GNUPLOT = """set logscale xy
@@ -219,81 +195,56 @@ def cmd_study(args):
     _validate_or_fail(cfg)
     levels, tol = prb._read_int("--levels", args.levels.strip(), None), _real("--tol", args.tol)
     if levels < 3:
-        print("error: a study needs at least 3 levels (slope fit)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("a study needs at least 3 levels (slope fit)")
     if not tol > 0:
-        print("error: --tol must be a positive real", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("--tol must be a positive real")
     t0 = time.perf_counter()
     table = ana.convergence_study(cfg, args.axis, levels, tol=tol)
     wall = time.perf_counter() - t0
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "study.csv"
-    path.write_text(_study_csv(table))
-    outputs = [path.name]
+
+    cols = _study_columns(table)
+    rows = [[row[key] for _, key in cols] for row in table.rows]
+    slopes = ["slopes"] + [table.slopes.get(key, "") for _, key in cols[1:]]
+    files = {"study.csv": _csv([name for name, _ in cols], rows + [slopes])}
     if args.plot:
-        sids = table.sids
-        xcol = 3 if args.axis == "time" else 2  # 1-based: k_1 or h_1
-        plots = []
-        col = 1 + 2 * len(sids) + 1
-        for name in table.NORMS:
-            for sid in sids:
-                plots.append(
-                    f"  'study.csv' every ::1::{len(table.rows)} using {xcol}:{col}"
-                    f" with linespoints title '{name}_{sid}'"
-                )
-                col += 1
-        gp = outdir / "study.gp"
-        gp.write_text(_GNUPLOT.format(
-            xlabel="k" if args.axis == "time" else "h", plots=", \\\n".join(plots)
-        ))
-        outputs.append(gp.name)
-    _write_manifest(outdir, f"study --axis {args.axis} --levels {levels}",
-                    cfg, outputs, wall, _study_residuals(table))
-    return EXIT_OK
+        # x: the first subdomain's step along the axis; y: every fitted norm
+        kind = "k" if args.axis == "time" else "h"
+        x = [key for _, key in cols].index((kind, table.sids[0])) + 1
+        plots = [f"  'study.csv' every ::1::{len(rows)} using {x}:{y}"
+                 f" with linespoints title '{name}'"
+                 for y, (name, key) in enumerate(cols, start=1) if key in table.slopes]
+        files["study.gp"] = _GNUPLOT.format(xlabel=kind, plots=", \\\n".join(plots))
+    return _write_outputs(args.out, files, f"study --axis {args.axis} --levels {levels}", cfg,
+                          wall, [[_window_history(h) for h in level] for level in table.histories])
 
 
 def cmd_sweep(args):
     cfg, _ = _read_config(args.config)
     _validate_or_fail(cfg)
     if not cfg.interfaces():
-        print("error: the config has no interface, so there is no transmission "
-              "parameter to sweep", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("the config has no interface, so there is no transmission "
+                              "parameter to sweep")
     p_values = [_real("--p", v) for v in args.p.split(",") if v.strip()]
     q_values = [_real("--q", v) for v in args.q.split(",") if v.strip()] if args.q else [0.0]
     target, seed = _real("--target", args.target), prb._read_int("--seed", args.seed.strip(), None)
     if not p_values or not all(math.isfinite(p) and p > 0 for p in p_values):
-        print("error: --p needs a list of positive reals", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("--p needs a list of positive reals")
     if not all(math.isfinite(q) and q >= 0 for q in q_values):
-        print("error: --q needs a list of nonnegative reals", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("--q needs a list of nonnegative reals")
     if not target > 0:
-        print("error: --target must be a positive real", file=sys.stderr)
-        return EXIT_CONFIG
+        raise prb.ConfigError("--target must be a positive real")
     if seed < 0:
-        print("error: --seed must be a nonnegative integer", file=sys.stderr)
-        return EXIT_CONFIG
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+        raise prb.ConfigError("--seed must be a nonnegative integer")
     t0 = time.perf_counter()
     table = ana.sweep_parameters(
         cfg, p_values, q_values, target, mode=args.mode, seed=seed
     )
     wall = time.perf_counter() - t0
-    lines = ["p,q,iterations,converged,best"]
-    for i, row in enumerate(table.rows):
-        lines.append(
-            f"{_fmt(row['p'])},{_fmt(row['q'])},{row['iterations']},"
-            f"{int(row['converged'])},{int(i == table.best)}"
-        )
-    path = outdir / "sweep.csv"
-    path.write_text("\n".join(lines) + "\n")
-    _write_manifest(outdir, f"sweep --p {args.p} --q {args.q} --seed {seed}",
-                    cfg, [path.name], wall, [])
-    return EXIT_OK
+    rows = [(row["p"], row["q"], row["iterations"], int(row["converged"]), int(i == table.best))
+            for i, row in enumerate(table.rows)]
+    files = {"sweep.csv": _csv(["p", "q", "iterations", "converged", "best"], rows)}
+    return _write_outputs(args.out, files, f"sweep --p {args.p} --q {args.q} --seed {seed}",
+                          cfg, wall, [])
 
 
 def build_parser():
@@ -335,7 +286,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (prb.ConfigError, FileNotFoundError, ValueError) as e:
+    except (prb.ConfigError, prb.EvalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, DivergenceError) as e:

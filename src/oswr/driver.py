@@ -184,7 +184,10 @@ class Multidomain:
         loads = {}
         for sid, asm in self.assemblies.items():
             per = fes.IntervalLoads(asm.mesh, self.cfg.f, parts[sid], asm.degree)
-            loads[sid] = [per[n] for n in range(parts[sid].n_intervals)]
+            try:
+                loads[sid] = [per[n] for n in range(parts[sid].n_intervals)]
+            except (prb.EvalError, ValueError) as e:
+                raise ValueError(f"subdomain {sid}, window [{t_a:g}, {t_b:g}]: {e}") from e
         return Window(partitions=parts, projections=projections, loads=loads)
 
 
@@ -199,7 +202,12 @@ def build_multidomain(cfg):
     _check_problem(cfg)
     interfaces = cfg.interfaces()
     spaces = {s.id: _build_space(s, interfaces) for s in cfg.subdomains}
-    assemblies = {s.id: build_subdomain_assembly(cfg, s, spaces[s.id]) for s in cfg.subdomains}
+    assemblies = {}
+    for s in cfg.subdomains:
+        try:
+            assemblies[s.id] = build_subdomain_assembly(cfg, s, spaces[s.id])
+        except (prb.EvalError, ValueError) as e:
+            raise ValueError(f"subdomain {s.id}: {e}") from e
     pairs = sorted([(itf.i, itf.j) for itf in interfaces] + [(itf.j, itf.i) for itf in interfaces])
     exchange = {(i, j): _exchange(cfg, assemblies[i], assemblies[j]) for (i, j) in pairs}
     return Multidomain(cfg=cfg, assemblies=assemblies, pairs=pairs, exchange=exchange)

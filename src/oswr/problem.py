@@ -766,8 +766,9 @@ def validate_problem(cfg):
                     f"subdomain {s.id}: c + div(b)/2 <= 0 somewhere; "
                     "convergence theory is not guaranteed but the run proceeds"
                 )
-        except ValueError:
-            warn(f"subdomain {s.id}: could not differentiate b; skipping reaction-shift check")
+        except ValueError as e:
+            # set-up assembles div(b) too, so such a field can never run
+            err(f"subdomain {s.id}: div(b) cannot be formed: {e}")
         except EvalError as e:
             err(f"subdomain {s.id}: coefficient div(b) evaluation failed: {e}")
 

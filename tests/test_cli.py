@@ -72,6 +72,19 @@ to = 2
 p = 1.0
 """
 
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "heterogeneous.cfg"
+
+# Coefficients that pass validation but fail where set-up evaluates them.
+# nu is finite on the sample lattice of cell centres but singular at the
+# edge midpoints x = 0.3125 of subdomain 1's nx = 8 mesh.
+SINGULAR_NU = DEMO.read_text().replace('nu = "0.001*sqrt(y)"', 'nu = "0.001 + abs(1/(x-0.3125))"')
+# nu > 0 on the sample lattice (x >= 1/64) but not at the first 2-point
+# Gauss point x ~ 0.0017 of the nx = 64 mesh.
+NEGATIVE_NU = CFG.replace('nu = "0.1"', 'nu = "x - 0.01"').replace("nx = 8", "nx = 64", 1)
+# f is singular at the same edge midpoints; it is first evaluated when a
+# window assembles its loads.
+SINGULAR_F = DEMO.read_text().replace('f = "0"', 'f = "1/(x-0.3125)"')
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -245,6 +258,53 @@ class TestRun:
                      "--times", "0.125,0.25"]) == 0
         header = (out / "solution_1.csv").read_text().splitlines()[0]
         assert header.count("u_t") == 2
+
+
+class TestFailingCommandWritesNothing:
+    COMMANDS = {"run": [], "study": ["--axis", "time", "--levels", "3"], "sweep": ["--p", "1"]}
+    SOLVERS = {"run": "run_windows", "study": "convergence_study", "sweep": "sweep_parameters"}
+
+    @pytest.mark.parametrize("failure,code", [("set-up", 2), ("solver", 3), ("out-is-a-file", 2)])
+    @pytest.mark.parametrize("command", ["run", "study", "sweep"])
+    def test_exit_code_and_no_out(self, tmp_path, capsys, monkeypatch, command, failure, code):
+        from oswr.dgsolver import SolverError
+        import oswr.cli as cli
+
+        path, out = tmp_path / "case.cfg", tmp_path / "o"
+        path.write_text(SINGULAR_NU if failure == "set-up" else CFG)
+        if failure == "solver":
+            def boom(*a, **k):
+                raise SolverError("factorization breakdown: injected")
+
+            monkeypatch.setattr(cli if command == "run" else cli.ana, self.SOLVERS[command], boom)
+        if failure == "out-is-a-file":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "sub"
+        assert main([command, str(path), *self.COMMANDS[command], "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not out.exists()
+        if failure == "set-up":
+            assert "error: subdomain 1: division by zero" in err, err
+
+    @pytest.mark.parametrize("text,message", [
+        (SINGULAR_NU, "subdomain 1: division by zero at point (x, y, t) = (0.3125, "),
+        (NEGATIVE_NU, "subdomain 1: negative diffusion nu at a quadrature point"),
+        (SINGULAR_F, "subdomain 1, window [0, 0.5]: division by zero at point"),
+    ], ids=["singular-nu", "negative-nu", "singular-f"])
+    def test_set_up_failure_names_the_subdomain(self, tmp_path, capsys, text, message):
+        path, out = tmp_path / "case.cfg", tmp_path / "o"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_an_existing_file_exit_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("kept")
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert out.read_text() == "kept"
 
 
 class TestSnapshotTimes:
@@ -467,8 +527,12 @@ class TestManifest:
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["command"] == "run"
-        assert "residual_history" in doc and doc["residual_history"]
         assert sorted(doc["outputs"]) == doc["outputs"]
+        # per window: the sweep residuals and each directed interface's
+        (window,) = doc["residual_history"]
+        pairs = window["pair_residuals"]
+        assert sorted(pairs) == ["1->2", "2->1"]
+        assert window["residuals"] == [max(r) for r in zip(*pairs.values())]
         assert "[domain]" in doc["config"]
 
     @pytest.mark.parametrize("doc", [{"config": 5}, {"config": CFG, "times": [0.1]}],

@@ -33,6 +33,7 @@ from oswr.cli import main
 from oswr.problem import const_expr, parse_config, validate_problem
 from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
+from test_cli import NEGATIVE_NU, SINGULAR_F, SINGULAR_NU
 from test_timebasis import locate
 
 CFG_1D = """
@@ -932,6 +933,22 @@ class TestFailureReporting:
                            match=r"^subdomain 1, window \[0, 0\.5\], interval 0: "
                                  r"linear solve residual .* exceeds 1e-12$"):
             iterate(md, win, _u_init(md, cfg), 5, 1e-10)
+
+    @pytest.mark.parametrize("text,message", [
+        (SINGULAR_NU, r"^subdomain 1: division by zero at point \(x, y, t\) = \(0\.3125, "),
+        (NEGATIVE_NU, r"^subdomain 1: negative diffusion nu at a quadrature point$"),
+    ], ids=["singular-nu", "negative-nu"])
+    def test_set_up_failure_names_subdomain(self, text, message):
+        # both pass validation, whose sample lattice misses the bad points
+        cfg = parse_config(text)
+        assert not [d for d in validate_problem(cfg) if d.severity == "error"]
+        with pytest.raises(ValueError, match=message):
+            build_multidomain(cfg)
+
+    def test_load_failure_names_subdomain_and_window(self):
+        md = build_multidomain(parse_config(SINGULAR_F))
+        with pytest.raises(ValueError, match=r"^subdomain 1, window \[0, 0\.5\]: division by zero"):
+            md.window(0.0, 0.5)
 
     def _perturbed(self, monkeypatch, pair, change):
         """Converged data, then iterate again with `change` applied to the

@@ -428,6 +428,20 @@ class TestValidation:
         warns = [d for d in diags if d.severity == "warning"]
         assert any("c + div(b)/2" in d.message for d in warns)
 
+    def test_advection_without_divergence_rejected(self, tmp_path, capsys):
+        # set-up assembles div(b), so a field it cannot differentiate never runs
+        text = EXP1.replace('bx = "-0.1"', 'bx = "-0.1*x^x"')
+        message = ("subdomain 2: div(b) cannot be formed: "
+                   "differentiation of non-constant exponents is unsupported")
+        diags = validate_problem(parse_config(text))
+        assert [d.message for d in diags if d.severity == "error"] == [message]
+        path, out = tmp_path / "b.cfg", tmp_path / "out"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "error: validation failed" in err
+        assert not out.exists()
+
     def test_zero_p_sum_is_hard_error(self):
         text = EXP1.replace("p = 0.5", "p = 0.0")
         diags = validate_problem(parse_config(text))
