@@ -18,7 +18,8 @@ reference mesh is exact and measured slopes carry no interpolation bias.
 Each region's unit mass and stiffness are assembled with the reference;
 each call of `error_norms` builds the reference times and the P1
 interpolation onto each subdomain's reference nodes, and applies them to
-blocks of times.
+blocks of times.  A multidomain solution and the reference are read
+alike: `view(sid)` is one DGTrajectory over [0, T] on `meshes[sid]`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import scipy.sparse as sp
 
 from oswr import femspace as fes
 from oswr import problem as prb
-from oswr.dgsolver import DGTrajectory, Operators, solve_window
+from oswr.dgsolver import DGTrajectory, Operators, SolverError, solve_window
 from oswr.driver import (
-    TrajectoryView,
     _build_space,
     _check_problem,
     _volume_operators,
@@ -86,8 +86,13 @@ class Reference:
     regions: dict
 
     def view(self, sid=None):
-        """The monodomain solution; the same view for every subdomain."""
-        return TrajectoryView([self.trajectory], mesh=self.mesh)
+        """The monodomain trajectory, the same for every subdomain."""
+        return self.trajectory
+
+    @property
+    def meshes(self):
+        """Every subdomain id -> the reference mesh."""
+        return dict.fromkeys(self.regions, self.mesh)
 
 
 def _reference_operators(cfg, ref):
@@ -139,7 +144,8 @@ def solve_monodomain(cfg, ref):
     Robin closure, and each interface subtracts the correction
     gamma = (b_i.n_i + b_j.n_j)/2 (zero when b is continuous).  Rejects
     the problems `build_multidomain` rejects, nx keys that are not the
-    subdomain ids, and counts that differ along a shared grid line.
+    subdomain ids, and counts that differ along a shared grid line.  A
+    load or solve failure in the march names the reference.
     """
     _check_problem(cfg)
     sids = {s.id for s in cfg.subdomains}
@@ -150,8 +156,14 @@ def solve_monodomain(cfg, ref):
     degree = cfg.subdomains[0].degree
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
     u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
-    traj = solve_window(Operators(M, A, degree), {}, part, u0,
-                        fes.IntervalLoads(mesh, cfg.f, part, degree))
+    where = f"monodomain reference, window [0, {cfg.T:g}]"
+    try:
+        traj = solve_window(Operators(M, A, degree), {}, part, u0,
+                            fes.IntervalLoads(mesh, cfg.f, part, degree))
+    except (prb.EvalError, ValueError) as e:
+        raise ValueError(f"{where}: {e}") from e
+    except SolverError as e:
+        raise SolverError(f"{where}, {e}") from e
     return Reference(mesh=mesh, trajectory=traj, cfg=cfg, regions=regions)
 
 
@@ -210,40 +222,34 @@ def _sq_norms(D, M):
 def error_norms(sol, reference):
     """Errors of a multidomain (or monodomain) solution vs the reference.
 
-    sol is a MultidomainSolution or a Reference: anything whose view(sid)
-    carries its mesh.  Evaluates the solution at the reference times
-    (left limits at breakpoints, plus the interior Radau points for the
-    sup norm, and two Gauss points per interval), interpolates P1 fields
-    onto the reference mesh (exact for nested meshes) and assembles the
-    norms with reference-mesh operators, a block of times at a time.
+    sol is a MultidomainSolution or a Reference, read alike: sol.view(sid)
+    is a DGTrajectory over [0, T] on the mesh sol.meshes[sid].  Evaluates
+    the solution at the reference times (left limits at breakpoints, plus
+    the interior Radau points for the sup norm, and two Gauss points per
+    interval), interpolates P1 fields onto the reference mesh (exact for
+    nested meshes) and assembles the norms with reference-mesh
+    operators, a block of times at a time.
     """
-    cfg = reference.cfg
-    ref_part = reference.trajectory.partition
-    ref_view = reference.view()
-    sup_times, sup_left, gauss_times, gauss_weights = _norm_times(
-        ref_part, reference.trajectory.degree)
+    ref_traj = reference.trajectory
+    ref_part = ref_traj.partition
+    sup_times, sup_left, gauss_times, gauss_weights = _norm_times(ref_part, ref_traj.degree)
     n_ref = reference.mesh.n_nodes
 
-    parts = {}  # sid -> (its view, reference nodes, M, K, P1 interpolation)
-    for s in cfg.subdomains:
-        view = sol.view(s.id)
-        if view.mesh is None:
-            raise ValueError("solution view must carry its mesh")
-        for w in view.windows:
-            _check_nested(
-                w.partition.n_intervals * len(view.windows),
-                ref_part.n_intervals,
-                f"time grid of subdomain {s.id}",
-            )
+    parts = {}  # sid -> (its trajectory, reference nodes, M, K, P1 interpolation)
+    for s in reference.cfg.subdomains:
+        traj = sol.view(s.id)
+        _check_nested(traj.partition.n_intervals, ref_part.n_intervals,
+                      f"time grid of subdomain {s.id}")
         nodes, M, K = reference.regions[s.id]
-        parts[s.id] = (view, nodes, M, K, view.mesh.p1_operator(reference.mesh.coords[nodes]))
+        parts[s.id] = (traj, nodes, M, K,
+                       sol.meshes[s.id].p1_operator(reference.mesh.coords[nodes]))
 
     def diffs_at(times, left):
         """(sid, M, K, the times x its reference nodes error) of every
         subdomain; the reference is evaluated once for all of them."""
-        ref = ref_view.values(times, left)
-        for sid, (view, nodes, M, K, P) in parts.items():
-            yield sid, M, K, P.apply(view.values(times, left)) - ref[:, nodes]
+        ref = ref_traj.values(times, left)
+        for sid, (traj, nodes, M, K, P) in parts.items():
+            yield sid, M, K, P.apply(traj.values(times, left)) - ref[:, nodes]
 
     sup2 = dict.fromkeys(parts, 0.0)
     for b in _blocks(sup_times.size, n_ref):
@@ -267,15 +273,13 @@ def error_norms(sol, reference):
 def max_nodal_difference(solution, md, reference):
     """Max over subdomains, their nodes, and their time breakpoints of
     the pointwise difference to the reference trajectory."""
-    ref_view = reference.view()
     out = 0.0
-    for sid, trajs in solution.trajectories.items():
+    for sid, traj in solution.trajectories.items():
         P = reference.mesh.p1_operator(md.assemblies[sid].mesh.coords)
-        view = TrajectoryView(trajs)
-        ts = view.breakpoints()
+        ts = traj.partition.breakpoints
         for b in _blocks(ts.size, reference.mesh.n_nodes):
-            U = view.values(ts[b], True)
-            R = P.apply(ref_view.values(ts[b], True))
+            U = traj.values(ts[b], True)
+            R = P.apply(reference.trajectory.values(ts[b], True))
             out = max(out, float(np.max(np.abs(U - R))))
     return out
 

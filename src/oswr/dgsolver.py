@@ -44,6 +44,10 @@ operator (MM, KK, P, rows) and the stacked SS of its residual check;
 it keeps one sparse LU factor of lam MM + k KK per step class, so a
 uniform grid factors once and no other system can be handed its
 operator.
+
+A march returns a `DGTrajectory` on its window.  `DGTrajectory.chain`
+joins consecutive windows into one trajectory over [0, T], the shape of
+every solution, and `DGTrajectory.values` is its one evaluator.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
     "solve_window",
     "solve_window_mortar",
     "trajectory_norm",
-    "trajectory_values",
 ]
 
 RESIDUAL_TOL = 1e-12
@@ -164,7 +167,19 @@ class DGTrajectory:
 
     partition: TimePartition
     coeffs: np.ndarray  # (N, d+1, ndof)
-    u_init: np.ndarray  # value at the window start (left limit)
+    u_init: np.ndarray  # value at the start (left limit)
+
+    @classmethod
+    def chain(cls, windows):
+        """One trajectory over consecutive windows: their breakpoints with
+        each later window's first one dropped (it is the previous window's
+        last), their coefficients, and the first window's u_init.  A
+        single window is returned as is."""
+        if len(windows) == 1:
+            return windows[0]
+        bp = [windows[0].partition.breakpoints] + [w.partition.breakpoints[1:] for w in windows[1:]]
+        return cls(TimePartition(np.concatenate(bp)),
+                   np.concatenate([w.coeffs for w in windows]), windows[0].u_init)
 
     @property
     def degree(self):
@@ -177,51 +192,26 @@ class DGTrajectory:
     def final_value(self):
         return self.endpoint(self.partition.n_intervals - 1)
 
-    def value(self, t, left=False):
-        """Evaluate at time t; left=True takes the limit from below at
-        breakpoints (and the initial value at the window start)."""
-        return trajectory_values([self], [t], left)[0]
-
-
-def trajectory_values(windows, times, left=False):
-    """Values of a chain of windows at an array of times, (n_times, ndof).
-
-    left (one flag, or one per time) takes the limit from below at a
-    breakpoint, the initial value at the first window's start, and the
-    previous window's endpoint at a later window's start.  A time in
-    (t_n, t_{n+1}] evaluates interval n; the first window's start, with
-    left=False, evaluates interval 0.
-    """
-    t = np.asarray(times, dtype=float)
-    left = np.broadcast_to(np.asarray(left, dtype=bool), t.shape)
-    starts = np.array([w.partition.start for w in windows])
-    w_of = np.where(
-        left, np.searchsorted(starts, t, side="left"), np.searchsorted(starts, t, side="right")
-    ) - 1
-    w_of = np.clip(w_of, 0, len(windows) - 1)
-    out = np.empty((t.size, windows[0].coeffs.shape[2]))
-    for w, traj in enumerate(windows):
-        sel = np.nonzero(w_of == w)[0]
-        if sel.size:
-            out[sel] = _window_values(traj, t[sel], left[sel])
-    return out
-
-
-def _window_values(traj, t, left):
-    """trajectory_values on one window: u = c0 + theta c1 on the
-    interval, with theta the time's position in [-1, 1]."""
-    bp = traj.partition.breakpoints
-    n = np.searchsorted(bp, t, side="left") - 1
-    m = np.clip(n, 0, traj.partition.n_intervals - 1)
-    theta = 2.0 * (t - 0.5 * (bp[m] + bp[m + 1])) / (bp[m + 1] - bp[m])
-    out = traj.coeffs[m, 0]
-    if traj.degree >= 1:
-        out += theta[:, None] * traj.coeffs[m, 1]
-    at_end = left & (n >= 0) & (t == bp[m + 1])
-    if at_end.any():
-        out[at_end] = traj.coeffs[m[at_end]].sum(axis=1)
-    out[left & (n < 0)] = traj.u_init
-    return out
+    def values(self, times, left=False):
+        """Values at an array of times, (n_times, ndof).  A time in
+        (t_n, t_{n+1}] evaluates interval n, u = c0 + theta c1 with theta
+        its position in [-1, 1], and the start interval 0; left (one flag,
+        or one per time) takes the limit from below at a breakpoint, the
+        mode sum, and u_init at the start."""
+        t = np.asarray(times, dtype=float)
+        left = np.broadcast_to(np.asarray(left, dtype=bool), t.shape)
+        bp = self.partition.breakpoints
+        n = np.searchsorted(bp, t, side="left") - 1
+        m = np.clip(n, 0, self.partition.n_intervals - 1)
+        theta = 2.0 * (t - 0.5 * (bp[m] + bp[m + 1])) / (bp[m + 1] - bp[m])
+        out = self.coeffs[m, 0]
+        if self.degree >= 1:
+            out += theta[:, None] * self.coeffs[m, 1]
+        at_end = left & (n >= 0) & (t == bp[m + 1])
+        if at_end.any():
+            out[at_end] = self.coeffs[m[at_end]].sum(axis=1)
+        out[left & (n < 0)] = self.u_init
+        return out
 
 
 @dataclass

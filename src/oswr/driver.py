@@ -10,7 +10,8 @@ time window is one frozen `Window` record, built once by `md.window`.
 `sweep` is one Jacobi sweep over it: every subdomain solves against the
 previous iterate's traces, then every directed pair gets new data.
 `iterate` loops `sweep` under the residual, divergence and stopping
-rules, and `run_windows` chains the windows.
+rules, and `run_windows` runs the windows in turn and chains each
+subdomain's into one `DGTrajectory` over [0, T].
 
 The exchange never extracts a normal derivative from the solution: the
 new data is the algebraic combination
@@ -34,13 +35,13 @@ import scipy.sparse.linalg as spla
 from oswr import femspace as fes
 from oswr import problem as prb
 from oswr.dgsolver import (
+    DGTrajectory,
     InterfaceTrace,
     Operators,
     SolverError,
     solve_window,  # unused here; bench/tracing.py wraps oswr.driver.solve_window
     solve_window_mortar,
     trajectory_norm,  # unused here; bench/tracing.py wraps oswr.driver.trajectory_norm
-    trajectory_values,
 )
 from oswr.timebasis import TimePartition, lift_rate_modes
 from oswr.timeproject import (
@@ -56,7 +57,6 @@ __all__ = [
     "Window",
     "IterationHistory",
     "MultidomainSolution",
-    "TrajectoryView",
     "build_multidomain",
     "initial_guess",
     "transmission_update",
@@ -401,48 +401,16 @@ def _worst(r_pair, win):
 
 
 @dataclass
-class TrajectoryView:
-    """Evaluate one subdomain's solution across chained windows."""
-
-    windows: list  # of DGTrajectory
-    mesh: fes.Mesh | None = None  # the space the dof vectors live in
-
-    @property
-    def t_start(self):
-        return self.windows[0].partition.start
-
-    @property
-    def t_end(self):
-        return self.windows[-1].partition.end
-
-    def breakpoints(self):
-        out = [self.windows[0].partition.breakpoints]
-        for w in self.windows[1:]:
-            out.append(w.partition.breakpoints[1:])
-        return np.concatenate(out)
-
-    def value(self, t, left=False):
-        return self.values([t], left)[0]
-
-    def values(self, times, left=False):
-        """Values at an array of times, (n_times, ndof); see
-        `trajectory_values`."""
-        return trajectory_values(self.windows, times, left)
-
-    def final_value(self):
-        return self.windows[-1].final_value()
-
-
-@dataclass
 class MultidomainSolution:
     cfg: prb.ExperimentConfig
-    trajectories: dict  # sid -> list of DGTrajectory (one per window)
+    trajectories: dict  # sid -> DGTrajectory over [0, T], the windows chained
     traces: list        # per window: final transmission data per directed pair
     histories: list     # IterationHistory per window
     meshes: dict        # sid -> subdomain Mesh
 
     def view(self, sid):
-        return TrajectoryView(self.trajectories[sid], mesh=self.meshes[sid])
+        """Subdomain sid's trajectory."""
+        return self.trajectories[sid]
 
 
 def _extrapolate(trace, partition):
@@ -481,30 +449,26 @@ def run_windows(cfg, md=None, tol=None, traces=None):
         md = build_multidomain(cfg)
     tol = cfg.tolerance if tol is None else tol
     bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
-    u_cur = {
-        sid: fes.nodal_interpolate(asm.mesh, cfg.u0, t=0.0)
-        for sid, asm in md.assemblies.items()
-    }
-    all_traj = {sid: [] for sid in md.assemblies}
-    histories, final_traces = [], []
+    u_cur = {sid: fes.nodal_interpolate(asm.mesh, cfg.u0, t=0.0)
+             for sid, asm in md.assemblies.items()}
+    windows, histories, final_traces = [], [], []
     for w in range(cfg.windows):
         win = md.window(bounds[w], bounds[w + 1])
         if traces is not None:
             start = traces[w]
         elif w > 0:
-            start = {
-                (i, j): _extrapolate(tr, win.partitions[i])
-                for (i, j), tr in final_traces[-1].items()
-            }
+            start = {(i, j): _extrapolate(tr, win.partitions[i])
+                     for (i, j), tr in final_traces[-1].items()}
         else:
             start = None
         trajectories, _, final, hist = iterate(md, win, u_cur, cfg.max_iterations, tol, start)
+        windows.append(trajectories)
         histories.append(hist)
         final_traces.append(final)
-        for sid, traj in trajectories.items():
-            all_traj[sid].append(traj)
         u_cur = {sid: traj.final_value() for sid, traj in trajectories.items()}
     return MultidomainSolution(
-        cfg=cfg, trajectories=all_traj, traces=final_traces, histories=histories,
+        cfg=cfg, trajectories={sid: DGTrajectory.chain([ws[sid] for ws in windows])
+                               for sid in md.assemblies},
+        traces=final_traces, histories=histories,
         meshes={sid: asm.mesh for sid, asm in md.assemblies.items()},
     )

@@ -484,26 +484,24 @@ def test_criterion_7_invariant_suites():
 
 def _sup_l2_difference(sol_a, sol_b, md):
     """L-inf in time of the L2(Omega_i) difference of two solutions on the
-    same subdomain grids, sampled at breakpoints and interior Radau nodes."""
+    same subdomain grids, sampled at every breakpoint t_n from below,
+    u(t_n^-), and from above, u(t_n^+) = sum_j (-1)^j c_{n,j}, and at the
+    interior Radau nodes."""
     from oswr.timebasis import gauss_radau
-    from oswr.driver import TrajectoryView
 
     out = 0.0
     for sid, asm in md.assemblies.items():
-        M = asm.M_vol
-        va = TrajectoryView(sol_a.trajectories[sid])
-        vb = TrajectoryView(sol_b.trajectories[sid])
-        bps = va.breakpoints()
+        a, b = sol_a.trajectories[sid], sol_b.trajectories[sid]
+        bps = a.partition.breakpoints
         radau = gauss_radau(asm.degree).nodes[:-1]
-        samples = list(bps)
-        for a, b in zip(bps[:-1], bps[1:]):
-            samples += [a + tau * (b - a) for tau in radau]
-        for t in bps:
-            d = va.value(t, left=True) - vb.value(t, left=True)
-            out = max(out, float(np.sqrt(d @ (M @ d))))
-        for t in samples:
-            d = va.value(t) - vb.value(t)
-            out = max(out, float(np.sqrt(d @ (M @ d))))
+        interior = (bps[:-1, None] + radau[None, :] * (bps[1:] - bps[:-1])[:, None]).ravel()
+        sign = (-1.0) ** np.arange(asm.degree + 1)
+        D = np.concatenate([
+            a.values(bps, True) - b.values(bps, True),
+            np.einsum("j,njk->nk", sign, a.coeffs - b.coeffs),
+            a.values(interior) - b.values(interior),
+        ])
+        out = max(out, float(np.sqrt(np.einsum("ti,ti->t", D, (asm.M_vol @ D.T).T).max())))
     return out
 
 

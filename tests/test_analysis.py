@@ -23,8 +23,8 @@ from oswr.analysis import (
     solve_monodomain,
     sweep_parameters,
 )
-from oswr.dgsolver import DGTrajectory, Operators, solve_window
-from oswr.driver import TrajectoryView, build_multidomain, run_windows
+from oswr.dgsolver import DGTrajectory, Operators, SolverError, solve_window
+from oswr.driver import build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
@@ -144,6 +144,18 @@ class TestFitSlope:
 
 
 class TestMonodomain:
+    def test_solver_failure_names_the_reference(self, monkeypatch):
+        import oswr.analysis as ana
+
+        def boom(*args, **kwargs):
+            raise SolverError("interval 0: linear solve residual 1e-03 exceeds 1e-12")
+
+        monkeypatch.setattr(ana, "solve_window", boom)
+        cfg = parse_config(CFG_1D)
+        prefix = r"^monodomain reference, window \[0, 0\.5\], interval 0: "
+        with pytest.raises(SolverError, match=prefix):
+            solve_monodomain(cfg, reference_grid(cfg, "time", 3))
+
     def test_identical_coefficients_equal_single_domain(self):
         # a split with identical coefficients must equal the unsplit solve
         cfg2 = parse_config(CFG_1D.replace('nu = "0.05"', 'nu = "0.1"')
@@ -691,9 +703,10 @@ def _value_pointwise(traj, t, left=False):
     return val
 
 
-def _view_value_pointwise(windows, t, left=False):
+def _chain_value_pointwise(windows, t, left=False):
+    """_value_pointwise on the window that owns t: t in (start, end]."""
     starts = np.array([w.partition.start for w in windows])
-    w = int(np.searchsorted(starts, t, side="left" if left else "right")) - 1
+    w = int(np.searchsorted(starts, t, side="left")) - 1
     w = min(max(w, 0), len(windows) - 1)
     return _value_pointwise(windows[w], t, left=left)
 
@@ -704,18 +717,17 @@ _G2T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 def _error_norms_pointwise(sol, reference):
     cfg = reference.cfg
     ref_part = reference.trajectory.partition
-    ref_windows = [reference.trajectory]
     radau = gauss_radau(reference.trajectory.degree).nodes[:-1]
     out = {name: {} for name in ("e_inf", "e_l2", "e_T_l2", "e_T_h1")}
     for s in cfg.subdomains:
         sid = s.id
-        view = sol.view(sid)
+        traj, mesh = sol.view(sid), sol.meshes[sid]
         nodes, M, K = reference.regions[sid]
         pts = reference.mesh.coords[nodes]
 
         def diff_at(t, left):
-            u = view.mesh.eval_p1(_view_value_pointwise(view.windows, t, left), pts)
-            return u - _view_value_pointwise(ref_windows, t, left)[nodes]
+            u = mesh.eval_p1(_value_pointwise(traj, t, left), pts)
+            return u - _value_pointwise(reference.trajectory, t, left)[nodes]
 
         sup2 = 0.0
         bp = ref_part.breakpoints
@@ -743,13 +755,11 @@ def _error_norms_pointwise(sol, reference):
 
 def _max_nodal_difference_pointwise(solution, md, reference):
     out = 0.0
-    for sid, trajs in solution.trajectories.items():
+    for sid, traj in solution.trajectories.items():
         pts = md.assemblies[sid].mesh.coords
-        for t in TrajectoryView(trajs).breakpoints():
-            u = _view_value_pointwise(trajs, t, left=True)
-            r = reference.mesh.eval_p1(
-                _view_value_pointwise([reference.trajectory], t, left=True), pts
-            )
+        for t in traj.partition.breakpoints:
+            u = _value_pointwise(traj, t, left=True)
+            r = reference.mesh.eval_p1(_value_pointwise(reference.trajectory, t, left=True), pts)
             out = max(out, float(np.max(np.abs(u - r))))
     return out
 
@@ -780,23 +790,25 @@ class TestEvaluationOperators:
         """Every breakpoint and window start, plus random times inside
         and just outside the chain, with left limits on and off."""
         rng = np.random.default_rng(seed)
-        view = TrajectoryView(windows)
+        chain = DGTrajectory.chain(windows)
         bps = np.concatenate([w.partition.breakpoints for w in windows])
         times = np.concatenate([
-            bps, rng.uniform(view.t_start - 0.1, view.t_end + 0.1, 20),
+            bps, rng.uniform(chain.partition.start - 0.1, chain.partition.end + 0.1, 20),
         ])
         left = rng.integers(0, 2, times.size).astype(bool)
         for flags in (True, False, left):
-            got = view.values(times, flags)
+            got = chain.values(times, flags)
             for i, t in enumerate(times):
                 lf = bool(np.broadcast_to(flags, times.shape)[i])
-                want = _view_value_pointwise(windows, t, lf)
+                want = _chain_value_pointwise(windows, t, lf)
                 assert got[i].tobytes() == want.tobytes()
-                assert view.value(t, lf).tobytes() == want.tobytes()
+                assert chain.values([t], lf)[0].tobytes() == want.tobytes()
         for w in windows:
             for t in w.partition.breakpoints:
                 for lf in (True, False):
-                    assert w.value(t, lf).tobytes() == _value_pointwise(w, t, lf).tobytes()
+                    assert w.values([t], lf)[0].tobytes() == _value_pointwise(w, t, lf).tobytes()
+        if len(windows) == 1:
+            assert chain is windows[0]
 
     def _assert_matches_pointwise(self, sol, ref):
         rep = error_norms(sol, ref)
@@ -834,6 +846,22 @@ class TestEvaluationOperators:
 # Two windows on nonconforming time grids (8 vs 6 intervals per window).
 CFG_1D_2W = (CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 2")
              .replace("nt = 8\ndegree = 1\n\n[transmission]", "nt = 6\ndegree = 1\n\n[transmission]"))
+
+
+def test_run_windows_chains_each_subdomain_into_one_trajectory():
+    cfg = parse_config(CFG_1D_2W)
+    md = build_multidomain(cfg)
+    sol = run_windows(cfg, md=md)
+    bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
+    for s in cfg.subdomains:
+        traj = sol.trajectories[s.id]
+        assert sol.view(s.id) is traj
+        assert traj.partition.n_intervals == cfg.windows * s.nt
+        windows = [TimePartition.uniform(a, b, s.nt).breakpoints
+                   for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(traj.partition.breakpoints, np.unique(np.concatenate(windows)))
+        u0 = fes.nodal_interpolate(md.assemblies[s.id].mesh, cfg.u0, t=0.0)
+        assert np.array_equal(traj.u_init, u0)
 
 
 def _cold_study(cfg, axis, levels, reference, tol=1e-10):

@@ -431,7 +431,10 @@ class TestStudy:
         (lambda text: BANDS_2D, "time studies need trace-conforming space grids"),
         (lambda text: text.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "0"'),
          "not enough positive errors to fit a slope"),
-    ], ids=["nonconforming-bands", "zero-solution"])
+        # the levels' loads stop short of t = 0.249, the reference's finer grid does not
+        (lambda text: text.replace('f = "0"', 'f = "sqrt(0.249-t)"'),
+         "error: monodomain reference, window [0, 0.25]: sqrt of negative value at point"),
+    ], ids=["nonconforming-bands", "zero-solution", "failing-reference"])
     def test_rejected_study_exit_2_before_writing(self, cfg_path, tmp_path, capsys, edit,
                                                   message):
         p = tmp_path / "study.cfg"

@@ -306,7 +306,7 @@ class TestSolveWindow:
         traj = solve_window(asm, {}, part, np.zeros(n), loads)
         assert np.allclose(traj.final_value(), w, atol=1e-11)
         # interior values exact too: u(t) = t w
-        assert np.allclose(traj.value(0.5), 0.5 * w, atol=1e-11)
+        assert np.allclose(traj.values([0.5])[0], 0.5 * w, atol=1e-11)
 
     def test_window_chaining_equals_single_window(self):
         rng = np.random.default_rng(8)
@@ -324,7 +324,7 @@ class TestSolveWindow:
         t1 = solve_window(asm, {}, first, u0, loads[:2])
         t2 = solve_window(asm, {}, second, t1.final_value(), loads[:2])
         assert np.allclose(t2.final_value(), traj.final_value(), atol=1e-12)
-        assert np.allclose(t1.final_value(), traj.value(0.5, left=True), atol=1e-12)
+        assert np.allclose(t1.final_value(), traj.values([0.5], left=True)[0], atol=1e-12)
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_dissipativity(self, d):
@@ -356,9 +356,9 @@ class TestTrajectory:
         part = TimePartition.uniform(0.0, 1.0, 2)
         coeffs = np.ones((2, 1, 1))
         traj = DGTrajectory(part, coeffs, np.array([5.0]))
-        assert traj.value(0.0, left=True)[0] == 5.0
-        assert traj.value(0.5, left=True)[0] == 1.0
-        assert traj.value(0.5, left=False)[0] == 1.0
+        assert traj.values([0.0], left=True)[0, 0] == 5.0
+        assert traj.values([0.5], left=True)[0, 0] == 1.0
+        assert traj.values([0.5], left=False)[0, 0] == 1.0
 
     @pytest.mark.parametrize("d", [0, 1])
     @pytest.mark.parametrize("N", [1, 7, 8, 9, 48])

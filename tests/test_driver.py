@@ -439,8 +439,8 @@ class TestIterate:
         sol1 = run_windows(replace(cfg, max_iterations=3), tol=0.0)
         sol2 = run_windows(replace(cfg2, max_iterations=3), tol=0.0)
         for sid, sid2 in ((1, 2), (2, 1)):
-            a = sol1.trajectories[sid][0].coeffs
-            b = sol2.trajectories[sid2][0].coeffs
+            a = sol1.trajectories[sid].coeffs
+            b = sol2.trajectories[sid2].coeffs
             assert np.array_equal(a, b)
 
     def test_run_windows_single_equals_iterate(self):
@@ -457,7 +457,7 @@ class TestIterate:
         trajs, _, _, _ = iterate(md2, md2.window(0.0, cfg.T), u_init, cfg.max_iterations,
                                  cfg.tolerance)
         for sid in trajs:
-            assert np.array_equal(sol.trajectories[sid][0].coeffs, trajs[sid].coeffs)
+            assert np.array_equal(sol.trajectories[sid].coeffs, trajs[sid].coeffs)
 
 
     def test_run_windows_keeps_every_window_and_restarts_from_it(self):
@@ -806,8 +806,7 @@ class TestOneInterfaceFold:
             def run():
                 sol = run_windows(cfg, md=build_multidomain(cfg))
                 return (np.array([h.residuals for h in sol.histories]),
-                        {sid: np.array([w.coeffs for w in ws])
-                         for sid, ws in sol.trajectories.items()})
+                        {sid: traj.coeffs for sid, traj in sol.trajectories.items()})
 
             with monkeypatch.context() as m:
                 m.setattr(drv, "solve_window_mortar", _old_march)
@@ -887,7 +886,7 @@ class TestMortarEquivalence:
         assert sol.histories[0].converged
         oracle = _conforming_iterate(cfg)
         for sid, traj in oracle.items():
-            assert np.allclose(sol.trajectories[sid][0].coeffs, traj.coeffs, atol=5e-8)
+            assert np.allclose(sol.trajectories[sid].coeffs, traj.coeffs, atol=5e-8)
 
     def test_mortar_large_p_smoke(self):
         cfg = parse_config(CFG_2D.replace("p = 1.0", "p = 1e6"))
@@ -1008,7 +1007,8 @@ def _cold_windows(cfg, md=None, tol=None):
         histories.append(hist)
         u = {sid: traj.final_value() for sid, traj in trajs.items()}
     return MultidomainSolution(
-        cfg=cfg, trajectories=trajectories, traces=traces, histories=histories,
+        cfg=cfg, trajectories={sid: DGTrajectory.chain(ws) for sid, ws in trajectories.items()},
+        traces=traces, histories=histories,
         meshes={sid: asm.mesh for sid, asm in md.assemblies.items()},
     )
 
