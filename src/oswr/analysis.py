@@ -127,9 +127,8 @@ def _reference_operators(cfg, ref):
 
     for itf in interfaces:
         ids_i, ti = regions[itf.i][0], spaces[itf.i].traces[itf.j]
-        bn_i = fes._bn_along(ti, specs[itf.i].b)
-        bn_j = fes._bn_along(spaces[itf.j].traces[itf.i], specs[itf.j].b)
-        G = fes._face_blocks(ti, ti, lambda x: 0.5 * (bn_i(x) + bn_j(x)))
+        G = fes.assemble_flux_jump(ti, spaces[itf.j].traces[itf.i], specs[itf.i].b,
+                                   specs[itf.j].b)
         A = A - fes.scatter_matrix(G, ids_i[ti.nodes], ids_i[ti.nodes], n, n)
     return mesh, regions, M, A
 
@@ -145,7 +144,7 @@ def solve_monodomain(cfg, ref):
     gamma = (b_i.n_i + b_j.n_j)/2 (zero when b is continuous).  Rejects
     the problems `build_multidomain` rejects, nx keys that are not the
     subdomain ids, and counts that differ along a shared grid line.  A
-    load or solve failure in the march names the reference.
+    failure to interpolate u0, to load or to solve names the reference.
     """
     _check_problem(cfg)
     sids = {s.id for s in cfg.subdomains}
@@ -155,9 +154,9 @@ def solve_monodomain(cfg, ref):
     mesh, regions, M, A = _reference_operators(cfg, ref)
     degree = cfg.subdomains[0].degree
     part = TimePartition.uniform(0.0, cfg.T, ref.nt)
-    u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
     where = f"monodomain reference, window [0, {cfg.T:g}]"
     try:
+        u0 = fes.nodal_interpolate(mesh, cfg.u0, t=0.0)
         traj = solve_window(Operators(M, A, degree), {}, part, u0,
                             fes.IntervalLoads(mesh, cfg.f, part, degree))
     except (prb.EvalError, ValueError) as e:
@@ -249,7 +248,7 @@ def error_norms(sol, reference):
         subdomain; the reference is evaluated once for all of them."""
         ref = ref_traj.values(times, left)
         for sid, (traj, nodes, M, K, P) in parts.items():
-            yield sid, M, K, P.apply(traj.values(times, left)) - ref[:, nodes]
+            yield sid, M, K, (P @ traj.values(times, left).T).T - ref[:, nodes]
 
     sup2 = dict.fromkeys(parts, 0.0)
     for b in _blocks(sup_times.size, n_ref):
@@ -270,16 +269,16 @@ def error_norms(sol, reference):
     return ErrorReport(e_inf=e_inf, e_l2=e_l2, e_T_l2=e_T_l2, e_T_h1=e_T_h1)
 
 
-def max_nodal_difference(solution, md, reference):
+def max_nodal_difference(solution, reference):
     """Max over subdomains, their nodes, and their time breakpoints of
     the pointwise difference to the reference trajectory."""
     out = 0.0
     for sid, traj in solution.trajectories.items():
-        P = reference.mesh.p1_operator(md.assemblies[sid].mesh.coords)
+        P = reference.mesh.p1_operator(solution.meshes[sid].coords)
         ts = traj.partition.breakpoints
         for b in _blocks(ts.size, reference.mesh.n_nodes):
             U = traj.values(ts[b], True)
-            R = P.apply(reference.trajectory.values(ts[b], True))
+            R = (P @ reference.trajectory.values(ts[b], True).T).T
             out = max(out, float(np.max(np.abs(U - R))))
     return out
 
@@ -341,23 +340,33 @@ def _nested(counts, fine):
     return math.ceil(REF_FACTOR * max(refined) / lcm) * lcm
 
 
+def _shared_count(counts, fine):
+    """One reference count for subdomains that share grid lines: `_nested`
+    of their counts along a refined axis; along an unrefined one (fine
+    None) their common count, which must exist."""
+    if fine is None and len(set(counts)) != 1:
+        # space grids must already conform across the interfaces
+        raise ValueError("time studies need trace-conforming space grids")
+    return _nested(counts, fine)
+
+
 def reference_grid(cfg, axis, levels):
     """Reference grid obeying the nesting discipline: at least REF_FACTOR
     finer than the finest level along the refined axis, an exact common
     refinement of every level's grids, and equal to the study grids along
-    unrefined axes (so unrefined-axis discretization error cancels)."""
+    unrefined axes (so unrefined-axis discretization error cancels).
+    Subdomains with the same x-extent share their x grid lines, and every
+    subdomain shares its y-count."""
     in_space, in_time = AXES[axis]
     fine = REFINE_RATIO ** (levels - 1)
+    fx = fine if in_space else None
     subs = cfg.subdomains
     nt = _nested([s.nt for s in subs], fine if in_time else None) * cfg.windows
-    nx = {s.id: s.nx * fine * REF_FACTOR if in_space else s.nx for s in subs}
+    nx = {s.id: _shared_count([t.nx for t in subs if t.box[:2] == s.box[:2]], fx)
+          for s in subs}
     if cfg.dim == 1:
         return RefGrid(nx=nx, ny=None, nt=nt)
-    nys = [s.ny for s in subs]
-    if not in_space and len(set(nys)) != 1:
-        # space grids must already conform across the interfaces
-        raise ValueError("time studies need trace-conforming space grids")
-    return RefGrid(nx=nx, ny=_nested(nys, fine if in_space else None), nt=nt)
+    return RefGrid(nx=nx, ny=_shared_count([s.ny for s in subs], fx), nt=nt)
 
 
 def _warm_traces(md, traces, along):

@@ -79,12 +79,6 @@ RESIDUAL_TOL = 1e-12
 # interval lengths of a uniform grid differ only in their last bits.
 STEP_CLASS_RTOL = 1e-12
 
-# Intervals per sparse product in `trajectory_norm` (16 columns for
-# DG(1)): a block this size keeps the operand and M's product in cache,
-# where one product over a whole window's coefficients falls out of it.
-NORM_BLOCK = 8
-
-
 class SolverError(Exception):
     """Linear solve failure; carries the achieved residual."""
 
@@ -385,13 +379,7 @@ def solve_window_mortar(system, traces_in, partition, u_init, loads):
 
 def trajectory_norm(traj, M):
     """Discrete L2(window; L2) norm with mass matrix M: the sum over
-    intervals n and modes j of gram[n, j] v^T M v, v = coeffs[n, j],
-    one sparse product per NORM_BLOCK intervals."""
-    gram = traj.partition.gram(traj.degree)
-    ndof = traj.coeffs.shape[2]
-    total = 0.0
-    for n0 in range(0, traj.partition.n_intervals, NORM_BLOCK):
-        blk = slice(n0, n0 + NORM_BLOCK)
-        V = np.ascontiguousarray(traj.coeffs[blk].reshape(-1, ndof).T)
-        total += float(gram[blk].ravel() @ np.einsum("ij,ij->j", V, M @ V))
-    return np.sqrt(total)
+    intervals n and modes j of gram[n, j] v^T M v, v = coeffs[n, j]."""
+    V = traj.coeffs.reshape(-1, traj.coeffs.shape[2]).T
+    return np.sqrt(float(traj.partition.gram(traj.degree).ravel()
+                         @ np.einsum("ij,ij->j", V, M @ V)))

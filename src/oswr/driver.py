@@ -1,9 +1,10 @@
 """Waveform-relaxation driver.
 
 Builds the multidomain set-up in one pass: meshes and trace spaces
-first, then every subdomain's volume operators and one record of
-blocks per directed interface, once, and one exchange operator per
-directed pair.  How an interface enters a subdomain's step system is
+first, then every subdomain's volume operators and, once per directed
+interface i <- j, the one `femspace.InterfaceBlocks` record that holds
+i's own blocks and the mortar cross blocks the exchange applies to j's
+data.  How an interface enters a subdomain's step system is
 decided by `dgsolver._step_operator` alone: every interface carries a
 discrete flux unknown, on matching and nonmatching meshes alike.  Each
 time window is one frozen `Window` record, built once by `md.window`.
@@ -20,8 +21,9 @@ new data is the algebraic combination
                          + q_ij d/dt(I_j M_x u_j) ],
 
 all in weak (functional) form against the interface test functions,
-with Q_j the flux unknown of j and the cross blocks coupling j's trace
-functions to i's.
+with Q_j the flux unknown of j and the cross blocks M_x and
+T_x = M_bx + q_ij B_rx + K_sx of i's record coupling j's trace functions
+to i's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from oswr import femspace as fes
@@ -116,42 +117,19 @@ def _volume_operators(spec, space):
     return fes.assemble_mass(mesh, spec.omega), (atilde + ext).tocsr()
 
 
-def build_subdomain_assembly(cfg, spec, space):
-    """All time-independent operators of one subdomain.  The step
-    system is folded from them when the system first marches."""
+def build_subdomain_assembly(cfg, spec, spaces):
+    """All time-independent operators of one subdomain, given the trace
+    spaces of every subdomain (sid -> FemSpace).  The step system is
+    folded from them when the system first marches."""
+    space = spaces[spec.id]
     M_vol, A_vol = _volume_operators(spec, space)
     iface = {
-        nb: fes.assemble_interface_ops(space, nb, cfg.transmission[(spec.id, nb)], spec.b)
+        nb: fes.assemble_interface_ops(space, nb, cfg.transmission[(spec.id, nb)], spec.b,
+                                       spaces[nb].traces[spec.id], cfg.subdomain(nb).b)
         for nb in sorted(space.traces)
     }
     return SubdomainAssembly(M_vol, A_vol, spec.degree, iface,
                              spec=spec, mesh=space.mesh, space=space)
-
-
-@dataclass
-class Exchange:
-    """What the directed exchange i <- j applies to j's interface data.
-
-    Rows are i's trace test functions, columns j's trace functions:
-    mass = M_x = int psi_i chi_j, applied to the trace of u_j and to the
-    flux Q_j; op = M_bx + q_ij B_rx + K_sx with
-    M_bx = int (b_j.n_j + p_ij) psi_i chi_j, B_rx and K_sx the tangential
-    blocks across the two traces; q = q_ij.
-    """
-
-    mass: sp.csr_matrix
-    op: sp.csr_matrix
-    q: float
-
-
-def _exchange(cfg, ai, aj):
-    """The directed exchange i <- j."""
-    i, j = ai.spec.id, aj.spec.id
-    ti, tj = ai.space.traces[j], aj.space.traces[i]
-    params = cfg.transmission[(i, j)]
-    bnj = fes._bn_along(tj, aj.spec.b)
-    M_x, M_bx, B_rx, K_sx = fes._face_blocks(ti, tj, lambda s: bnj(s) + params.p, params)
-    return Exchange(mass=M_x, op=M_bx + params.q * B_rx + K_sx, q=params.q)
 
 
 @dataclass(frozen=True)
@@ -169,7 +147,6 @@ class Multidomain:
     cfg: prb.ExperimentConfig
     assemblies: dict
     pairs: list          # directed (i, j) pairs
-    exchange: dict       # directed pair -> Exchange
 
     @property
     def degree(self):
@@ -205,12 +182,11 @@ def build_multidomain(cfg):
     assemblies = {}
     for s in cfg.subdomains:
         try:
-            assemblies[s.id] = build_subdomain_assembly(cfg, s, spaces[s.id])
+            assemblies[s.id] = build_subdomain_assembly(cfg, s, spaces)
         except (prb.EvalError, ValueError) as e:
             raise ValueError(f"subdomain {s.id}: {e}") from e
     pairs = sorted([(itf.i, itf.j) for itf in interfaces] + [(itf.j, itf.i) for itf in interfaces])
-    exchange = {(i, j): _exchange(cfg, assemblies[i], assemblies[j]) for (i, j) in pairs}
-    return Multidomain(cfg=cfg, assemblies=assemblies, pairs=pairs, exchange=exchange)
+    return Multidomain(cfg=cfg, assemblies=assemblies, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +229,14 @@ def transmission_update(md, win, i, j, traj_j, flux_j):
 
     traj_j and flux_j live on T_j; the result is projected onto T_i.
     """
-    ex = md.exchange[(i, j)]
+    ia = md.assemblies[i].iface[j]
     nodes = md.assemblies[j].iface[i].nodes
     RU = traj_j.coeffs[:, :, nodes]
-    gtil = _apply_rows(ex.op, RU) - _apply_rows(ex.mass, flux_j[i])
-    if ex.q != 0.0:
-        W = _apply_rows(ex.mass, RU)
-        w_init = ex.mass @ traj_j.u_init[nodes]
-        gtil += ex.q * _lift_rate_window(W, w_init, win.partitions[j].lengths)
+    gtil = _apply_rows(ia.T_x, RU) - _apply_rows(ia.M_x, flux_j[i])
+    if ia.q != 0.0:
+        W = _apply_rows(ia.M_x, RU)
+        w_init = ia.M_x @ traj_j.u_init[nodes]
+        gtil += ia.q * _lift_rate_window(W, w_init, win.partitions[j].lengths)
 
     new = apply_projection(win.projections[(i, j)], gtil)
     return InterfaceTrace(partition=win.partitions[i], coeffs=new)

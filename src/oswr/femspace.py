@@ -2,17 +2,20 @@
 
 Meshes are uniform structured grids on axis-aligned boxes: segments in
 1D, triangles in 2D (each cell split along the lower-left to upper-right
-diagonal, so nested refinements interpolate exactly).  Assembled forms:
+diagonal, so nested refinements interpolate exactly).  Assembled forms,
+each operator a scipy sparse matrix:
 
 * mass with porosity weight;
 * the skew-symmetrized advection-diffusion-reaction volume form
       atilde(u,v) = int 1/2((b.grad u)v - (b.grad v)u)
                   + int nu grad u . grad v + int (c + div(b)/2) u v;
-* operator blocks on flat faces, one code path for a subdomain's own
-  interface blocks (interface mass, (p - b.n/2)-weighted mass,
-  tangential advection B_r and tangential stiffness K_s), the mortar
-  blocks coupling two nonmatching traces of one interface, and the
-  exterior-boundary Robin closure (P_EXT - b.n/2)-weighted mass;
+* operator blocks on flat faces, one code path for a subdomain's record
+  of a directed interface (its own interface mass, (p - b.n/2)-weighted
+  mass, tangential advection B_r and tangential stiffness K_s, and the
+  mortar blocks coupling the neighbor's trace to its own), the flux-jump
+  block of the monodomain reference, and the exterior-boundary Robin
+  closure (P_EXT - b.n/2)-weighted mass;
+* the P1 interpolation of nodal fields at fixed points;
 * per-mode time-quadrature load vectors for the DG right-hand sides.
 
 The volume forms share one path for 1D and 2D: `_quadrature` gives the
@@ -40,7 +43,6 @@ from oswr.timeproject import hat_cross_matrix
 
 __all__ = [
     "Mesh",
-    "P1Interpolation",
     "FemSpace",
     "build_mesh",
     "build_tensor_mesh",
@@ -49,6 +51,7 @@ __all__ = [
     "assemble_atilde",
     "assemble_interface_ops",
     "assemble_exterior_robin",
+    "assemble_flux_jump",
     "assemble_load",
     "IntervalLoads",
     "assemble_space_load",
@@ -133,52 +136,34 @@ class Mesh:
 
     def p1_operator(self, points):
         """The P1 interpolation of this mesh's nodal fields at fixed points
-        of the box (clamps outside points to the box)."""
-        if self.dim == 1:
-            i, lam = self._locate(self.xs, np.asarray(points, dtype=float))
-            return P1Interpolation(
-                cols=np.stack([i, i + 1], axis=1),
-                weights=np.stack([1.0 - lam, lam], axis=1),
-            )
+        of the box (clamps outside points to the box), as a CSR matrix
+        whose row p sums its dim + 1 barycentric terms in stored order."""
         pts = np.asarray(points, dtype=float)
-        i, lx = self._locate(self.xs, pts[:, 0])
-        j, ly = self._locate(self.ys, pts[:, 1])
-        n00 = j * (self.nx + 1) + i
-        n10, n01, n11 = n00 + 1, n00 + (self.nx + 1), n00 + (self.nx + 2)
-        lower = lx >= ly  # triangle (i,j),(i+1,j),(i+1,j+1)
-        return P1Interpolation(
-            cols=np.stack([n00, np.where(lower, n10, n11), np.where(lower, n11, n01)], axis=1),
-            weights=np.stack([
+        if self.dim == 1:
+            i, lam = self._locate(self.xs, pts)
+            cols, weights = np.stack([i, i + 1], axis=1), np.stack([1.0 - lam, lam], axis=1)
+        else:
+            i, lx = self._locate(self.xs, pts[:, 0])
+            j, ly = self._locate(self.ys, pts[:, 1])
+            n00 = j * (self.nx + 1) + i
+            n10, n01, n11 = n00 + 1, n00 + (self.nx + 1), n00 + (self.nx + 2)
+            lower = lx >= ly  # triangle (i,j),(i+1,j),(i+1,j+1)
+            cols = np.stack([n00, np.where(lower, n10, n11), np.where(lower, n11, n01)], axis=1)
+            weights = np.stack([
                 np.where(lower, 1.0 - lx, 1.0 - ly),
                 np.where(lower, lx - ly, lx),
                 np.where(lower, ly, ly - lx),
-            ], axis=1),
-        )
+            ], axis=1)
+        m, k = cols.shape
+        return sp.csr_matrix((weights.ravel(), cols.ravel(), np.arange(0, m * k + 1, k)),
+                             shape=(m, self.n_nodes))
 
     def eval_p1(self, nodal, points):
         """Evaluate a P1 nodal field at arbitrary points of the box.
 
-        Exact for points inside the box; used for nested-grid
-        interpolation in error norms (clamps outside points to the box).
+        Exact for points inside the box (clamps outside points to the box).
         """
-        return self.p1_operator(points).apply(nodal)
-
-
-@dataclass(frozen=True)
-class P1Interpolation:
-    """Values of P1 nodal fields at fixed points: point p takes
-    sum_c u[cols[p, c]] * weights[p, c], summed in column order."""
-
-    cols: np.ndarray     # (n_points, dim + 1) node ids
-    weights: np.ndarray  # (n_points, dim + 1) barycentric weights
-
-    def apply(self, nodal):
-        """Nodal fields (..., n_nodes) -> point values (..., n_points)."""
-        u = np.asarray(nodal, dtype=float)
-        out = u[..., self.cols[:, 0]] * self.weights[:, 0]
-        for c in range(1, self.cols.shape[1]):
-            out += u[..., self.cols[:, c]] * self.weights[:, c]
-        return out
+        return self.p1_operator(points) @ nodal
 
 
 def build_tensor_mesh(xs, ys=None):
@@ -384,14 +369,19 @@ def scatter_matrix(B, rows_gidx, cols_gidx, n_rows, n_cols):
 
 @dataclass(frozen=True)
 class InterfaceBlocks:
-    """One subdomain's record of one directed interface: operator blocks
-    in interface-local numbering, where they sit, and the parameters.
+    """One subdomain's record of one directed interface (self <- neighbor):
+    operator blocks in interface-local numbering, where they sit, and the
+    parameters.
 
     M_gamma : interface mass
     M_pbn   : (p - b.n/2)-weighted interface mass
     B_r     : tangential advection, int grad_G.(r phi_l) psi_k
               (assembled by parts, endpoint terms dropped)
     K_s     : tangential stiffness, int q s dphi_l dpsi_k
+    M_x     : cross mass int psi_k chi_l, rows on this trace's test
+              functions, columns on the neighbor's trace functions
+    T_x     : M_bx + q B_rx + K_sx, the cross blocks the exchange applies
+              to the neighbor's trace, with M_bx = int (b_j.n_j + p) psi_k chi_l
     nodes   : global dof ids (the trace restriction map)
     along   : running coordinate of the nodes (None in 1D)
     p, q    : the Robin and Ventcell transmission coefficients
@@ -401,6 +391,8 @@ class InterfaceBlocks:
     M_pbn: sp.csr_matrix
     B_r: sp.csr_matrix
     K_s: sp.csr_matrix
+    M_x: sp.csr_matrix
+    T_x: sp.csr_matrix
     nodes: np.ndarray
     along: np.ndarray | None
     p: float
@@ -457,20 +449,33 @@ def _face_blocks(target, source, weight, params=None):
     return M, M_w, B_r, K_s
 
 
-def assemble_interface_ops(space, neighbor, params, b):
-    """Interface operator blocks for the directed interface (self -> neighbor).
+def assemble_interface_ops(space, neighbor, params, b, neighbor_trace, neighbor_b):
+    """The record of the directed interface self <- neighbor.
 
     params carries (p, q, r, s); b is this subdomain's advection (its
-    trace on the interface defines b.n).  The time-derivative part of
-    the Order-2 operator is not assembled here; it enters the time-step
-    systems through the q-weighted interface mass.
+    trace on the interface defines b.n), neighbor_trace and neighbor_b
+    are the neighbor's trace space of the interface and its advection.
+    The time-derivative part of the Order-2 operator is not assembled
+    here; it enters the time-step systems through the q-weighted
+    interface mass.
     """
     if neighbor not in space.traces:
         raise KeyError(f"no interface to neighbor {neighbor}")
     tr = space.traces[neighbor]
-    bn = _bn_along(tr, b)
+    bn, bn_j = _bn_along(tr, b), _bn_along(neighbor_trace, neighbor_b)
+    M_x, M_bx, B_rx, K_sx = _face_blocks(tr, neighbor_trace, lambda s: bn_j(s) + params.p,
+                                         params)
     return InterfaceBlocks(*_face_blocks(tr, tr, lambda s: params.p - 0.5 * bn(s), params),
+                           M_x, M_bx + params.q * B_rx + K_sx,
                            tr.nodes, tr.along, params.p, params.q)
+
+
+def assemble_flux_jump(trace, neighbor_trace, b, neighbor_b):
+    """The face block int ((b_i.n_i + b_j.n_j)/2) psi_k chi_l on the
+    trace, b_i and n_i this side's advection and normal, b_j and n_j the
+    neighbor's."""
+    bn_i, bn_j = _bn_along(trace, b), _bn_along(neighbor_trace, neighbor_b)
+    return _face_blocks(trace, trace, lambda x: 0.5 * (bn_i(x) + bn_j(x)))
 
 
 def assemble_exterior_robin(space, b):
@@ -482,16 +487,11 @@ def assemble_exterior_robin(space, b):
     mass to the spatial operator.
     """
     n = space.n_dofs
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    out = sp.csr_matrix((n, n))
     for tr in space.exterior:
         bn = _bn_along(tr, b)
-        B = sp.coo_matrix(_face_blocks(tr, tr, lambda s: P_EXT - 0.5 * bn(s)))
-        rows.append(tr.nodes[B.row])
-        cols.append(tr.nodes[B.col])
-        vals.append(B.data)
-    out = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+        out = out + scatter_matrix(_face_blocks(tr, tr, lambda s: P_EXT - 0.5 * bn(s)),
+                                   tr.nodes, tr.nodes, n, n)
     out.eliminate_zeros()
     return out
 

@@ -235,11 +235,10 @@ def test_criterion_1_fixed_point_equivalence():
     cfg = parse_config(
         HETEROGENEOUS.format(T=1.0, u0=SHARP_GAUSSIAN, nt1=32, nt2=32, d=1, p=1.0, q=0.0)
     )
-    md = build_multidomain(cfg)
-    sol = run_windows(cfg, md=md, tol=1e-10)
+    sol = run_windows(cfg, tol=1e-10)
     assert sol.histories[0].converged
     ref = solve_monodomain(cfg, RefGrid(nx={1: 8, 2: 8}, ny=32, nt=32))
-    diff = max_nodal_difference(sol, md, ref)
+    diff = max_nodal_difference(sol, ref)
     wall = time.perf_counter() - t0
     report(
         1,

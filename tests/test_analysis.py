@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oswr import femspace as fes
 from oswr.analysis import (
+    AXES,
     REF_FACTOR,
     REFINE_RATIO,
     RefGrid,
@@ -28,6 +29,7 @@ from oswr.driver import build_multidomain, run_windows
 from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
+import test_driver
 from test_driver import CFG_2X2, _cold_windows
 from test_timebasis import locate
 
@@ -186,7 +188,7 @@ class TestMonodomain:
         md = build_multidomain(cfg)
         sol = run_windows(cfg, md=md)
         ref = solve_monodomain(cfg, RefGrid(nx={1: 16, 2: 16}, ny=None, nt=8))
-        assert max_nodal_difference(sol, md, ref) < 1e-8
+        assert max_nodal_difference(sol, ref) < 1e-8
 
     def test_fixed_point_matches_monodomain_at_the_cross_point(self):
         # criterion 1 on four subdomains around a cross point, conforming grids
@@ -198,7 +200,7 @@ class TestMonodomain:
         (hist,) = sol.histories
         assert hist.converged and hist.residuals[-1] <= 1e-10
         ref = solve_monodomain(cfg, RefGrid(nx={1: 3, 2: 4, 3: 3, 4: 4}, ny=4, nt=4))
-        assert max_nodal_difference(sol, md, ref) <= 1e-8
+        assert max_nodal_difference(sol, ref) <= 1e-8
 
     def test_counts_that_differ_along_a_shared_line_name_the_subdomain(self):
         cfg = parse_config(CFG_2X2)
@@ -566,6 +568,34 @@ class TestReferenceGrid:
         assert rg.nt % (6 * 8) == 0
         assert rg.nt >= 4 * 8 * 8
 
+    def test_a_column_with_different_counts_shares_its_x_lines(self):
+        # subdomains 1 and 3 share the column [0, 0.5] with 3 and 4 x-cells
+        cfg = parse_config(CFG_2X2.replace('nu = "0.07"\nbx = "-0.1"\nby = "0.2"\nc = "0.5"\nnx = 3',
+                                           'nu = "0.07"\nbx = "-0.1"\nby = "0.2"\nc = "0.5"\nnx = 4'))
+        assert [s.nx for s in cfg.subdomains] == [3, 4, 4, 4]
+        rg = reference_grid(cfg, "space", 3)
+        assert rg.nx == {1: 96, 2: 64, 3: 96, 4: 64} and rg.ny == 64
+        ref = solve_monodomain(cfg, rg)
+        assert np.all(np.isfinite(ref.trajectory.coeffs))
+        with pytest.raises(ValueError, match="time studies need trace-conforming space grids"):
+            reference_grid(cfg, "time", 3)
+
+    @pytest.mark.parametrize("text", [
+        CFG_1D, SINGLE_1D, CFG_2D, SINGLE_2D, HETEROGENEOUS_CFG, test_driver.CFG_1D,
+        test_driver.CFG_2D, test_driver.CFG_MIXED, test_driver.CFG_2D_NONMATCHING,
+    ], ids=["1d", "single-1d", "2d", "single-2d", "heterogeneous", "driver-1d", "driver-2d",
+            "driver-mixed", "driver-2d-nonmatching"])
+    def test_band_configs_keep_their_grid(self, text):
+        cfg = parse_config(text)
+        for axis in AXES:
+            try:
+                want = oracle_reference_grid(cfg, axis, 3)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    reference_grid(cfg, axis, 3)
+            else:
+                assert reference_grid(cfg, axis, 3) == want
+
 
 # reference_grid as written before the axis table and the one nesting rule:
 # a branch per dimension and axis, kept verbatim as the oracle.
@@ -614,13 +644,14 @@ def oracle_reference_grid(cfg, axis, levels):
 @st.composite
 def band_layouts(draw):
     """What reference_grid reads of a band layout: the dimension, the
-    window count and each subdomain's id and grid counts (in 2D the ny
-    are shared or drawn per subdomain)."""
+    window count and each subdomain's id, box (one band per subdomain)
+    and grid counts (in 2D the ny are shared or drawn per subdomain)."""
     dim = draw(st.sampled_from([1, 2]))
     counts = st.integers(1, 12)
     shared_ny = draw(counts) if draw(st.booleans()) else None
     subs = [
-        SimpleNamespace(id=i + 1, nx=draw(counts), nt=draw(counts),
+        SimpleNamespace(id=i + 1, box=(float(i), i + 1.0, 0.0, 1.0)[: 2 * dim],
+                        nx=draw(counts), nt=draw(counts),
                         ny=None if dim == 1 else shared_ny or draw(counts))
         for i in range(draw(st.integers(1, 4)))
     ]
@@ -753,10 +784,10 @@ def _error_norms_pointwise(sol, reference):
     return out
 
 
-def _max_nodal_difference_pointwise(solution, md, reference):
+def _max_nodal_difference_pointwise(solution, reference):
     out = 0.0
     for sid, traj in solution.trajectories.items():
-        pts = md.assemblies[sid].mesh.coords
+        pts = solution.meshes[sid].coords
         for t in traj.partition.breakpoints:
             u = _value_pointwise(traj, t, left=True)
             r = reference.mesh.eval_p1(_value_pointwise(reference.trajectory, t, left=True), pts)
@@ -827,7 +858,7 @@ class TestEvaluationOperators:
         sol = run_windows(cfg, md=md)
         self._assert_matches_pointwise(sol, ref)
         self._assert_matches_pointwise(ref, ref)
-        assert max_nodal_difference(sol, md, ref) == _max_nodal_difference_pointwise(sol, md, ref)
+        assert max_nodal_difference(sol, ref) == _max_nodal_difference_pointwise(sol, ref)
 
     def test_space_study_norms_match_pointwise(self):
         # nonmatching 2D interface meshes (mortar), refined reference mesh
@@ -836,7 +867,7 @@ class TestEvaluationOperators:
         md = build_multidomain(cfg)
         sol = run_windows(cfg, md=md)
         self._assert_matches_pointwise(sol, ref)
-        assert max_nodal_difference(sol, md, ref) == _max_nodal_difference_pointwise(sol, md, ref)
+        assert max_nodal_difference(sol, ref) == _max_nodal_difference_pointwise(sol, ref)
 
 
 # ---------------------------------------------------------------------------

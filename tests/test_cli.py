@@ -427,20 +427,23 @@ class TestStudy:
             assert header[int(x) - 1] == x_name
             assert header[int(y) - 1] == title
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda text: BANDS_2D, "time studies need trace-conforming space grids"),
-        (lambda text: text.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "0"'),
+    @pytest.mark.parametrize("edit,axis,message", [
+        (lambda text: BANDS_2D, "time", "time studies need trace-conforming space grids"),
+        (lambda text: text.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "0"'), "time",
          "not enough positive errors to fit a slope"),
         # the levels' loads stop short of t = 0.249, the reference's finer grid does not
-        (lambda text: text.replace('f = "0"', 'f = "sqrt(0.249-t)"'),
+        (lambda text: text.replace('f = "0"', 'f = "sqrt(0.249-t)"'), "time",
          "error: monodomain reference, window [0, 0.25]: sqrt of negative value at point"),
-    ], ids=["nonconforming-bands", "zero-solution", "failing-reference"])
+        # only a node of the space study's reference mesh sits at x = 1/256
+        (lambda text: text.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "1/(x-0.00390625)"'),
+         "space", "error: monodomain reference, window [0, 0.25]: division by zero at point"),
+    ], ids=["nonconforming-bands", "zero-solution", "failing-reference", "failing-reference-u0"])
     def test_rejected_study_exit_2_before_writing(self, cfg_path, tmp_path, capsys, edit,
-                                                  message):
+                                                  axis, message):
         p = tmp_path / "study.cfg"
         p.write_text(edit(cfg_path.read_text()))
         out = tmp_path / "s"
-        assert main(["study", str(p), "--axis", "time", "--levels", "3",
+        assert main(["study", str(p), "--axis", axis, "--levels", "3",
                      "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

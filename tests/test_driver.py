@@ -373,7 +373,7 @@ class TestTransmissionUpdate:
         Q = np.zeros((part.n_intervals, 2, nI))
         Q[:, 0, :] = gamma
         out = transmission_update(md, win, 1, 2, traj, {1: Q})
-        mx = md.exchange[(1, 2)].mass
+        mx = md.assemblies[1].iface[2].M_x
         expect = (-gamma + 0.7 * mu) * np.asarray(mx.sum(axis=1)).ravel()
         for n in range(out.coeffs.shape[0]):
             assert out.coeffs[n, 0] == pytest.approx(expect, abs=1e-12)

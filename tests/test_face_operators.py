@@ -14,9 +14,8 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import oswr.driver as drv
 import oswr.femspace as fes
-from oswr.femspace import InterfaceBlocks, TraceSpace, _bn_along, _eval_coeff, scatter_matrix
+from oswr.femspace import TraceSpace, _bn_along, _eval_coeff, scatter_matrix
 from oswr.problem import TransmissionParams, const_expr, parse_expression
 from oswr.timeproject import hat_cross_matrix
 
@@ -32,7 +31,8 @@ def oracle_interface_ops(space, neighbor, params, b):
         bn = float(_bn_along(tr, b)(np.zeros(1))[0])
         m_pbn = sp.csr_matrix(np.array([[params.p - 0.5 * bn]]))
         zero = sp.csr_matrix((1, 1))
-        return InterfaceBlocks(one, m_pbn, zero, zero.copy(), tr.nodes, None, params.p, params.q)
+        return SimpleNamespace(M_gamma=one, M_pbn=m_pbn, B_r=zero, K_s=zero.copy(),
+                               nodes=tr.nodes, along=None, p=params.p, q=params.q)
     bn = _bn_along(tr, b)
     m_gamma = hat_cross_matrix(tr.along, tr.along, None, "mass")
     m_pbn = hat_cross_matrix(
@@ -50,7 +50,8 @@ def oracle_interface_ops(space, neighbor, params, b):
         k_s = sp.csr_matrix((tr.n, tr.n))
     else:
         k_s = hat_cross_matrix(tr.along, tr.along, lambda s: qs * np.ones_like(s), "grad_both")
-    return InterfaceBlocks(m_gamma, m_pbn, b_r, k_s, tr.nodes, tr.along, params.p, params.q)
+    return SimpleNamespace(M_gamma=m_gamma, M_pbn=m_pbn, B_r=b_r, K_s=k_s,
+                           nodes=tr.nodes, along=tr.along, p=params.p, q=params.q)
 
 
 def oracle_exterior_robin(space, b, p_ext=1.0):
@@ -131,7 +132,8 @@ def check_pair(md):
     for (i, j) in ((1, 2), (2, 1)):
         ai, aj = md.assemblies[i], md.assemblies[j]
         params = md.cfg.transmission[(i, j)]
-        new = fes.assemble_interface_ops(ai.space, j, params, ai.spec.b)
+        new = fes.assemble_interface_ops(ai.space, j, params, ai.spec.b,
+                                         aj.space.traces[i], aj.spec.b)
         old = oracle_interface_ops(ai.space, j, params, ai.spec.b)
         for f in ("M_gamma", "M_pbn", "B_r", "K_s"):
             assert_identical(getattr(new, f), getattr(old, f))
@@ -141,11 +143,9 @@ def check_pair(md):
         assert_identical(fes.assemble_exterior_robin(ai.space, ai.spec.b),
                          oracle_exterior_robin(ai.space, ai.spec.b))
 
-        ex = drv._exchange(md.cfg, ai, aj)
         M_x, M_bx, B_rx, K_sx = oracle_cross(md, i, j)
-        assert_identical(ex.mass, M_x)
-        assert_identical(ex.op, M_bx + params.q * B_rx + K_sx)
-        assert ex.q == params.q
+        assert_identical(new.M_x, M_x)
+        assert_identical(new.T_x, M_bx + params.q * B_rx + K_sx)
 
 
 B1 = (parse_expression("0.3*sin(3*y)+x"), parse_expression("-1+0.2*x*y"))

@@ -90,7 +90,7 @@ class TestMesh:
             ])
         fields = rng.standard_normal((3, coarse.n_nodes))
         P = coarse.p1_operator(pts)
-        block = P.apply(fields)
+        block = (P @ fields.T).T
         for u, row in zip(fields, block):
             want = _eval_p1_pointwise(coarse, u, pts)
             assert row.tobytes() == want.tobytes()
@@ -277,24 +277,30 @@ class TestInterfaceOps:
         mesh = build_mesh((0.0, 0.5, 0.0, 2.0), (4, 8))
         return build_space(mesh, {2: "xmax"})
 
+    def _ops(self, space, neighbor, params, b):
+        """assemble_interface_ops against neighbor 2 on (0.5, 1) x (0, 2) with b = 0."""
+        other = build_space(build_mesh((0.5, 1.0, 0.0, 2.0), (3, 6)), {1: "xmin"})
+        zero = (const_expr(0.0), const_expr(0.0))
+        return assemble_interface_ops(space, neighbor, params, b, other.traces[1], zero)
+
     def test_robin_scaling(self):
         # constant b.n = -0.1, p = 0.5: (p - b.n/2) mass = 0.55 M_Gamma
         space = self._space()
         params = TransmissionParams(p=0.5, q=0.0)
-        blocks = assemble_interface_ops(space, 2, params, (const_expr(-0.1), const_expr(0.0)))
+        blocks = self._ops(space, 2, params, (const_expr(-0.1), const_expr(0.0)))
         # b.n on side xmax: n = (1, 0), so b.n = -0.1
         assert abs(blocks.M_pbn - 0.55 * blocks.M_gamma).max() < 1e-14
 
     def test_zero_r_gives_zero_Br(self):
         space = self._space()
         params = TransmissionParams(p=1.0, q=0.1, r=const_expr(0.0), s=1.0)
-        blocks = assemble_interface_ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
+        blocks = self._ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
         assert blocks.B_r.nnz == 0
 
     def test_Ks_is_tangential_stiffness(self):
         space = self._space()
         params = TransmissionParams(p=1.0, q=1.0, r=const_expr(0.0), s=1.0)
-        blocks = assemble_interface_ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
+        blocks = self._ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
         h = 0.25
         K = blocks.K_s.toarray()
         assert K[1, 1] == pytest.approx(2.0 / h)
@@ -305,7 +311,7 @@ class TestInterfaceOps:
     def test_Ks_spd_and_Mgamma_spd(self):
         space = self._space()
         params = TransmissionParams(p=1.0, q=0.5, r=const_expr(0.0), s=0.3)
-        blocks = assemble_interface_ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
+        blocks = self._ops(space, 2, params, (const_expr(0.0), const_expr(0.0)))
         evK = np.linalg.eigvalsh(blocks.K_s.toarray())
         evM = np.linalg.eigvalsh(blocks.M_gamma.toarray())
         assert evK.min() > -1e-12
@@ -314,7 +320,7 @@ class TestInterfaceOps:
     def test_missing_interface(self):
         space = self._space()
         with pytest.raises(KeyError):
-            assemble_interface_ops(space, 9, TransmissionParams(p=1.0), (const_expr(0.0), const_expr(0.0)))
+            self._ops(space, 9, TransmissionParams(p=1.0), (const_expr(0.0), const_expr(0.0)))
 
 
 class TestLoads:
