@@ -34,6 +34,7 @@ from oswr import femspace as fes
 from oswr import problem as prb
 from oswr.dgsolver import DGTrajectory, Operators, SolverError, solve_window
 from oswr.driver import (
+    DivergenceError,
     _build_space,
     _check_problem,
     _volume_operators,
@@ -449,8 +450,9 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
     mode='error' runs the homogeneous problem (f = u0 = 0) with a seeded
     random initial guess; mode='full' runs the configured problem with
     its configured initial-guess strategy.  budget=None takes the
-    config's max_iterations.  Budget exhaustion is recorded as saturation
-    (converged=False), not a failure.
+    config's max_iterations.  Budget exhaustion and divergence are
+    recorded as saturation (converged=False, with the sweeps run), not
+    as a failure.
     """
     if not p_values:
         raise ValueError("empty p list")
@@ -478,7 +480,10 @@ def sweep_parameters(cfg, p_values, q_values, target_residual, mode="error",
                 rng = np.random.default_rng(seed)
                 for tr in traces.values():
                     tr.coeffs[...] = rng.standard_normal(tr.coeffs.shape)
-            _, _, _, hist = iterate(md, win, u_init, budget, target_residual, traces=traces)
+            try:
+                hist = iterate(md, win, u_init, budget, target_residual, traces=traces)[3]
+            except DivergenceError as e:
+                hist = e.history
             rows.append({
                 "p": float(p), "q": float(q),
                 "iterations": hist.iterations, "converged": hist.converged,

@@ -25,7 +25,12 @@ Vexler, Numer. Math. 124 (2013); Smears, IMA J. Numer. Anal. 37 (2017)):
 For d = 0, B = [[1]]: lam = 1, c = 1, and the factor is the real
 MM + k KK.  For d = 1 the eigenvalues of B are 2 +- i sqrt(2); the
 second eigenpair is the conjugate of the first, so c = 2 and one
-complex n x n solve replaces the real 2n x 2n one.  The 1e-12 residual
+complex n x n solve replaces the real 2n x 2n one.  The complex w of
+real modes is formed from two real products, w.real @ rhs and
+w.imag @ rhs: numpy sends the mixed complex-by-real product to BLAS
+zgemv, which OpenBLAS runs on several threads at these sizes, so a
+step would keep a second core busy for a few microseconds of work and
+leave no core to a second process.  The 1e-12 residual
 contract is checked against the real S(k) of each step's own k with one
 sparse product: the stacked SS = [A^T (x) MM; diag(gram) (x) KK] gives
 y = SS x, and S(k) x is the first half of y plus k times the second.
@@ -39,11 +44,14 @@ mass, yet lam MM + k KK keeps its k M_Gamma diagonal block.
 
 One record, `Operators`, is the system a march takes: its volume
 blocks, its degree, its interfaces (none for the monodomain reference)
-and a FactorCache.  At the system's first march the cache gets its step
-operator (MM, KK, P, rows) and the stacked SS of its residual check;
-it keeps one sparse LU factor of lam MM + k KK per step class, so a
-uniform grid factors once and no other system can be handed its
-operator.
+and a FactorCache.  `prepare_march` sets a system up for a window: at
+its first call the cache gets the step operator (MM, KK, P, rows) and
+the stacked SS of the residual check, and at every call the sparse LU
+factor of lam MM + k KK of each step class of the window that it lacks.
+So a uniform grid factors once, no other system can be handed its
+operator, and after `prepare_march` a march only solves: the driver
+calls it before it forks the processes that march in parallel, which
+then share the factors.
 
 A march returns a `DGTrajectory` on its window.  `DGTrajectory.chain`
 joins consecutive windows into one trajectory over [0, T], the shape of
@@ -68,6 +76,7 @@ __all__ = [
     "InterfaceTrace",
     "FactorCache",
     "Operators",
+    "prepare_march",
     "solve_window",
     "solve_window_mortar",
     "trajectory_norm",
@@ -237,6 +246,16 @@ class _StepTables:
     w: np.ndarray
     v: np.ndarray
 
+    def combine(self, b):
+        """w @ b for real modes b of shape (d+1, n); a complex w is
+        applied as two real products (module docstring)."""
+        if not np.iscomplexobj(self.w):
+            return self.w @ b
+        c = np.empty(b.shape[1], dtype=complex)
+        c.real = self.w.real @ b
+        c.imag = self.w.imag @ b
+        return c
+
 
 @functools.cache
 def _step_tables(d):
@@ -319,7 +338,7 @@ def _solve_step(cache, d, mass, stiff, k, rhs, n):
     flat_rhs = rhs.ravel()
 
     def solve(b):
-        return (tab.v[:, None] * factor.solve(tab.w @ b)).real
+        return (tab.v[:, None] * factor.solve(tab.combine(b))).real
 
     x = solve(rhs)
     r = _step_residual(SS, k, x, flat_rhs)
@@ -338,6 +357,28 @@ def solve_window(system, traces_in, partition, u_init, loads):
     return solve_window_mortar(system, traces_in, partition, u_init, loads)[0]
 
 
+def prepare_march(system, partition):
+    """Set `system` up to march over `partition`, and return its step
+    operator (MM, KK, P, rows).
+
+    The first call builds the step operator and the stacked SS into
+    system.cache; every call factors, through `FactorCache.get`, each
+    step class of the partition that the cache lacks.  A march after it
+    only looks its factors up."""
+    d = system.degree
+    cache = system.cache
+    if cache.step is None:
+        cache.step = _step_operator(system)
+        cache.stacked = _stacked_operator(cache.step[0], cache.step[1], d)
+    mass, stiff = cache.step[:2]
+    lam = _step_tables(d).lam
+    for k in map(float, partition.lengths):
+        key = cache.key(k)
+        if key not in cache.factors:
+            cache.get(key, lambda: lam * mass + k * stiff)
+    return cache.step
+
+
 def solve_window_mortar(system, traces_in, partition, u_init, loads):
     """March one system (Operators, or a SubdomainAssembly) over a window.
 
@@ -347,16 +388,13 @@ def solve_window_mortar(system, traces_in, partition, u_init, loads):
     Returns the DGTrajectory and the flux modes, neighbor id ->
     (N, d+1, n_iface) on the trajectory's partition.  Both are views of
     one window array, so the flux columns are not copied.  The step
-    operator and SS are built at the system's first march and live in
-    system.cache with its factors.
+    operator, SS and factors come from `prepare_march` and live in
+    system.cache.
     """
     d = system.degree
     ndof = system.n_dofs
     cache = system.cache
-    if cache.step is None:
-        cache.step = _step_operator(system)
-        cache.stacked = _stacked_operator(cache.step[0], cache.step[1], d)
-    mass, stiff, P, rows = cache.step
+    mass, stiff, P, rows = prepare_march(system, partition)
 
     # int_{I_n} L_j (g, v)_Gamma dt = gram[n, j] g_{n,j}, for all n at once.
     # X[n] holds step n's data until the step overwrites it with its

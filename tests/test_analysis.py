@@ -30,6 +30,7 @@ from oswr.problem import parse_config
 from oswr.timebasis import TimePartition, gauss_radau
 from oswr.timeproject import hat_cross_matrix
 import test_driver
+from test_cli import DIVERGING
 from test_driver import CFG_2X2, _cold_windows
 from test_timebasis import locate
 
@@ -702,6 +703,15 @@ class TestSweep:
         grid = ([0.5, 1.0], [0.0, 0.05], 1e-6)
         got = sweep_parameters(cfg, *grid, mode=mode, seed=0, budget=100)
         assert got.rows == sweep_parameters(first, *grid, mode=mode, seed=0, budget=100).rows
+
+    def test_diverging_cell_is_not_converged(self):
+        # p = 0.17 diverges and stops the cell early; the grid goes on
+        cfg = parse_config(DIVERGING)
+        table = sweep_parameters(cfg, [0.17, 4.0], [0.0], 1e-6, mode="full")
+        diverged, converged = table.rows
+        assert not diverged["converged"] and 3 <= diverged["iterations"] < cfg.max_iterations
+        assert converged["converged"]
+        assert table.best == 1
 
     @pytest.mark.parametrize("budget", [0, -2])
     def test_budget_below_one_rejected(self, budget):

@@ -93,10 +93,12 @@ def test_traced_names_resolve(monkeypatch):
     assert bound and all(callable(obj) for obj in bound.values())
 
 
-@pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
-def test_tracer_sees_every_window_solve(monkeypatch, text):
-    # the layer metrics read 0 if the driver stops calling the traced names
+def _traced_run(monkeypatch, text, cpus):
+    """A traced run_windows of `text` with `cpus` CPUs: the tracer, the
+    config and the sweeps."""
     monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(oswr.driver, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(oswr.driver, "_MIN_GROUP_WORK", 0)  # the configs are small
     import tracing
 
     cfg = parse_config(text)
@@ -109,8 +111,24 @@ def test_tracer_sees_every_window_solve(monkeypatch, text):
         tracer.uninstall()
     sweeps = sum(h.iterations for h in sol.histories)
     assert sweeps > len(sol.histories)
+    return tracer, cfg, sweeps
+
+
+@pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
+def test_tracer_sees_every_window_solve(monkeypatch, text):
+    # the layer metrics read 0 if the driver stops calling the traced names
+    tracer, cfg, sweeps = _traced_run(monkeypatch, text, 1)
     assert tracer.counts["dgsolver.window"] == sweeps * len(cfg.subdomains)
     assert tracer.counts["dgsolver.steps"] == sweeps * sum(s.nt for s in cfg.subdomains)
+
+
+@pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
+def test_tracer_sees_the_parents_window_solves(monkeypatch, text):
+    # with two CPUs subdomain 2 marches in a forked worker, whose spans
+    # and counts stay in the worker: the tracer sees subdomain 1 alone
+    tracer, cfg, sweeps = _traced_run(monkeypatch, text, 2)
+    assert tracer.counts["dgsolver.window"] == sweeps
+    assert tracer.counts["dgsolver.steps"] == sweeps * cfg.subdomain(1).nt
 
 
 def test_tracer_sees_the_reference_solve(monkeypatch):
@@ -139,6 +157,8 @@ def test_tracer_factor_metrics_equal_cache_statistics(monkeypatch):
 
     cfg = parse_config(MORTAR)
     md = oswr.driver.build_multidomain(cfg)
+    # in-process: a forked worker's lookups do not reach the tracer
+    monkeypatch.setattr(oswr.driver, "_cpu_count", lambda: 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:

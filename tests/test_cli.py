@@ -74,6 +74,110 @@ p = 1.0
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "heterogeneous.cfg"
 
+# Same advection on both sides, matching meshes and time grids, and a
+# small p: the Jacobi iteration diverges, its data growing geometrically
+# while the relative residual stays of order 1.
+DIVERGING = """
+[domain]
+box = 0 1 0 1
+T = 0.3
+max_iterations = 200
+initial_guess = from_u0
+u0 = "exp(-20*((x-0.5)^2+(y-0.5)^2))"
+f = "0"
+
+[subdomain]
+id = 1
+box = 0 0.5 0 1
+nu = "0.0027*(1+0.5*sin(5*x*y))"
+bx = "0.87*sin(3*y)"
+by = "0.61*cos(2*x)"
+c = "0.44"
+omega = "0.1"
+nx = 5
+ny = 7
+nt = 3
+degree = 0
+
+[subdomain]
+id = 2
+box = 0.5 1 0 1
+nu = "0.32*(1+0.5*sin(5*x*y))"
+bx = "0.87*sin(3*y)"
+by = "0.61*cos(2*x)"
+c = "1.02"
+omega = "0.13"
+nx = 2
+ny = 7
+nt = 3
+degree = 0
+
+[transmission]
+from = 1
+to = 2
+p = 0.17
+
+[transmission]
+from = 2
+to = 1
+p = 0.17
+"""
+
+# Three strips in x with a narrow u0 bump in the first, far from both
+# interfaces: a Jacobi sweep carries data one subdomain further, so pair
+# 2 <- 3 first sees the bump at the third sweep, its data norm rising
+# from 1e-94 after the second to 2e-4.
+THREE_STRIPS = """
+[domain]
+box = 0 1
+T = 0.25
+tolerance = 1e-9
+max_iterations = 100
+initial_guess = from_u0
+u0 = "exp(-2000*(x-0.05)^2)"
+f = "0"
+
+[subdomain]
+id = 1
+box = 0 0.375
+nu = "0.1"
+bx = "0.5"
+c = "1"
+nx = 6
+nt = 4
+degree = 1
+
+[subdomain]
+id = 2
+box = 0.375 0.625
+nu = "0.05"
+bx = "0.2"
+c = "0.3"
+nx = 4
+nt = 4
+degree = 1
+
+[subdomain]
+id = 3
+box = 0.625 1
+nu = "0.05"
+bx = "0.2"
+c = "0.3"
+nx = 6
+nt = 4
+degree = 1
+
+[transmission]
+from = 1
+to = 2
+p = 1.0
+
+[transmission]
+from = 2
+to = 3
+p = 1.0
+"""
+
 # Coefficients that pass validation but fail where set-up evaluates them.
 # nu is finite on the sample lattice of cell centres but singular at the
 # edge midpoints x = 0.3125 of subdomain 1's nx = 8 mesh.
@@ -212,6 +316,30 @@ class TestRun:
 
         monkeypatch.setattr(cli, "run_windows", boom)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+
+    def test_diverging_run_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        path, out = tmp_path / "diverging.cfg", tmp_path / "o"
+        path.write_text(DIVERGING)
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"interface \d->\d, window \[0, 0\.3\]: interface data norm grew", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        CFG.replace('u0 = "exp(-30*(x-0.5)^2)"', 'u0 = "exp(-2000*(x-0.05)^2)"'),
+        THREE_STRIPS,
+    ], ids=["two-strips", "three-strips"])
+    def test_data_from_a_bump_far_from_the_interface_converges(self, tmp_path, text):
+        # from_u0 starts from data of 1e-176 to 1e-93 on the interfaces.
+        # The divergence rule measures growth from the largest norm of any
+        # pair over the start and the first two sweeps, so neither the
+        # first sweep's data of 1e-2 to 1e-1 nor pair 2 <- 3 of three strips,
+        # whose data norm rises by ~1e90 at the third sweep, trips it.
+        path, out = tmp_path / "bump.cfg", tmp_path / "o"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        (window,) = json.loads((out / "manifest.json").read_text())["residual_history"]
+        assert window["residuals"][-1] <= 1e-9 < window["residuals"][0]
 
     def test_deterministic_reruns(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

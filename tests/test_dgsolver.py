@@ -574,16 +574,17 @@ class TestStepClassCache:
     @pytest.mark.parametrize("text", [MORTAR_CFG, NONMATCHING_CFG], ids=["conforming", "mortar"])
     def test_statistics_one_factor_per_system(self, text):
         # equal windows and steps, on matching and nonmatching interface
-        # meshes: each system factors once and finds that factor at every
-        # later step, and the complex n x n factor of lam MM + k KK fills
-        # less than the real Kronecker one
+        # meshes: each system factors once, before its first step
+        # (`prepare_march`), and finds that factor at every step, and the
+        # complex n x n factor of lam MM + k KK fills less than the real
+        # Kronecker one
         cfg = replace(parse_config(text), windows=2)
         md = build_multidomain(cfg)
         sol = run_windows(cfg, md=md)
         sweeps = sum(h.iterations for h in sol.histories)
         for sid, asm in md.assemblies.items():
             cache = asm.cache
-            assert (cache.factorizations, cache.hits) == (1, sweeps * cfg.subdomain(sid).nt - 1)
+            assert (cache.factorizations, cache.hits) == (1, sweeps * cfg.subdomain(sid).nt)
             (factor,) = cache.factors.values()
             assert factor.L.dtype == complex
             assert cache.nnz_lu == factor.L.nnz + factor.U.nnz

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +35,7 @@ from oswr.cli import main
 from oswr.problem import const_expr, parse_config, validate_problem
 from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
-from test_cli import NEGATIVE_NU, SINGULAR_F, SINGULAR_NU
+from test_cli import DIVERGING, NEGATIVE_NU, SINGULAR_F, SINGULAR_NU
 from test_timebasis import locate
 
 CFG_1D = """
@@ -709,10 +711,24 @@ def _old_solve_step(cache, S_mass, S_stiff, k, rhs, n):
     return x
 
 
+_ORACLE_CACHES = {}  # id(asm) -> (weak reference to asm, FactorCache)
+
+
+def _oracle_cache(asm):
+    """The oracle's own cache of real factors of one system, kept across
+    its marches as a march keeps asm.cache: `iterate` fills asm.cache
+    with the complex factors of lam MM + k KK before any march."""
+    ref, cache = _ORACLE_CACHES.get(id(asm), (None, None))
+    if ref is None or ref() is not asm:
+        cache = dg.FactorCache()
+        _ORACLE_CACHES[id(asm)] = (weakref.ref(asm), cache)
+    return cache
+
+
 def _old_march(asm, traces_in, partition, u_init, loads, mortar=None):
     d = asm.degree
     ndof = asm.n_dofs
-    cache = asm.cache  # the factors, as the march keeps them across sweeps
+    cache = _oracle_cache(asm)
     mortar = sorted(asm.iface) if mortar is None else mortar
     M_full, A_full, P = _old_blocks(asm, mortar)
     S_mass, S_stiff = _step_parts(M_full, A_full, d)
@@ -809,6 +825,8 @@ class TestOneInterfaceFold:
                         {sid: traj.coeffs for sid, traj in sol.trajectories.items()})
 
             with monkeypatch.context() as m:
+                # in-process, so that the oracle's cache outlives a window
+                m.setattr(drv, "_cpu_count", lambda: 1)
                 m.setattr(drv, "solve_window_mortar", _old_march)
                 old = run()
             new = run()
@@ -1124,3 +1142,151 @@ class TestSweep:
         _, win, _ = _case("1d")
         with pytest.raises(dataclasses.FrozenInstanceError):
             win.partitions = {}
+
+
+# ---------------------------------------------------------------------------
+# The sweep in parallel processes
+# ---------------------------------------------------------------------------
+
+
+def _force_cpus(monkeypatch, cpus):
+    """`cpus` CPUs, and a group of any work worth a worker, so that the
+    small test configs fork."""
+    monkeypatch.setattr(drv, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(drv, "_MIN_GROUP_WORK", 0)
+
+
+def _run_on(monkeypatch, cfg, cpus):
+    """run_windows of `cfg` with `cpus` CPUs: its solution and the
+    factor-cache counters of each subdomain."""
+    _force_cpus(monkeypatch, cpus)
+    md = build_multidomain(cfg)
+    sol = run_windows(cfg, md=md)
+    assert multiprocessing.active_children() == []
+    return sol, {sid: (asm.cache.factorizations, asm.cache.hits, asm.cache.nnz_lu)
+                 for sid, asm in md.assemblies.items()}
+
+
+def _solution_arrays(sol):
+    """Every array of a solution, and the pair-residual floats, in one
+    fixed order."""
+    out = [sol.trajectories[s].coeffs for s in sorted(sol.trajectories)]
+    for traces, hist in zip(sol.traces, sol.histories, strict=True):
+        out += [traces[pair].coeffs for pair in sorted(traces)]
+        out.append(np.array(hist.residuals))
+        out += [np.array([r[pair] for pair in sorted(r)]) for r in hist.pair_residuals]
+    return out
+
+
+class TestParallelSweep:
+    @pytest.mark.parametrize("text,cpus", [
+        (CFG_1D, 2),
+        (CFG_2D_NONMATCHING, 2),
+        (CFG_2X2, 2),
+        (CFG_2X2, 3),
+        (CFG_1D.replace("T = 0.5", "T = 0.5\nwindows = 2"), 2),
+    ], ids=["1d", "mortar-2d", "2x2", "2x2-three-groups", "1d-2-windows"])
+    def test_workers_match_one_process_bit_for_bit(self, monkeypatch, text, cpus):
+        cfg = parse_config(text)
+        one, one_counts = _run_on(monkeypatch, cfg, 1)
+        many, many_counts = _run_on(monkeypatch, cfg, cpus)
+        assert [h.iterations for h in many.histories] == [h.iterations for h in one.histories]
+        assert [h.converged for h in many.histories] == [h.converged for h in one.histories]
+        a, b = _solution_arrays(one), _solution_arrays(many)
+        assert len(a) == len(b)
+        assert all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        assert list(many.traces[-1]) == list(one.traces[-1])
+        assert many_counts == one_counts
+
+    def test_solver_error_in_a_worker_names_subdomain_window_interval(self, monkeypatch):
+        # subdomain 2 marches in the worker, with the wrong factor that the
+        # fork hands it
+        _force_cpus(monkeypatch, 2)
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        asm = md.assemblies[2]
+        size = dg._step_operator(asm)[0].shape[0]
+        k = float(win.partitions[2].lengths[0])
+        asm.cache.factors[asm.cache.key(k)] = spla.splu(
+            sp.identity(size, dtype=complex, format="csc"))
+        with pytest.raises(SolverError,
+                           match=r"^subdomain 2, window \[0, 0\.5\], interval 0: "
+                                 r"linear solve residual .* exceeds 1e-12$"):
+            iterate(md, win, _u_init(md, cfg), 5, 1e-10)
+        assert multiprocessing.active_children() == []
+
+    def test_factorization_breakdown_names_subdomain_and_window(self, monkeypatch):
+        # subdomain 2's step system is made singular before the parent
+        # factors every system of the window
+        _force_cpus(monkeypatch, 2)
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        asm = md.assemblies[2]
+        mass, stiff, P, rows = dg._step_operator(asm)
+        asm.cache.step = (0 * mass, 0 * stiff, P, rows)
+        with pytest.raises(SolverError,
+                           match=r"^subdomain 2, window \[0, 0\.5\], factorization breakdown: "):
+            iterate(md, win, _u_init(md, cfg), 5, 1e-10)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_is_a_named_solver_error(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        cfg = parse_config(CFG_1D)
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        update = drv.transmission_update
+
+        def dying(md, win, i, j, *args):
+            if j == 2:  # subdomain 2 marches in the worker
+                drv.os._exit(1)
+            return update(md, win, i, j, *args)
+
+        monkeypatch.setattr(drv, "transmission_update", dying)
+        with pytest.raises(SolverError,
+                           match=r"^subdomains 2, window \[0, 0\.5\]: worker process ended \(EOFError"):
+            iterate(md, win, _u_init(md, cfg), 5, 1e-10)
+        assert multiprocessing.active_children() == []
+
+    def test_small_groups_march_in_process(self, monkeypatch):
+        monkeypatch.setattr(drv, "_cpu_count", lambda: 4)
+        cfg = parse_config(CFG_2X2)
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        work = {sid: asm.n_dofs * win.partitions[sid].n_intervals
+                for sid, asm in md.assemblies.items()}
+        assert max(work.values()) < drv._MIN_GROUP_WORK
+        assert drv._groups(md, win) == [[1, 2, 3, 4]]
+        # the most groups whose lightest still reaches the least work
+        monkeypatch.setattr(drv, "_MIN_GROUP_WORK", min(work[1] + work[3], work[2] + work[4]))
+        assert drv._groups(md, win) == [[1, 3], [2, 4]]
+        monkeypatch.setattr(drv, "_MIN_GROUP_WORK", min(work.values()))
+        assert drv._groups(md, win) == [[1], [2], [3], [4]]
+
+    def test_one_cpu_where_affinity_is_unknown(self, monkeypatch):
+        # outside Linux there is no sched_getaffinity: no worker is forked
+        monkeypatch.delattr(drv.os, "sched_getaffinity", raising=False)
+        assert drv._cpu_count() == 1
+
+    @pytest.mark.parametrize("failure", ["divergence", "solver", "interrupt"])
+    def test_no_worker_outlives_iterate(self, monkeypatch, failure):
+        _force_cpus(monkeypatch, 2)
+        cfg = parse_config(DIVERGING if failure == "divergence" else CFG_1D)
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        expected = {"divergence": DivergenceError, "solver": SolverError,
+                    "interrupt": KeyboardInterrupt}[failure]
+        update = drv.transmission_update
+
+        def failing(md, win, i, j, *args):
+            # subdomain 1 marches in the parent, 2 in the worker
+            if j == (1 if failure == "interrupt" else 2):
+                raise expected("injected")
+            return update(md, win, i, j, *args)
+
+        if failure != "divergence":
+            monkeypatch.setattr(drv, "transmission_update", failing)
+        with pytest.raises(expected):
+            iterate(md, win, _u_init(md, cfg), cfg.max_iterations, 1e-10)
+        assert multiprocessing.active_children() == []
