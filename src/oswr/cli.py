@@ -5,7 +5,8 @@ Subcommands:
 * ``oswr run <config> [--out DIR] [--times LIST]``
   runs the windowed OSWR solver; writes per-subdomain solution
   snapshots, the residual history and a run manifest, which holds each
-  window's sweep residuals and those of each directed interface.  Given a
+  window's sweep residuals, those of each directed interface and whether
+  it converged; a window that did not prints a warning.  Given a
   manifest, it re-runs with the manifest's --times unless the command
   line gives them.  Keys of older manifests that this version no
   longer reads, such as the interface-formulation flag, are ignored.
@@ -115,15 +116,26 @@ def _csv(header, rows):
 
 
 def _window_history(hist):
-    """One window's sweep residuals and those of each directed interface
-    ("i->j")."""
+    """One window's sweep residuals, those of each directed interface
+    ("i->j"), and whether it converged."""
     return {
+        "converged": hist.converged,
         "residuals": hist.residuals,
         "pair_residuals": {
             f"{i}->{j}": [r[(i, j)] for r in hist.pair_residuals]
             for (i, j) in hist.pair_residuals[0]
         },
     }
+
+
+def _warn_unconverged(cfg, histories, where=""):
+    """One warning line per window of `histories` that ran out of sweeps."""
+    bounds = np.linspace(0.0, cfg.T, cfg.windows + 1)
+    for w, hist in enumerate(histories):
+        if not hist.converged:
+            print(f"warning: {where}window {w} [{_fmt(bounds[w])}, {_fmt(bounds[w + 1])}] "
+                  f"not converged after {hist.iterations} sweeps, last residual "
+                  f"{hist.residuals[-1]:.3e}", file=sys.stderr)
 
 
 def _write_outputs(out, files, command, cfg, wall, residuals, **flags):
@@ -155,6 +167,7 @@ def cmd_run(args):
     md = build_multidomain(cfg)
     sol = run_windows(cfg, md=md)
     wall = time.perf_counter() - t0
+    _warn_unconverged(cfg, sol.histories)
 
     files = {}
     for sid in sorted(sol.trajectories):
@@ -201,6 +214,8 @@ def cmd_study(args):
     t0 = time.perf_counter()
     table = ana.convergence_study(cfg, args.axis, levels, tol=tol)
     wall = time.perf_counter() - t0
+    for level, histories in enumerate(table.histories):
+        _warn_unconverged(cfg, histories, f"level {level}, ")
 
     cols = _study_columns(table)
     rows = [[row[key] for _, key in cols] for row in table.rows]

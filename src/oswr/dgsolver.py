@@ -50,8 +50,9 @@ the stacked SS of the residual check, and at every call the sparse LU
 factor of lam MM + k KK of each step class of the window that it lacks.
 So a uniform grid factors once, no other system can be handed its
 operator, and after `prepare_march` a march only solves: the driver
-calls it before it forks the processes that march in parallel, which
-then share the factors.
+calls it for every subdomain of a window before it forks the workers
+of a parallel sweep, which inherit the factors and march into window
+arrays (`out`) in shared memory that the parent reads (`window_views`).
 
 A march returns a `DGTrajectory` on its window.  `DGTrajectory.chain`
 joins consecutive windows into one trajectory over [0, T], the shape of
@@ -80,6 +81,7 @@ __all__ = [
     "solve_window",
     "solve_window_mortar",
     "trajectory_norm",
+    "window_views",
 ]
 
 RESIDUAL_TOL = 1e-12
@@ -379,17 +381,26 @@ def prepare_march(system, partition):
     return cache.step
 
 
-def solve_window_mortar(system, traces_in, partition, u_init, loads):
+def window_views(system, partition, u_init, X):
+    """The DGTrajectory and the flux modes (neighbor id -> (N, d+1,
+    n_iface)) that the window array X of a march of `system` over
+    `partition` from u_init holds: views of X, not copies."""
+    ndof = system.n_dofs
+    traj = DGTrajectory(partition=partition, coeffs=X[:, :, :ndof],
+                        u_init=np.asarray(u_init, float).copy())
+    return traj, {nb: X[:, :, r] for nb, r in system.cache.step[3].items()}
+
+
+def solve_window_mortar(system, traces_in, partition, u_init, loads, out=None):
     """March one system (Operators, or a SubdomainAssembly) over a window.
 
     traces_in maps neighbor id -> InterfaceTrace on the system's
     partition; each trace loads the flux rows `_step_operator` gives its
     interface.  loads[n] is the (d+1, ndof) volume load of interval n.
-    Returns the DGTrajectory and the flux modes, neighbor id ->
-    (N, d+1, n_iface) on the trajectory's partition.  Both are views of
-    one window array, so the flux columns are not copied.  The step
-    operator, SS and factors come from `prepare_march` and live in
-    system.cache.
+    The march writes the window array `out`, (N, d+1, rows), zeroed
+    first, or a new one.  Returns its `window_views`: the DGTrajectory
+    and the flux modes.  The step operator, SS and factors come from
+    `prepare_march` and live in system.cache.
     """
     d = system.degree
     ndof = system.n_dofs
@@ -400,7 +411,8 @@ def solve_window_mortar(system, traces_in, partition, u_init, loads):
     # X[n] holds step n's data until the step overwrites it with its
     # solution.
     gram = partition.gram(d)
-    X = np.zeros((partition.n_intervals, d + 1, P.shape[0]))
+    X = np.empty((partition.n_intervals, d + 1, P.shape[0])) if out is None else out
+    X[...] = 0.0
     for nb, tr in traces_in.items():
         X[:, :, rows[nb]] += gram[:, :, None] * tr.coeffs
     sign = ((-1.0) ** np.arange(d + 1))[:, None]
@@ -410,9 +422,7 @@ def solve_window_mortar(system, traces_in, partition, u_init, loads):
         rhs = sign * (P @ u_prev) + X[n]
         X[n] = _solve_step(cache, d, mass, stiff, float(k), rhs, n)
         u_prev = X[n, :, :ndof].sum(axis=0)
-    traj = DGTrajectory(partition=partition, coeffs=X[:, :, :ndof],
-                        u_init=np.asarray(u_init, float).copy())
-    return traj, {nb: X[:, :, r] for nb, r in rows.items()}
+    return window_views(system, partition, u_init, X)
 
 
 def trajectory_norm(traj, M):

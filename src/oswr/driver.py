@@ -15,30 +15,17 @@ rules, and `run_windows` runs the windows in turn and chains each
 subdomain's into one `DGTrajectory` over [0, T].
 
 The subdomain solves of a Jacobi sweep are independent, so `iterate`
-runs them in parallel processes.  With c the number of CPUs the process
-may run on (`os.sched_getaffinity`) and m subdomains, it deals the
-subdomain ids round-robin into the most groups, at most min(c, m), in
-which every group marches at least _MIN_GROUP_WORK unknowns x steps per
-sweep; one group means in-process.  A smaller group saves a few
-milliseconds per sweep, and a sweep in lockstep with a second process
-takes as long as the slower of the two, so its time follows the load
-of the machine more than the work: two subdomains of a few hundred
-unknowns gained 3-11% in wall time, while the spread of their run
-times grew up to 2.4-fold.  It factors every step system of the window
-in the parent (`dgsolver.prepare_march`), then forks one worker per
-group but the first, which the parent keeps.  Each
-sweep sends every worker the traces its group reads; each process
-marches its group and computes the new data g(i<-j) of every j in it,
-and the parent gathers that data and alone applies the residual,
-divergence and stopping rules.  At the end of the window the workers
-return their last trajectories and fluxes and their factor-cache
-counters.  The processes compute exactly what one process would, so
-the results are bit-identical to a serial run.  Workers are forked,
-not spawned, because the SuperLU factors they solve with cannot be
-pickled.  Where `os.sched_getaffinity` does not exist (outside Linux),
-with one CPU, with one subdomain or with too little work per group, the
-sweep runs in-process.  Threads would not help: SuperLU's solve holds
-the interpreter lock.
+deals the subdomain ids round-robin into the most groups, at most
+min(CPUs, subdomains), of which each marches at least _MIN_GROUP_WORK
+unknowns x steps per sweep (a sweep in lockstep with a second process
+waits for the slower one, so small groups gain little and follow the
+machine's load).  Each group but the first marches in a worker of a
+process pool forked once per window, into window arrays in shared
+memory; the parent marches the first group, then alone runs every
+exchange and the rules, so the results are bit-identical to one
+process.  Workers are forked because the SuperLU factors, made in the
+parent, cannot be pickled; threads would not help, as SuperLU's solve
+holds the interpreter lock.
 
 The exchange never extracts a normal derivative from the solution: the
 new data is the algebraic combination
@@ -55,9 +42,15 @@ to i's.
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 import multiprocessing
 import os
 import signal
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +67,7 @@ from oswr.dgsolver import (
     solve_window,  # unused here; bench/tracing.py wraps oswr.driver.solve_window
     solve_window_mortar,
     trajectory_norm,  # unused here; bench/tracing.py wraps oswr.driver.trajectory_norm
+    window_views,
 )
 from oswr.timebasis import TimePartition, lift_rate_modes
 from oswr.timeproject import (
@@ -351,37 +345,6 @@ def _named(sid, part):
         raise SolverError(f"subdomain {sid}, window [{part.start:g}, {part.end:g}], {e}") from e
 
 
-def _march(md, win, traces, u_init, sids):
-    """Solve the subdomains `sids` of the window `win` from u_init[sid]
-    against `traces`, then give new data to every directed pair i <- j
-    with j among them.
-
-    Returns (trajectories, fluxes, new_traces), the first two keyed by
-    subdomain id."""
-    trajectories, fluxes = {}, {}
-    for sid in sids:
-        asm, part = md.assemblies[sid], win.partitions[sid]
-        mine = {nb: traces[(sid, nb)] for nb in asm.iface}
-        with _named(sid, part):
-            trajectories[sid], fluxes[sid] = solve_window_mortar(
-                asm, mine, part, u_init[sid], win.loads[sid])
-    new_traces = {
-        (i, j): transmission_update(md, win, i, j, trajectories[j], fluxes[j])
-        for (i, j) in md.pairs if j in trajectories
-    }
-    return trajectories, fluxes, new_traces
-
-
-def sweep(md, win, traces, u_init):
-    """One Jacobi sweep over the window `win`: every subdomain solves
-    from u_init[sid] against `traces` (directed pair -> InterfaceTrace),
-    then every directed pair i <- j gets new data from j's solution.
-
-    Returns (trajectories, fluxes, new_traces), the first two keyed by
-    subdomain id."""
-    return _march(md, win, traces, u_init, sorted(md.assemblies))
-
-
 def _cpu_count():
     """The CPUs this process may run on; 1 where the OS cannot say."""
     if not hasattr(os, "sched_getaffinity"):
@@ -402,103 +365,100 @@ def _groups(md, win):
     return [sids]
 
 
-def _serve(md, win, u_init, group, conn, parent_end):
-    """A worker's loop over one window: march `group` against each traces
-    dict received and send back its new data, or the exception that
-    stopped it.  On None, send the group's last trajectories and fluxes
-    and the counters of its factor caches, and return."""
+def _window_arrays(md, win):
+    """Set every subdomain up for the window (`prepare_march`) and give it
+    one zeroed (N, d+1, rows) window array in anonymous shared memory,
+    which a forked worker writes and the parent reads."""
+    arrays = {}
+    for sid, asm in md.assemblies.items():
+        part = win.partitions[sid]
+        with _named(sid, part):
+            mass = prepare_march(asm, part)[0]
+        shape = (part.n_intervals, asm.degree + 1, mass.shape[0])
+        buffer = mmap.mmap(-1, 8 * math.prod(shape))
+        arrays[sid] = np.frombuffer(buffer, dtype=np.float64).reshape(shape)
+    return arrays
+
+
+_window = None  # a worker's (md, win, u_init, arrays); assigned only in workers
+
+
+def _start_worker(*window):
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops the workers
-    parent_end.close()
-    trajectories, fluxes = {}, {}
-    try:
-        while (traces := conn.recv()) is not None:
-            try:
-                trajectories, fluxes, new_traces = _march(md, win, traces, u_init, group)
-            except Exception as e:
-                conn.send(e)
-                return
-            conn.send(new_traces)
-    except EOFError:  # the parent is gone
-        return
-    caches = {sid: md.assemblies[sid].cache for sid in group}
-    conn.send((trajectories, fluxes,
-               {sid: (c.factorizations, c.hits, c.nnz_lu) for sid, c in caches.items()}))
+    global _window
+    _window = window
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
 
 
-class _Sweeper:
-    """The Jacobi sweeps of one window: the subdomain ids dealt by
-    `_groups`, the first group marched by this process and each other
-    one by a forked worker, which `close` stops."""
+def _exit_with_parent(parent):
+    # a pool worker waits for tasks on a queue whose writing end it holds
+    # too, so it would outlive a parent that was killed
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
-    def __init__(self, md, win, u_init):
-        self.md, self.win, self.u_init = md, win, u_init
-        groups = _groups(md, win)
-        self.own = groups[0]
-        self.workers = []  # (process, connection, group)
-        ctx = multiprocessing.get_context("fork")
+
+def _march(md, win, traces, u_init, arrays, sids):
+    """Solve the subdomains `sids` of the window `win` from u_init[sid]
+    against `traces`, each into its window array."""
+    for sid in sids:
+        asm, part = md.assemblies[sid], win.partitions[sid]
+        with _named(sid, part):
+            solve_window_mortar(asm, {nb: traces[(sid, nb)] for nb in asm.iface}, part,
+                                u_init[sid], win.loads[sid], out=arrays[sid])
+
+
+def _counters(cache):
+    return np.array([cache.factorizations, cache.hits, cache.nnz_lu])
+
+
+def _march_group(traces, group):
+    """A worker's task: march `group` of its window into the shared
+    arrays.  Returns what the march added to each subdomain's factor-cache
+    counters (any worker may march a group), which the parent adds to its
+    own."""
+    md, win, u_init, arrays = _window
+    before = {sid: _counters(md.assemblies[sid].cache) for sid in group}
+    _march(md, win, traces, u_init, arrays, group)
+    return {sid: _counters(md.assemblies[sid].cache) - before[sid] for sid in group}
+
+
+def sweep(md, win, traces, u_init, shared=None):
+    """One Jacobi sweep over the window `win`: every subdomain solves
+    from u_init[sid] against `traces` (directed pair -> InterfaceTrace),
+    then every directed pair i <- j gets new data from j's solution.
+    `shared`, what the window's sweeps share, is (window arrays, groups,
+    pool): the pool's workers march every group but the first into the
+    arrays.  Without it the sweep runs in this process, into new arrays.
+
+    Returns (trajectories, fluxes, new_traces), the first two keyed by
+    subdomain id and viewing the window arrays."""
+    arrays, groups, pool = shared or (_window_arrays(md, win), [sorted(md.assemblies)], None)
+    futures = [(group, pool.submit(
+                    _march_group, {pair: tr for pair, tr in traces.items() if pair[0] in group},
+                    group))
+               for group in groups[1:]]
+    _march(md, win, traces, u_init, arrays, groups[0])
+    for group, future in futures:
         try:
-            for group in groups[1:]:
-                here, there = ctx.Pipe()
-                proc = ctx.Process(target=_serve, args=(md, win, u_init, group, there, here),
-                                   daemon=True)
-                proc.start()
-                there.close()
-                self.workers.append((proc, here, group))
-        except BaseException:
-            self.close()
-            raise
-
-    def close(self):
-        for proc, conn, _ in self.workers:
-            proc.terminate()
-            proc.join()
-            conn.close()
-        self.workers = []
-
-    @contextlib.contextmanager
-    def _talking(self, group):
-        """Turn a pipe that a worker left, by dying or by failing to send
-        its exception, into a SolverError that names its group."""
-        try:
-            yield
-        except (EOFError, OSError) as e:
-            part = self.win.partitions[group[0]]
+            counts = future.result()
+        except BrokenProcessPool as e:
+            part = win.partitions[group[0]]
             raise SolverError(
                 f"subdomains {', '.join(map(str, group))}, window [{part.start:g}, "
                 f"{part.end:g}]: worker process ended ({type(e).__name__}: {e})") from e
-
-    def sweep(self, traces):
-        """`sweep` of the window from `traces`, each group in its own
-        process."""
-        for _, conn, group in self.workers:
-            with self._talking(group):
-                conn.send({pair: tr for pair, tr in traces.items() if pair[0] in group})
-        trajectories, fluxes, new = _march(self.md, self.win, traces, self.u_init, self.own)
-        for _, conn, group in self.workers:
-            with self._talking(group):
-                got = conn.recv()
-            if isinstance(got, Exception):
-                raise got
-            new.update(got)
-        return trajectories, fluxes, {pair: new[pair] for pair in self.md.pairs}
-
-    def finish(self, trajectories, fluxes):
-        """The last sweep's trajectories and fluxes of every subdomain,
-        from the parent's own (`trajectories`, `fluxes`) and the
-        workers'.  The parent's caches of the workers' subdomains take
-        the workers' counters, which began from theirs at the fork."""
-        trajectories, fluxes = dict(trajectories), dict(fluxes)
-        for _, conn, group in self.workers:
-            with self._talking(group):
-                conn.send(None)
-                trajs, flux, counts = conn.recv()
-            trajectories.update(trajs)
-            fluxes.update(flux)
-            for sid, (factorizations, hits, nnz_lu) in counts.items():
-                cache = self.md.assemblies[sid].cache
-                cache.factorizations, cache.hits, cache.nnz_lu = factorizations, hits, nnz_lu
-        order = sorted(trajectories)
-        return {sid: trajectories[sid] for sid in order}, {sid: fluxes[sid] for sid in order}
+        for sid, added in counts.items():
+            cache = md.assemblies[sid].cache
+            cache.factorizations, cache.hits, cache.nnz_lu = map(int, _counters(cache) + added)
+    trajectories, fluxes = {}, {}
+    for sid in sorted(md.assemblies):
+        trajectories[sid], fluxes[sid] = window_views(
+            md.assemblies[sid], win.partitions[sid], u_init[sid], arrays[sid])
+    new_traces = {
+        (i, j): transmission_update(md, win, i, j, trajectories[j], fluxes[j])
+        for (i, j) in md.pairs
+    }
+    return trajectories, fluxes, new_traces
 
 
 def iterate(md, win, u_init, budget, tol, traces=None):
@@ -521,16 +481,18 @@ def iterate(md, win, u_init, budget, tol, traces=None):
         traces = initial_guess(md.cfg.initial_guess, md, win, u_init)
     scale = {pair: traces[pair].norm() for pair in md.pairs}
     peak = max([0.0, *scale.values()])
-    for sid, asm in md.assemblies.items():
-        with _named(sid, win.partitions[sid]):
-            prepare_march(asm, win.partitions[sid])
+    arrays, groups = _window_arrays(md, win), _groups(md, win)
+    pool = None
+    if len(groups) > 1:
+        pool = ProcessPoolExecutor(len(groups) - 1, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(md, win, u_init, arrays))
 
     history = IterationHistory()
     trajectories, fluxes = {}, {}
     r0 = None
-    with contextlib.closing(_Sweeper(md, win, u_init)) as sweeper:
+    with pool or contextlib.nullcontext():
         for k in range(budget):
-            trajectories, fluxes, new_traces = sweeper.sweep(traces)
+            trajectories, fluxes, new_traces = sweep(md, win, traces, u_init, (arrays, groups, pool))
             r_pair = {
                 pair: interface_residual(new_traces[pair], traces[pair], scale[pair])
                 for pair in md.pairs
@@ -563,7 +525,6 @@ def iterate(md, win, u_init, budget, tol, traces=None):
             if r_k <= tol:
                 history.converged = True
                 break
-        trajectories, fluxes = sweeper.finish(trajectories, fluxes)
     return trajectories, fluxes, traces, history
 
 

@@ -95,7 +95,7 @@ def test_traced_names_resolve(monkeypatch):
 
 def _traced_run(monkeypatch, text, cpus):
     """A traced run_windows of `text` with `cpus` CPUs: the tracer, the
-    config and the sweeps."""
+    multidomain and the sweeps."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(oswr.driver, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(oswr.driver, "_MIN_GROUP_WORK", 0)  # the configs are small
@@ -111,24 +111,32 @@ def _traced_run(monkeypatch, text, cpus):
         tracer.uninstall()
     sweeps = sum(h.iterations for h in sol.histories)
     assert sweeps > len(sol.histories)
-    return tracer, cfg, sweeps
+    return tracer, md, sweeps
 
 
 @pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
 def test_tracer_sees_every_window_solve(monkeypatch, text):
     # the layer metrics read 0 if the driver stops calling the traced names
-    tracer, cfg, sweeps = _traced_run(monkeypatch, text, 1)
-    assert tracer.counts["dgsolver.window"] == sweeps * len(cfg.subdomains)
-    assert tracer.counts["dgsolver.steps"] == sweeps * sum(s.nt for s in cfg.subdomains)
+    tracer, md, sweeps = _traced_run(monkeypatch, text, 1)
+    assert tracer.counts["dgsolver.window"] == sweeps * len(md.cfg.subdomains)
+    assert tracer.counts["dgsolver.steps"] == sweeps * sum(s.nt for s in md.cfg.subdomains)
 
 
 @pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
 def test_tracer_sees_the_parents_window_solves(monkeypatch, text):
     # with two CPUs subdomain 2 marches in a forked worker, whose spans
     # and counts stay in the worker: the tracer sees subdomain 1 alone
-    tracer, cfg, sweeps = _traced_run(monkeypatch, text, 2)
+    tracer, md, sweeps = _traced_run(monkeypatch, text, 2)
     assert tracer.counts["dgsolver.window"] == sweeps
-    assert tracer.counts["dgsolver.steps"] == sweeps * cfg.subdomain(1).nt
+    assert tracer.counts["dgsolver.steps"] == sweeps * md.cfg.subdomain(1).nt
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("text", [CONFORMING, MORTAR], ids=["conforming", "mortar"])
+def test_tracer_sees_every_exchange(monkeypatch, text, cpus):
+    # the parent runs every transmission update, whoever marched
+    tracer, md, sweeps = _traced_run(monkeypatch, text, cpus)
+    assert tracer.counts["driver.exchange"] == sweeps * len(md.pairs)
 
 
 def test_tracer_sees_the_reference_solve(monkeypatch):

@@ -340,6 +340,21 @@ class TestRun:
         assert main(["run", str(path), "--out", str(out)]) == 0
         (window,) = json.loads((out / "manifest.json").read_text())["residual_history"]
         assert window["residuals"][-1] <= 1e-9 < window["residuals"][0]
+        assert window["converged"] is True
+
+    def test_unconverged_window_warns_and_exits_0(self, tmp_path, capsys):
+        # the cross point of the 2x2 layout stalls the sweep near 2e-4
+        from test_driver import CFG_2X2
+
+        path, out = tmp_path / "2x2.cfg", tmp_path / "o"
+        path.write_text(CFG_2X2.replace("max_iterations = 8", "max_iterations = 200"))
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"warning: window 0 \[0, 0\.25\] not converged after 200 sweeps, "
+                            r"last residual \d\.\d{3}e-0\d\n", err), err
+        (window,) = json.loads((out / "manifest.json").read_text())["residual_history"]
+        assert window["converged"] is False
+        assert len(window["residuals"]) == 200
 
     def test_deterministic_reruns(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -541,6 +556,7 @@ class TestStudy:
             pairs = window["pair_residuals"]
             assert sorted(pairs) == ["1->2", "2->1"]
             assert window["residuals"] == [max(r) for r in zip(*pairs.values())]
+            assert window["converged"] is True
 
     @pytest.mark.parametrize("axis,x_name", [("time", "k_1"), ("space", "h_1")])
     def test_plot_x_column_is_the_axis_step(self, cfg_path, tmp_path, axis, x_name):

@@ -1,7 +1,12 @@
 import dataclasses
 import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from oswr.cli import main
 from oswr.problem import const_expr, parse_config, validate_problem
 from oswr.timebasis import TimePartition, build_interval_basis, legendre_eval
 from oswr.timeproject import apply_projection, build_projection_matrices
+from interface_map import interface_map
 from test_cli import DIVERGING, NEGATIVE_NU, SINGULAR_F, SINGULAR_NU
 from test_timebasis import locate
 
@@ -725,7 +731,7 @@ def _oracle_cache(asm):
     return cache
 
 
-def _old_march(asm, traces_in, partition, u_init, loads, mortar=None):
+def _old_march(asm, traces_in, partition, u_init, loads, mortar=None, out=None):
     d = asm.degree
     ndof = asm.n_dofs
     cache = _oracle_cache(asm)
@@ -757,6 +763,10 @@ def _old_march(asm, traces_in, partition, u_init, loads, mortar=None):
         for nb, r in rows.items():
             qmodes[nb][n] = x[:, r]
         u_prev = coeffs[n].sum(axis=0)
+    if out is not None:  # the window array, volume then flux rows
+        out[:, :, :ndof] = coeffs
+        for nb, r in rows.items():
+            out[:, :, r] = qmodes[nb]
     traj = DGTrajectory(partition, coeffs, np.asarray(u_init, float).copy())
     return traj, qmodes
 
@@ -1144,6 +1154,32 @@ class TestSweep:
             win.partitions = {}
 
 
+class TestInterfaceMap:
+    @pytest.mark.parametrize("text", [
+        CFG_1D,
+        CFG_2D_NONMATCHING,
+        CFG_2X2.replace("nt = 3", "nt = 4"),
+    ], ids=["1d", "mortar-2d", "2x2"])
+    def test_iterating_K_reproduces_the_residual_history(self, text):
+        # homogeneous, from random data: g_k = K^k g_0, sweep by sweep
+        cfg = replace(parse_config(text), u0=const_expr(0.0), f=const_expr(0.0))
+        md = build_multidomain(cfg)
+        win = md.window(0.0, cfg.T)
+        u0 = {sid: np.zeros(asm.n_dofs) for sid, asm in md.assemblies.items()}
+        start = _random_traces(md, win, u0, 5)
+        history = iterate(md, win, u0, 8, 0.0, traces=start)[3]
+        K, weigh, slices = interface_map(md, win)
+        x = weigh(start)
+        scale = [np.linalg.norm(x[s]) for s in slices]
+        for r in history.residuals:
+            y = K @ x
+            r_K = max(np.linalg.norm(y[s] - x[s]) / max(np.linalg.norm(y[s]), sc)
+                      for s, sc in zip(slices, scale))
+            assert abs(r_K - r) <= 1e-10 * r
+            x = y
+        assert len(history.residuals) == 8
+
+
 # ---------------------------------------------------------------------------
 # The sweep in parallel processes
 # ---------------------------------------------------------------------------
@@ -1236,16 +1272,17 @@ class TestParallelSweep:
         cfg = parse_config(CFG_1D)
         md = build_multidomain(cfg)
         win = md.window(0.0, cfg.T)
-        update = drv.transmission_update
+        march = drv.solve_window_mortar
 
-        def dying(md, win, i, j, *args):
-            if j == 2:  # subdomain 2 marches in the worker
+        def dying(system, *args, **kwargs):
+            if system is md.assemblies[2]:  # subdomain 2 marches in the worker
                 drv.os._exit(1)
-            return update(md, win, i, j, *args)
+            return march(system, *args, **kwargs)
 
-        monkeypatch.setattr(drv, "transmission_update", dying)
+        monkeypatch.setattr(drv, "solve_window_mortar", dying)
         with pytest.raises(SolverError,
-                           match=r"^subdomains 2, window \[0, 0\.5\]: worker process ended \(EOFError"):
+                           match=r"^subdomains 2, window \[0, 0\.5\]: worker process ended "
+                                 r"\(BrokenProcessPool"):
             iterate(md, win, _u_init(md, cfg), 5, 1e-10)
         assert multiprocessing.active_children() == []
 
@@ -1269,6 +1306,34 @@ class TestParallelSweep:
         monkeypatch.delattr(drv.os, "sched_getaffinity", raising=False)
         assert drv._cpu_count() == 1
 
+    def test_no_worker_outlives_a_killed_parent(self, tmp_path):
+        # the parent prints its worker's pid mid-sweep and waits to be killed
+        script = tmp_path / "killed.py"
+        script.write_text(
+            "import multiprocessing, sys, time\n"
+            "import oswr.driver as drv\n"
+            "from oswr.problem import parse_config\n"
+            "drv._cpu_count, drv._MIN_GROUP_WORK = (lambda: 2), 0\n"
+            "def march(system, *args, **kwargs):\n"
+            "    if multiprocessing.parent_process() is None:\n"
+            "        print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "        time.sleep(60)\n"
+            "drv.solve_window_mortar = march\n"
+            "drv.run_windows(parse_config(sys.stdin.read()))\n")
+        parent = subprocess.Popen([sys.executable, str(script)], stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        parent.stdin.write(CFG_1D)
+        parent.stdin.close()
+        (worker,) = map(int, parent.stdout.readline().split())
+        parent.kill()
+        parent.wait()
+        stat = Path(f"/proc/{worker}/stat")
+        deadline = time.monotonic() + 10.0
+        while stat.exists() and stat.read_text().split(")")[-1].split()[0] != "Z":
+            assert time.monotonic() < deadline, "the worker outlived its killed parent"
+            time.sleep(0.1)
+
     @pytest.mark.parametrize("failure", ["divergence", "solver", "interrupt"])
     def test_no_worker_outlives_iterate(self, monkeypatch, failure):
         _force_cpus(monkeypatch, 2)
@@ -1277,16 +1342,16 @@ class TestParallelSweep:
         win = md.window(0.0, cfg.T)
         expected = {"divergence": DivergenceError, "solver": SolverError,
                     "interrupt": KeyboardInterrupt}[failure]
-        update = drv.transmission_update
+        march = drv.solve_window_mortar
 
-        def failing(md, win, i, j, *args):
+        def failing(system, *args, **kwargs):
             # subdomain 1 marches in the parent, 2 in the worker
-            if j == (1 if failure == "interrupt" else 2):
+            if system is md.assemblies[1 if failure == "interrupt" else 2]:
                 raise expected("injected")
-            return update(md, win, i, j, *args)
+            return march(system, *args, **kwargs)
 
         if failure != "divergence":
-            monkeypatch.setattr(drv, "transmission_update", failing)
+            monkeypatch.setattr(drv, "solve_window_mortar", failing)
         with pytest.raises(expected):
             iterate(md, win, _u_init(md, cfg), cfg.max_iterations, 1e-10)
         assert multiprocessing.active_children() == []
